@@ -36,6 +36,16 @@ a hub edge inside it, are not images of this construction and are rejected.
 The collapse map is measured, not assumed: there are f(2n-1) rotation
 classes but only f(2n-2) spanning trees of its target fan, so it cannot be
 injective; fiber_report quantifies exactly how the classes collapse.
+
+Validation happens once per input forest, where it enters the module:
+WheelForest.from_edges and the public five-field constructor analyse the
+edge set (one union-find pass over the wheel) and locate the arc.
+WheelForest.from_arc_record takes the parts and arc that enum_arc_forests
+already computed.  Every derived forest is then built unchecked: a rim
+rotation is an automorphism of the wheel, so normalize keeps each edge on
+its side, rotates the two sides separately, moves arc_start to 1 and keeps
+arc_len.  Fan trees are different: FanTree checks every image with
+is_spanning_tree, because that check is what the audit reports.
 """
 
 from __future__ import annotations
@@ -52,7 +62,13 @@ from .graphs import (
     make_wheel,
     rotate_rim_labels,
 )
-from .enumeration import DEFAULT_ENUM_CAP, enum_arc_forests, enum_spanning_trees, rim_arc_of
+from .enumeration import (
+    DEFAULT_ENUM_CAP,
+    ArcForestRecord,
+    enum_arc_forests,
+    enum_spanning_trees,
+    rim_arc_of,
+)
 
 
 def _analyze_forest(n: int, edges) -> tuple[tuple[Edge, ...], tuple[Edge, ...], int, int]:
@@ -96,9 +112,30 @@ class WheelForest:
             raise ValueError("forest fields are inconsistent with the edge set")
 
     @classmethod
+    def _unchecked(cls, n: int, center_edges, cycle_edges, arc_start: int, arc_len: int) -> "WheelForest":
+        # Skips __post_init__.  Only three callers may use it, each with
+        # fields that already describe a valid forest: from_edges (fresh from
+        # _analyze_forest), normalize (a rotation of a validated forest) and
+        # from_arc_record (parts and arc computed by enum_arc_forests).
+        self = object.__new__(cls)
+        self.__dict__.update(
+            n=n, center_edges=center_edges, cycle_edges=cycle_edges, arc_start=arc_start, arc_len=arc_len
+        )
+        return self
+
+    @classmethod
     def from_edges(cls, n: int, edges) -> "WheelForest":
-        ce, cy, start, k = _analyze_forest(n, edges)
-        return cls(n, ce, cy, start, k)
+        return cls._unchecked(n, *_analyze_forest(n, edges))
+
+    @classmethod
+    def from_arc_record(cls, rec: ArcForestRecord) -> "WheelForest":
+        """The forest of an enum_arc_forests record, without re-analysing it."""
+        center_part, rim_part = rec.parts  # parts are ordered by minimum vertex, 0 first
+        n = len(center_part) + len(rim_part) - 1
+        rim = set(rim_part)
+        cycle_edges = tuple(e for e in rec.edges if e[0] in rim)
+        center_edges = tuple(e for e in rec.edges if e[0] not in rim)
+        return cls._unchecked(n, center_edges, cycle_edges, rec.arc_start, rec.arc_len)
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -140,9 +177,24 @@ class NormalizedForest:
 
 
 def normalize(f: WheelForest) -> NormalizedForest:
+    """Rotate the rim so the arc starts at vertex 1; arc_len is unchanged.
+
+    A rotation is an automorphism of the wheel, so it keeps the forest valid
+    and keeps each edge on its side; rotating the two sides separately gives
+    the fields that analysing the rotated edge set would give.
+    """
     rotation = f.arc_start - 1
-    shifted = rotate_rim_labels(f.edges, -rotation, f.n)
-    return NormalizedForest(WheelForest.from_edges(f.n, shifted), rotation)
+    if rotation == 0:
+        return NormalizedForest(f, 0)
+    n = f.n
+    rotated = WheelForest._unchecked(
+        n,
+        rotate_rim_labels(f.center_edges, -rotation, n),
+        rotate_rim_labels(f.cycle_edges, -rotation, n),
+        1,
+        f.arc_len,
+    )
+    return NormalizedForest(rotated, rotation)
 
 
 def forward(f: WheelForest) -> FanTree:
@@ -292,12 +344,18 @@ class FiberReport:
         ]
 
 
-def fiber_report(n: int, cap: int = DEFAULT_ENUM_CAP) -> FiberReport:
-    records = enum_arc_forests(n, cap=cap)
+def fiber_report(n: int, cap: int = DEFAULT_ENUM_CAP, records=None) -> FiberReport:
+    """Fold the arc forests of the wheel with n rim vertices through forward.
+
+    records, when given, must be enum_arc_forests(n, cap=cap), already
+    computed by the caller; otherwise they are enumerated here.
+    """
+    if records is None:
+        records = enum_arc_forests(n, cap=cap)
     by_class: dict[tuple[Edge, ...], NormalizedForest] = {}
     labeled_per_class: Counter = Counter()
     for rec in records:
-        nf = normalize(WheelForest.from_edges(n, rec.edges))
+        nf = normalize(WheelForest.from_arc_record(rec))
         by_class[nf.forest.edges] = nf
         labeled_per_class[nf.forest.edges] += 1
 

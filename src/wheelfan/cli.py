@@ -9,17 +9,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import bijection, formulas, kirchhoff, verify
 from .enumeration import DEFAULT_ENUM_CAP, enum_arc_forests, enum_spanning_trees, enum_two_forests
 from .graphs import LabeledGraph, format_edge_list, make_fan, make_wheel, parse_edge_list
-from .report import BFile
-
-
-def _frac(r: Fraction) -> str:
-    return f"{r.numerator}/{r.denominator}"
+from .report import BFile, format_fraction
 
 
 def _parse_graph(spec: str) -> tuple[str, int, LabeledGraph]:
@@ -135,15 +130,15 @@ def cmd_resist(args) -> int:
     if args.method == "all":
         values = {}
         if formula_ok:
-            values["formula"] = _frac(closed())
-        values["minor"] = _frac(kirchhoff.effective_resistance(g, u, v))
+            values["formula"] = format_fraction(closed())
+        values["minor"] = format_fraction(kirchhoff.effective_resistance(g, u, v))
         return _emit_methods(values)
     if args.method == "formula":
         if not formula_ok:
             raise ValueError("no closed form for this graph; use --method minor")
-        print(_frac(closed()))
+        print(format_fraction(closed()))
     else:
-        print(_frac(kirchhoff.effective_resistance(g, u, v)))
+        print(format_fraction(kirchhoff.effective_resistance(g, u, v)))
     return 0
 
 

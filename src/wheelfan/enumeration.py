@@ -133,21 +133,18 @@ def rim_arc_of(n: int, rim_part: tuple[int, ...], cycle_edges) -> tuple[int, int
 def enum_arc_forests(n: int, cap: int = DEFAULT_ENUM_CAP) -> list[ArcForestRecord]:
     """Two-component spanning forests of the wheel, center part vs rim-only part.
 
-    The defining condition (one part holds vertex 0, the other only rim
-    vertices) is kept as an explicit filter even though any two-component
-    spanning forest of a wheel satisfies it.
+    By definition one part holds vertex 0 and the other only rim vertices.
+    Every two-component spanning forest of a wheel has that shape, so no
+    filter is needed: n-1 acyclic edges on n+1 vertices always leave two
+    parts, ordered by minimum vertex, so parts[0] holds vertex 0.
+    rim_arc_of checks that the rim-only part is a contiguous arc.
     """
     g = make_wheel(n)
     _check_cap(g, cap)
     out = []
     for sub in _acyclic_subsets(g, n - 1):
         parts = tuple(components(g, sub))
-        if len(parts) != 2:
-            continue
-        center_part = next(p for p in parts if 0 in p)
-        rim_part = next(p for p in parts if 0 not in p)
-        if 0 in rim_part:  # unreachable, spells out the definition
-            continue
+        rim_part = parts[1]
         cycle_edges = [e for e in sub if e[0] in rim_part]
         start, k = rim_arc_of(n, rim_part, cycle_edges)
         out.append(ArcForestRecord(sub, parts, start, k))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional
 
 
@@ -27,6 +28,11 @@ class Check:
         else:
             bits.append(f"expected={self.expected} actual={self.actual}")
         return " ".join(bits)
+
+
+def format_fraction(r: Fraction) -> str:
+    """A rational as p/q, denominator always shown (1 prints as 1/1)."""
+    return f"{r.numerator}/{r.denominator}"
 
 
 def equality_check(name: str, params: str, expected, actual) -> Check:

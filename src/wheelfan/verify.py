@@ -8,16 +8,10 @@ assertions (see arc_forest_census).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import bijection, enumeration, formulas, kirchhoff, sequences
 from .enumeration import DEFAULT_ENUM_CAP
 from .graphs import make_fan, make_wheel
-from .report import VerificationReport, equality_check, info_check
-
-
-def _frac(r: Fraction) -> str:
-    return f"{r.numerator}/{r.denominator}"
+from .report import VerificationReport, equality_check, format_fraction, info_check
 
 
 def suite_identities(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> VerificationReport:
@@ -119,16 +113,16 @@ def suite_resistance(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> Verificati
                 equality_check(
                     "rim resistance: closed form vs minor ratio",
                     f"n={n} k={k}",
-                    _frac(formulas.resistance_rim(n, k)),
-                    _frac(kirchhoff.effective_resistance(g, 1, 1 + k)),
+                    format_fraction(formulas.resistance_rim(n, k)),
+                    format_fraction(kirchhoff.effective_resistance(g, 1, 1 + k)),
                 )
             )
         report.checks.append(
             equality_check(
                 "center resistance: closed form vs minor ratio",
                 f"n={n}",
-                _frac(formulas.resistance_center(n)),
-                _frac(kirchhoff.effective_resistance(g, 1, 0)),
+                format_fraction(formulas.resistance_center(n)),
+                format_fraction(kirchhoff.effective_resistance(g, 1, 0)),
             )
         )
     return report
@@ -158,7 +152,8 @@ def suite_bijection(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> Verificatio
             )
         )
     for n in range(3, min(max_n, enum_cap - 1) + 1):
-        rep = bijection.fiber_report(n, cap=enum_cap)
+        records = enumeration.enum_arc_forests(n, cap=enum_cap)
+        rep = bijection.fiber_report(n, cap=enum_cap, records=records)
         report.checks.append(
             equality_check(
                 "all images are fan spanning trees",
@@ -170,35 +165,32 @@ def suite_bijection(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> Verificatio
         report.checks.append(
             equality_check("images cover the target fan", f"n={n}", True, rep.covers_target_fan)
         )
+        # one pass over the labeled forests, each built once:
         # rotation invariance: forward of any labeled forest equals forward of
-        # its normalized representative
-        records = enumeration.enum_arc_forests(n, cap=enum_cap)
-        stable = 0
-        for rec in records:
-            wf = bijection.WheelForest.from_edges(n, rec.edges)
-            if bijection.forward(wf).edges == bijection.forward(bijection.normalize(wf).forest).edges:
-                stable += 1
-        report.checks.append(
-            equality_check(
-                "forward map is rotation invariant", f"n={n}", len(records), stable
-            )
-        )
+        # its normalized representative;
         # forests whose center component uses spokes only invert exactly
+        stable = 0
         spoke_only = 0
         inverted = 0
         for rec in records:
-            nf = bijection.normalize(bijection.WheelForest.from_edges(n, rec.edges))
-            if nf.rotation != 0:
-                continue
-            if any(a != 0 for a, _ in nf.forest.center_edges):
+            wf = bijection.WheelForest.from_arc_record(rec)
+            nf = bijection.normalize(wf)
+            image = bijection.forward(nf.forest)
+            if bijection.forward(wf).edges == image.edges:
+                stable += 1
+            if nf.rotation != 0 or any(a != 0 for a, _ in nf.forest.center_edges):
                 continue
             spoke_only += 1
-            image = bijection.forward(nf.forest)
             try:
                 if bijection.inverse(image, n).edges == nf.forest.edges:
                     inverted += 1
             except ValueError:
                 pass
+        report.checks.append(
+            equality_check(
+                "forward map is rotation invariant", f"n={n}", len(records), stable
+            )
+        )
         report.checks.append(
             equality_check(
                 "round trip on spoke-only normalized forests",

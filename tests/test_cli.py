@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 
@@ -141,6 +142,30 @@ def test_audit_is_deterministic(capsys):
     first = run_cli(capsys, "bijection", "audit", "--n", "5")
     second = run_cli(capsys, "bijection", "audit", "--n", "5")
     assert first == second
+
+
+# stdout digests of the bijection suite and the largest audit in the sweep;
+# a speed-up in the bijection layer must print the same bytes
+PINNED_DIGESTS = [
+    (
+        ("verify", "--suite", "bijection", "--max-n", "12", "--enum-cap", "9"),
+        "04a8f5c3a7d0ed12358278c8ecae6b45473b0b7738edbb15fbefbab902016c70",
+        "passed=29 failed=0 info=6",
+    ),
+    (
+        ("bijection", "audit", "--n", "8"),
+        "fb320ac0acbd67b58cd4743adfde238aaacb854f4bf73b9853cf364c640c9062",
+        "n=8 images=377 fibers_max=7 roundtrip=fail",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, digest, last_line", PINNED_DIGESTS, ids=["verify-bijection", "audit-n8"])
+def test_bijection_outputs_match_pinned_digests(capsys, args, digest, last_line):
+    code, out, err = run_cli(capsys, *args)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == last_line
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_enumerate_trees_bytes(capsys):
