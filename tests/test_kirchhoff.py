@@ -5,6 +5,8 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wheelfan import formulas
+from wheelfan.enumeration import enum_spanning_trees, enum_two_forests
 from wheelfan.graphs import make_fan, make_graph, make_wheel
 from wheelfan.kirchhoff import (
     LaplacianMatrix,
@@ -71,6 +73,85 @@ def test_det_against_cofactor_oracle():
         size = rng.randint(1, 6)
         m = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
         assert det_exact(m) == cofactor_det(m)
+
+
+NONZERO = (-3, -2, -1, 1, 2, 3)
+
+
+def _zero_heavy_matrix(rng, size, kind):
+    density = rng.uniform(0.2, 0.5)
+    m = [[rng.choice(NONZERO) if rng.random() < density else 0 for _ in range(size)] for _ in range(size)]
+    if kind == "permutation":
+        # one guaranteed nonzero per row and column, in shuffled columns
+        for i, j in enumerate(rng.sample(range(size), size)):
+            m[i][j] = rng.choice(NONZERO)
+    elif kind == "rank-deficient" and size >= 2:
+        i, j = rng.sample(range(size), 2)
+        m[i] = [rng.choice(NONZERO) * x for x in m[j]]
+    return m
+
+
+def test_det_zero_heavy_against_cofactor_oracle():
+    # mostly-zero rows drive the skipped-row rescale and the pivot swap
+    rng = random.Random(20261018)
+    dets = []
+    for case in range(360):
+        kind = ("sparse", "rank-deficient", "permutation")[case % 3]
+        m = _zero_heavy_matrix(rng, case % 8, kind)
+        dets.append(det_exact(m))
+        assert dets[-1] == cofactor_det(m), (kind, m)
+    assert dets.count(0) > 30 and len(dets) - dets.count(0) > 100
+    # step 0 updates rows 1 and 2 but skips row 3; the zero pivot at step 1
+    # swaps rows 1 and 3, whose stamps must travel with them
+    m = [[2, 0, 1, 2], [-1, 0, 0, 0], [1, 0, 1, 0], [0, -1, 0, 0]]
+    assert det_exact(m) == cofactor_det(m) == 2
+
+
+@pytest.mark.parametrize("n", [100, 200])
+def test_minor_route_matches_closed_forms_at_large_n(n):
+    assert count_spanning_trees(make_wheel(n)) == formulas.trees_wheel(n)
+    assert count_spanning_trees(make_fan(n)) == formulas.trees_fan(n)
+    assert count_two_forests(make_wheel(n), 0, 1) == formulas.forests_sep_center(n)
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random spanning tree on at most 8 shuffled labels, plus up to 5 extra edges."""
+    vertices = draw(st.integers(1, 8))
+    labels = draw(st.permutations(range(vertices)))
+    edges = [(labels[i], labels[draw(st.integers(0, i - 1))]) for i in range(1, vertices)]
+    if vertices >= 2:
+        pair = st.tuples(st.integers(0, vertices - 1), st.integers(0, vertices - 1)).filter(lambda p: p[0] != p[1])
+        edges += draw(st.lists(pair, max_size=5))
+    return make_graph(vertices, edges)
+
+
+@settings(deadline=None)
+@given(g=connected_graphs())
+def test_minor_route_counts_trees_like_enumeration(g):
+    assert count_spanning_trees(g) == len(enum_spanning_trees(g))
+
+
+@settings(deadline=None)
+@given(g=connected_graphs())
+def test_minor_route_counts_two_forests_like_enumeration(g):
+    for u, v in combinations(range(g.vertex_count), 2):
+        assert count_two_forests(g, u, v) == len(enum_two_forests(g, u, v))
+
+
+@settings(deadline=None)
+@given(g=connected_graphs())
+def test_every_dropped_vertex_gives_the_tree_count(g):
+    L = laplacian(g)
+    assert {det_exact(L.minor({v})) for v in range(g.vertex_count)} == {count_spanning_trees(g)}
+
+
+@settings(deadline=None)
+@given(g=connected_graphs())
+def test_foster_theorem_holds_exactly(g):
+    # Foster 1949: the resistances of the edges sum to V - 1
+    total = sum(effective_resistance(g, a, b) for a, b in g.edges)
+    assert total == Fraction(g.vertex_count - 1)
 
 
 def test_tree_counts():
