@@ -3,7 +3,15 @@
 Everything here enumerates explicitly and is meant to be audited, not to be
 fast.  The recursion prunes cycles early with a rollback union-find, and the
 output order is the lexicographic order of the chosen edge subsets, so runs
-are deterministic and duplicate-free.
+are deterministic and duplicate-free.  For separating two-forests the same
+union-find also skips every edge that would join u's part to v's, so each
+subset the walk reaches is one the caller keeps.
+
+Two limits keep a run finite: the vertex cap, and a work budget.  Before it
+walks, an enumerator takes its exact output size from the Laplacian minor
+and refuses with EnumerationCapExceeded, naming that count, above
+ENUM_BUDGET.  The minor only sizes the run; every emitted subset is still
+found by the walk.
 """
 
 from __future__ import annotations
@@ -11,10 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Edge, LabeledGraph, components, make_wheel, rotate_rim_labels
+from .kirchhoff import count_spanning_trees, count_two_forests
 from .report import Check, info_check
 from .sequences import fib
 
 DEFAULT_ENUM_CAP = 10
+# most subsets any one enumeration may emit; K8's 262,144 trees fit, K10's 10^8 do not
+ENUM_BUDGET = 10**6
 
 
 class EnumerationCapExceeded(ValueError):
@@ -28,8 +39,19 @@ def _check_cap(g: LabeledGraph, cap: int):
         )
 
 
-def _acyclic_subsets(g: LabeledGraph, size: int) -> list[tuple[Edge, ...]]:
-    # backtracking over the sorted edge list; cycle-closing edges pruned at once
+def _check_budget(count: int, what: str):
+    # the minor route predicts the output size exactly before the walk starts
+    if count > ENUM_BUDGET:
+        raise EnumerationCapExceeded(
+            f"graph has {count} {what}, enumeration budget is {ENUM_BUDGET}"
+        )
+
+
+def _acyclic_subsets(
+    g: LabeledGraph, size: int, apart: tuple[int, int] | None = None
+) -> list[tuple[Edge, ...]]:
+    # backtracking over the sorted edge list; an edge is skipped at once if it
+    # closes a cycle or, when apart = (u, v) is given, joins u's part to v's
     edges = g.edges
     total = len(edges)
     parent = list(range(g.vertex_count))
@@ -47,10 +69,13 @@ def _acyclic_subsets(g: LabeledGraph, size: int) -> list[tuple[Edge, ...]]:
         if need == 0:
             out.append(tuple(chosen))
             return
+        ru = rv = -1  # roots are never negative: without a pair no edge matches
+        if apart is not None:
+            ru, rv = find(apart[0]), find(apart[1])
         for idx in range(start, total - need + 1):
             a, b = edges[idx]
             ra, rb = find(a), find(b)
-            if ra == rb:
+            if ra == rb or (ra == ru and rb == rv) or (ra == rv and rb == ru):
                 continue
             if rank[ra] < rank[rb]:
                 ra, rb = rb, ra
@@ -69,6 +94,7 @@ def _acyclic_subsets(g: LabeledGraph, size: int) -> list[tuple[Edge, ...]]:
 def enum_spanning_trees(g: LabeledGraph, cap: int = DEFAULT_ENUM_CAP) -> list[tuple[Edge, ...]]:
     """All spanning trees as canonical edge tuples, lexicographically ordered."""
     _check_cap(g, cap)
+    _check_budget(count_spanning_trees(g), "spanning trees")
     # V-1 acyclic edges on V vertices are automatically connected
     return _acyclic_subsets(g, g.vertex_count - 1)
 
@@ -84,14 +110,13 @@ def enum_two_forests(g: LabeledGraph, u: int, v: int, cap: int = DEFAULT_ENUM_CA
     if u == v:
         raise ValueError("the two vertices must be distinct")
     _check_cap(g, cap)
-    out = []
-    for sub in _acyclic_subsets(g, g.vertex_count - 2):
-        parts = tuple(components(g, sub))
-        pu = next(p for p in parts if u in p)
-        if v in pu:
-            continue
-        out.append(ForestRecord(sub, parts))
-    return out
+    # count_two_forests also refuses a vertex out of range, before the walk
+    _check_budget(count_two_forests(g, u, v), "separating two-forests")
+    # V-2 acyclic edges leave exactly two parts, and the walk keeps u and v apart
+    return [
+        ForestRecord(sub, tuple(components(g, sub)))
+        for sub in _acyclic_subsets(g, g.vertex_count - 2, (u, v))
+    ]
 
 
 @dataclass(frozen=True)

@@ -111,14 +111,32 @@ def components(g: LabeledGraph, sub: Iterable[Edge]) -> list[tuple[int, ...]]:
     Isolated vertices appear as singletons.  Parts are sorted internally and
     ordered by their minimum vertex id, so the output is deterministic.
     """
-    sub = _check_subset(g, sub)
-    dsu = _DSU(g.vertex_count)
-    for a, b in sub:
-        dsu.union(a, b)
-    groups: dict[int, list[int]] = {}
-    for v in range(g.vertex_count):
-        groups.setdefault(dsu.find(v), []).append(v)
-    return sorted((tuple(sorted(vs)) for vs in groups.values()), key=lambda p: p[0])
+    allowed = g.edge_set
+    # union-find with path halving; a union hangs the larger root under the
+    # smaller, so parent[x] <= x and every root is the minimum of its part
+    parent = list(range(g.vertex_count))
+    for e in sub:
+        if e not in allowed:
+            raise ValueError(f"edge {e[0]}-{e[1]} is not an edge of the graph")
+        a, b = e
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    # visiting x in increasing order, parent[x] < x already points at its root,
+    # so one step resolves x; members arrive sorted, parts by minimum vertex
+    parts: dict[int, list[int]] = {}
+    for x in range(g.vertex_count):
+        r = parent[x] = parent[parent[x]]
+        if r == x:
+            parts[x] = [x]
+        else:
+            parts[r].append(x)
+    return [tuple(p) for p in parts.values()]
 
 
 def is_acyclic(g: LabeledGraph, sub: Iterable[Edge]) -> bool:

@@ -1,6 +1,7 @@
 import hashlib
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -54,6 +55,39 @@ def test_count_from_file(tmp_path, capsys):
     # no closed form for arbitrary graphs
     code, _, err = run_cli(capsys, "count", "trees", "--graph", f"file:{path}", "--method", "formula")
     assert code == 2 and "closed form" in err
+
+
+@pytest.mark.parametrize("method", ["enum", "minor"])
+@pytest.mark.parametrize("pair, bad", [("1,99", 99), ("-1,2", -1)])
+def test_count_forests_vertex_out_of_range(capsys, method, pair, bad):
+    code, out, err = run_cli(
+        capsys, "count", "forests", "--graph", "wheel:4", f"--separate={pair}", "--method", method
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: vertex {bad} out of range\n"
+
+
+@pytest.mark.parametrize(
+    "args, predicted",
+    [
+        (("count", "trees", "--method", "all"), "100000000 spanning trees"),
+        (("enumerate", "trees"), "100000000 spanning trees"),
+        (("enumerate", "forests", "--separate", "0,9"), "20000000 separating two-forests"),
+    ],
+)
+def test_k10_is_refused_by_the_work_budget(tmp_path, args, predicted):
+    # 10 vertices pass the vertex cap, but K10 has 10^8 spanning trees; a
+    # subprocess with a timeout turns a regression into a failure, not a hang
+    path = tmp_path / "k10.txt"
+    path.write_text(format_edge_list(10, combinations(range(10), 2)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wheelfan", *args[:2], "--graph", f"file:{path}", *args[2:]],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: graph has {predicted}, enumeration budget is 1000000\n"
 
 
 def test_bad_graph_spec(capsys):
@@ -165,6 +199,37 @@ def test_bijection_outputs_match_pinned_digests(capsys, args, digest, last_line)
     code, out, err = run_cli(capsys, *args)
     assert (code, err) == (0, "")
     assert out.splitlines()[-1] == last_line
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# stdout digests of the brute-force enumerators, recorded before the walk
+# learned to keep the separated pair apart; the output must not move
+ENUMERATE_DIGESTS = [
+    (
+        ("forests", "--graph", "wheel:7", "--separate", "2,5"),
+        "9bace3335c5158bd9821d9898c332c895dd1ceb4b50da7d45956ce4146c1c80e",
+        696,
+    ),
+    (
+        ("trees", "--graph", "wheel:6"),
+        "b0d8c0118e74175f6da76149784488d69fab40b52934f7783f5b32a39736eebb",
+        320,
+    ),
+    (
+        ("forests", "--graph", "file:{k7}", "--separate", "2,5"),
+        "98eb9de89f6de7a2bafc5460a5a24ff32d1a5a7ee70d093cf83f005bab13db75",
+        4802,
+    ),
+]
+
+
+@pytest.mark.parametrize("args, digest, blocks", ENUMERATE_DIGESTS, ids=["wheel7-forests", "wheel6-trees", "k7-forests"])
+def test_enumerate_outputs_match_pinned_digests(tmp_path, capsys, args, digest, blocks):
+    k7 = tmp_path / "k7.txt"
+    k7.write_text(format_edge_list(7, combinations(range(7), 2)))
+    code, out, err = run_cli(capsys, "enumerate", *(a.format(k7=k7) for a in args))
+    assert (code, err) == (0, "")
+    assert out.count("V ") == blocks
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

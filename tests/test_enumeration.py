@@ -1,10 +1,13 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 
+from wheelfan import enumeration
 from wheelfan.enumeration import (
     ArcForestRecord,
     EnumerationCapExceeded,
+    ForestRecord,
     arc_forest_census,
     enum_arc_forests,
     enum_spanning_trees,
@@ -12,8 +15,9 @@ from wheelfan.enumeration import (
     rim_arc_of,
     rotation_class_representative,
 )
-from wheelfan.graphs import components, make_fan, make_graph, make_wheel, rotate_rim_labels
+from wheelfan.graphs import components, is_acyclic, make_fan, make_graph, make_wheel, rotate_rim_labels
 from wheelfan.kirchhoff import count_spanning_trees, count_two_forests
+from strategies import connected_graphs
 
 
 def test_triangle_has_three_trees():
@@ -62,6 +66,53 @@ def test_cap_enforced():
     with pytest.raises(EnumerationCapExceeded, match="cap is 5"):
         enum_two_forests(make_wheel(5), 1, 2, cap=5)
     assert len(enum_spanning_trees(make_wheel(4), cap=5)) == 45
+
+
+def test_budget_refuses_by_exact_count(monkeypatch):
+    # wheel:4 has 45 spanning trees and 24 forests separating 1 from 2
+    monkeypatch.setattr(enumeration, "ENUM_BUDGET", 45)
+    assert len(enum_spanning_trees(make_wheel(4))) == 45
+    monkeypatch.setattr(enumeration, "ENUM_BUDGET", 44)
+    with pytest.raises(EnumerationCapExceeded, match="45 spanning trees, enumeration budget is 44"):
+        enum_spanning_trees(make_wheel(4))
+    assert len(enum_two_forests(make_wheel(4), 1, 2)) == 24
+    monkeypatch.setattr(enumeration, "ENUM_BUDGET", 23)
+    with pytest.raises(EnumerationCapExceeded, match="24 separating two-forests"):
+        enum_two_forests(make_wheel(4), 1, 2)
+
+
+@pytest.mark.parametrize("u, v", [(1, 99), (-1, 2), (2, 5)])
+def test_two_forests_reject_vertices_out_of_range(u, v):
+    bad = next(w for w in (u, v) if not 0 <= w < 5)
+    with pytest.raises(ValueError, match=f"vertex {bad} out of range"):
+        enum_two_forests(make_wheel(4), u, v)
+
+
+def _separating_forests_by_definition(g):
+    # every (V-2)-edge acyclic subset in lexicographic order, no pruning;
+    # a single vertex has no pair to separate
+    if g.vertex_count < 2:
+        return {}
+    forests = [
+        (sub, tuple(components(g, sub)))
+        for sub in combinations(g.edges, g.vertex_count - 2)
+        if is_acyclic(g, sub)
+    ]
+    return {
+        (u, v): [
+            ForestRecord(sub, parts)
+            for sub, parts in forests
+            if v not in next(p for p in parts if u in p)
+        ]
+        for u, v in combinations(range(g.vertex_count), 2)
+    }
+
+
+@settings(deadline=None)
+@given(g=connected_graphs(max_vertices=7))
+def test_pruned_walk_matches_the_unpruned_definition(g):
+    for (u, v), expected in _separating_forests_by_definition(g).items():
+        assert enum_two_forests(g, u, v) == expected
 
 
 def test_arc_forests_basic_membership():

@@ -15,6 +15,7 @@ from wheelfan.graphs import (
     parse_edge_list,
     rotate_rim_labels,
 )
+from strategies import connected_graphs
 
 
 def degrees(g):
@@ -113,6 +114,28 @@ def test_components_always_partition(n, picks):
     seen = [v for part in parts for v in part]
     assert sorted(seen) == list(range(g.vertex_count))
     assert [p[0] for p in parts] == sorted(p[0] for p in parts)
+
+
+def _sorted_groups(vertex_count, sub):
+    # merge vertex sets edge by edge, then sort members and parts
+    group = {x: {x} for x in range(vertex_count)}
+    for a, b in sub:
+        merged = group[a] | group[b]
+        for x in merged:
+            group[x] = merged
+    return sorted({tuple(sorted(s)) for s in group.values()})
+
+
+@given(g=connected_graphs(), data=st.data())
+def test_components_match_sorted_groups(g, data):
+    sub = data.draw(st.lists(st.sampled_from(g.edges), max_size=12)) if g.edges else []
+    assert components(g, sub) == _sorted_groups(g.vertex_count, sub)
+    non_edges = [e for e in combinations(range(g.vertex_count), 2) if e not in g.edge_set]
+    if non_edges:
+        a, b = data.draw(st.sampled_from(non_edges))
+        at = data.draw(st.integers(0, len(sub)))
+        with pytest.raises(ValueError, match=f"edge {a}-{b} is not an edge of the graph"):
+            components(g, sub[:at] + [(a, b)] + sub[at:])
 
 
 def test_rotation_identity_and_inverse():

@@ -16,6 +16,7 @@ from wheelfan.kirchhoff import (
     effective_resistance,
     laplacian,
 )
+from strategies import connected_graphs
 
 
 def cofactor_det(m):
@@ -114,18 +115,6 @@ def test_minor_route_matches_closed_forms_at_large_n(n):
     assert count_two_forests(make_wheel(n), 0, 1) == formulas.forests_sep_center(n)
 
 
-@st.composite
-def connected_graphs(draw):
-    """A random spanning tree on at most 8 shuffled labels, plus up to 5 extra edges."""
-    vertices = draw(st.integers(1, 8))
-    labels = draw(st.permutations(range(vertices)))
-    edges = [(labels[i], labels[draw(st.integers(0, i - 1))]) for i in range(1, vertices)]
-    if vertices >= 2:
-        pair = st.tuples(st.integers(0, vertices - 1), st.integers(0, vertices - 1)).filter(lambda p: p[0] != p[1])
-        edges += draw(st.lists(pair, max_size=5))
-    return make_graph(vertices, edges)
-
-
 @settings(deadline=None)
 @given(g=connected_graphs())
 def test_minor_route_counts_trees_like_enumeration(g):
@@ -152,6 +141,23 @@ def test_foster_theorem_holds_exactly(g):
     # Foster 1949: the resistances of the edges sum to V - 1
     total = sum(effective_resistance(g, a, b) for a, b in g.edges)
     assert total == Fraction(g.vertex_count - 1)
+
+
+def _all_resistances(g):
+    return {(u, v): effective_resistance(g, u, v) for u, v in combinations(range(g.vertex_count), 2)}
+
+
+@settings(deadline=None)
+@given(g=connected_graphs())
+def test_adding_an_edge_never_raises_a_resistance(g):
+    # Rayleigh monotonicity: a unit resistor added anywhere lowers or keeps every R(u, v)
+    before = _all_resistances(g)
+    for e in combinations(range(g.vertex_count), 2):
+        if e in g.edge_set:
+            continue
+        after = _all_resistances(make_graph(g.vertex_count, g.edges + (e,)))
+        assert all(after[p] <= before[p] for p in before), e
+        assert after[e] < before[e]
 
 
 def test_tree_counts():
