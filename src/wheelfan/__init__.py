@@ -5,7 +5,7 @@ force) cover the same quantities; the verify module keeps them honest.
 """
 
 from .graphs import LabeledGraph, make_fan, make_wheel, components, is_spanning_tree
-from .sequences import ExactRational, fib, lucas
+from .sequences import fib, lucas
 from .kirchhoff import count_spanning_trees, count_two_forests, effective_resistance
 from .bijection import FanTree, WheelForest, fiber_report, forward, inverse, normalize
 
@@ -17,7 +17,6 @@ __all__ = [
     "make_wheel",
     "components",
     "is_spanning_tree",
-    "ExactRational",
     "fib",
     "lucas",
     "count_spanning_trees",

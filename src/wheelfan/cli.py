@@ -40,11 +40,18 @@ def _parse_int(text: str, what: str) -> int:
         raise ValueError(f"bad {what} {text!r}") from None
 
 
-def _parse_pair(text: str) -> tuple[int, int]:
+def _parse_pair(text: str, g: LabeledGraph) -> tuple[int, int]:
+    """Two distinct vertices of g, checked before any route runs."""
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"bad vertex pair {text!r}; expected A,B")
-    return _parse_int(parts[0], "vertex"), _parse_int(parts[1], "vertex")
+    u, v = _parse_int(parts[0], "vertex"), _parse_int(parts[1], "vertex")
+    if u == v:
+        raise ValueError("the two vertices must be distinct")
+    for w in (u, v):
+        if not 0 <= w < g.vertex_count:
+            raise ValueError(f"vertex {w} out of range")
+    return u, v
 
 
 def _parse_inline_edges(text: str) -> list[tuple[int, int]]:
@@ -84,7 +91,7 @@ def cmd_count(args) -> int:
     else:
         if not args.separate:
             raise ValueError("count forests requires --separate A,B")
-        u, v = _parse_pair(args.separate)
+        u, v = _parse_pair(args.separate, g)
         if kind == "wheel" and 0 in (u, v):
             closed = lambda: formulas.forests_sep_center(size)
             formula_ok = True
@@ -115,9 +122,7 @@ def cmd_count(args) -> int:
 
 def cmd_resist(args) -> int:
     kind, size, g = _parse_graph(args.graph)
-    u, v = _parse_pair(args.pair)
-    if u == v:
-        raise ValueError("the two vertices must be distinct")
+    u, v = _parse_pair(args.pair, g)
     if kind == "wheel" and 0 in (u, v):
         closed = lambda: formulas.resistance_center(size)
         formula_ok = True
@@ -182,7 +187,7 @@ def cmd_enumerate(args) -> int:
     elif args.object == "forests":
         if not args.separate:
             raise ValueError("enumerate forests requires --separate A,B")
-        u, v = _parse_pair(args.separate)
+        u, v = _parse_pair(args.separate, g)
         blocks = [rec.edges for rec in enum_two_forests(g, u, v, cap=args.enum_cap)]
     else:
         if kind != "wheel":

@@ -176,9 +176,14 @@ def enum_arc_forests(n: int, cap: int = DEFAULT_ENUM_CAP) -> list[ArcForestRecor
     return out
 
 
-def rotation_class_representative(edges, n: int) -> tuple[Edge, ...]:
-    """Lexicographically least relabeling over all n rim rotations."""
-    return min(rotate_rim_labels(edges, s, n) for s in range(n))
+def rotation_class_representative(rec: ArcForestRecord) -> tuple[Edge, ...]:
+    """The record's edges rotated so its arc starts at rim vertex 1.
+
+    A forest has one arc, so every rotation of it lands on the same tuple:
+    the arc-normal form, the edges of bijection.normalize's forest.
+    """
+    n = len(rec.parts[0]) + len(rec.parts[1]) - 1
+    return rotate_rim_labels(rec.edges, 1 - rec.arc_start, n)
 
 
 def arc_forest_census(n_values, cap: int = DEFAULT_ENUM_CAP) -> list[Check]:
@@ -192,7 +197,7 @@ def arc_forest_census(n_values, cap: int = DEFAULT_ENUM_CAP) -> list[Check]:
     for n in n_values:
         records = enum_arc_forests(n, cap=cap)
         labeled = len(records)
-        classes = len({rotation_class_representative(r.edges, n) for r in records})
+        classes = len({rotation_class_representative(r) for r in records})
         candidates = {
             "f(2n-2)": fib(2 * n - 2),
             "f(2n-1)": fib(2 * n - 1),

@@ -72,39 +72,6 @@ def make_fan(m: int) -> LabeledGraph:
     return make_graph(m + 1, hub + path)
 
 
-class _DSU:
-    # union-find over 0..n-1, path halving, union by size
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return True
-
-
-def _check_subset(g: LabeledGraph, sub: Iterable[Edge]) -> list[Edge]:
-    sub = list(sub)
-    allowed = g.edge_set
-    for e in sub:
-        if e not in allowed:
-            raise ValueError(f"edge {e[0]}-{e[1]} is not an edge of the graph")
-    return sub
-
-
 def components(g: LabeledGraph, sub: Iterable[Edge]) -> list[tuple[int, ...]]:
     """Connected-component partition of all vertices under the edge subset.
 
@@ -140,20 +107,20 @@ def components(g: LabeledGraph, sub: Iterable[Edge]) -> list[tuple[int, ...]]:
 
 
 def is_acyclic(g: LabeledGraph, sub: Iterable[Edge]) -> bool:
-    sub = _check_subset(g, sub)
-    dsu = _DSU(g.vertex_count)
-    return all(dsu.union(a, b) for a, b in sub)
+    """True iff sub has no cycle; a repeated edge counts as one.
+
+    Every edge of a forest joins two parts, so a forest with e edges leaves
+    vertex_count - e parts and any cycle leaves more.
+    """
+    sub = list(sub)
+    return len(components(g, sub)) == g.vertex_count - len(sub)
 
 
 def is_spanning_tree(g: LabeledGraph, sub: Iterable[Edge]) -> bool:
     """True iff sub is acyclic, connected and has vertex_count-1 edges."""
-    sub = _check_subset(g, sub)
-    if len(sub) != g.vertex_count - 1:
-        return False
-    dsu = _DSU(g.vertex_count)
-    if not all(dsu.union(a, b) for a, b in sub):
-        return False
-    return dsu.size[dsu.find(0)] == g.vertex_count
+    sub = list(sub)
+    # components first, so a non-edge raises whatever the length
+    return len(components(g, sub)) == 1 and len(sub) == g.vertex_count - 1
 
 
 def rotate_rim_labels(edges: Iterable[Edge], shift: int, n: int) -> tuple[Edge, ...]:

@@ -7,11 +7,7 @@ fractions.Fraction, which already keeps gcd(num, den)=1 and den>0.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .report import Check, equality_check
-
-ExactRational = Fraction
 
 
 def _fib_pair(i: int) -> tuple[int, int]:

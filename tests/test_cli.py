@@ -1,9 +1,12 @@
 import hashlib
+import io
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wheelfan.formulas
 from wheelfan.cli import main
@@ -57,14 +60,41 @@ def test_count_from_file(tmp_path, capsys):
     assert code == 2 and "closed form" in err
 
 
-@pytest.mark.parametrize("method", ["enum", "minor"])
-@pytest.mark.parametrize("pair, bad", [("1,99", 99), ("-1,2", -1)])
+@pytest.mark.parametrize("method", ["enum", "minor", "formula"])
+@pytest.mark.parametrize("pair, bad", [("1,99", 99), ("-1,2", -1), ("0,99", 99)])
 def test_count_forests_vertex_out_of_range(capsys, method, pair, bad):
     code, out, err = run_cli(
         capsys, "count", "forests", "--graph", "wheel:4", f"--separate={pair}", "--method", method
     )
     assert (code, out) == (2, "")
     assert err == f"error: vertex {bad} out of range\n"
+
+
+def run_quiet(*args):
+    # like run_cli, without capsys, which hypothesis tests cannot share
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(args))
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_every_route_treats_a_vertex_pair_alike(data):
+    # fans are left out: they have no closed form for forests or resistance
+    n = data.draw(st.integers(3, 6), label="n")
+    u = data.draw(st.integers(-2, n + 2), label="u")
+    v = data.draw(st.integers(-2, n + 2), label="v")
+    graph = f"--graph=wheel:{n}"
+    for command, methods in [
+        (("count", "forests", graph, f"--separate={u},{v}"), ("formula", "minor", "enum")),
+        (("resist", graph, f"--pair={u},{v}"), ("formula", "minor")),
+    ]:
+        results = {run_quiet(*command, "--method", m) for m in methods}
+        assert len(results) == 1, results
+        code, out, err = results.pop()
+        valid = u != v and 0 <= u <= n and 0 <= v <= n
+        assert (code, out == "", err == "") == ((0, False, True) if valid else (2, True, False))
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from wheelfan import enumeration
+from wheelfan.bijection import WheelForest, normalize
 from wheelfan.enumeration import (
     ArcForestRecord,
     EnumerationCapExceeded,
@@ -160,10 +161,19 @@ def test_rim_arc_rejects_non_arcs():
 
 
 def test_rotation_representative_is_rotation_invariant():
-    edges = ((0, 4), (1, 2), (2, 3))
-    rep = rotation_class_representative(edges, 5)
-    for s in range(5):
-        assert rotation_class_representative(rotate_rim_labels(edges, s, 5), 5) == rep
+    # the family is closed under rotation, so each rotated forest has its own record
+    records = {rec.edges: rec for rec in enum_arc_forests(5)}
+    for rec in records.values():
+        rep = rotation_class_representative(rec)
+        for s in range(5):
+            assert rotation_class_representative(records[rotate_rim_labels(rec.edges, s, 5)]) == rep
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_rotation_representative_is_the_normalized_forest(n):
+    for rec in enum_arc_forests(n):
+        expected = normalize(WheelForest.from_arc_record(rec)).forest.edges
+        assert rotation_class_representative(rec) == expected
 
 
 FROZEN_COUNTS = {3: (15, 5), 4: (52, 13), 5: (170, 34), 6: (534, 89), 7: (1631, 233)}
@@ -174,7 +184,7 @@ def test_arc_forest_counts(n):
     labeled, classes = FROZEN_COUNTS[n]
     records = enum_arc_forests(n)
     assert len(records) == labeled
-    reps = {rotation_class_representative(r.edges, n) for r in records}
+    reps = {rotation_class_representative(r) for r in records}
     assert len(reps) == classes
 
 

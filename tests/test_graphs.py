@@ -8,6 +8,7 @@ from wheelfan.graphs import (
     LabeledGraph,
     components,
     format_edge_list,
+    is_acyclic,
     is_spanning_tree,
     make_fan,
     make_graph,
@@ -95,12 +96,22 @@ def test_is_spanning_tree_examples():
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_spanning_tree_agrees_with_component_count(n):
-    # exhaustive over all edge subsets of the wheel
+    # exhaustive over all edge subsets of the wheel; the part count comes
+    # from _sorted_groups, not from components, which both functions use
     g = make_wheel(n)
     for size in range(len(g.edges) + 1):
         for sub in combinations(g.edges, size):
-            expected = size == g.vertex_count - 1 and len(components(g, sub)) == 1
-            assert is_spanning_tree(g, sub) == expected
+            parts = len(_sorted_groups(g.vertex_count, sub))
+            assert is_acyclic(g, sub) == (parts == g.vertex_count - size)
+            assert is_spanning_tree(g, sub) == (size == g.vertex_count - 1 and parts == 1)
+
+
+def test_repeated_edge_reads_as_a_cycle():
+    fan = make_fan(3)
+    assert is_acyclic(fan, [(0, 1), (1, 2)])
+    assert not is_acyclic(fan, [(0, 1), (1, 2), (0, 1)])
+    # three edges on four vertices, but only two distinct ones
+    assert not is_spanning_tree(fan, [(0, 1), (1, 2), (1, 2)])
 
 
 @given(
