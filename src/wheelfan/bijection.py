@@ -39,13 +39,15 @@ injective; fiber_report quantifies exactly how the classes collapse.
 
 Validation happens once per input forest, where it enters the module:
 WheelForest.from_edges and the public five-field constructor analyse the
-edge set (one union-find pass over the wheel) and locate the arc.
-WheelForest.from_arc_record takes the parts and arc that enum_arc_forests
-already computed.  Every derived forest is then built unchecked: a rim
-rotation is an automorphism of the wheel, so normalize keeps each edge on
-its side, rotates the two sides separately, moves arc_start to 1 and keeps
-arc_len.  Fan trees are different: FanTree checks every image with
-is_spanning_tree, because that check is what the audit reports.
+edge set (one union-find pass over the wheel) and locate the arc, and
+enum_arc_forests locates the arc of each subset its walk finds.
+WheelForest lives in the enumeration module, which emits it;
+bijection.WheelForest is the same class.  Every derived forest is then
+built unchecked: a rim rotation is an automorphism of the wheel, so
+normalize keeps each edge on its side, rotates the two sides separately,
+moves arc_start to 1 and keeps arc_len.  Fan trees are different: FanTree
+checks every image with is_spanning_tree, because that check is what the
+audit reports.
 """
 
 from __future__ import annotations
@@ -53,93 +55,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .graphs import (
-    Edge,
-    canonical_edge,
-    components,
-    is_spanning_tree,
-    make_fan,
-    make_wheel,
-    rotate_rim_labels,
-)
-from .enumeration import (
-    DEFAULT_ENUM_CAP,
-    ArcForestRecord,
-    enum_arc_forests,
-    enum_spanning_trees,
-    rim_arc_of,
-)
-
-
-def _analyze_forest(n: int, edges) -> tuple[tuple[Edge, ...], tuple[Edge, ...], int, int]:
-    """Split forest edges into center-side and arc-side, locating the arc."""
-    if n < 3:
-        raise ValueError("wheel requires at least 3 rim vertices")
-    wheel = make_wheel(n)
-    edges = tuple(sorted(canonical_edge(a, b) for a, b in edges))
-    if len(set(edges)) != len(edges):
-        raise ValueError("duplicate edge in forest")
-    if len(edges) != n - 1:
-        raise ValueError(f"forest on the wheel with {n} rim vertices needs {n - 1} edges, got {len(edges)}")
-    parts = components(wheel, edges)  # also validates edges against the wheel
-    if len(parts) != 2:
-        raise ValueError("edge set is not a two-component spanning forest (it contains a cycle)")
-    rim_part = next(p for p in parts if 0 not in p)
-    cycle_edges = tuple(e for e in edges if e[0] in rim_part)
-    center_edges = tuple(e for e in edges if e[0] not in rim_part)
-    start, k = rim_arc_of(n, rim_part, cycle_edges)
-    return center_edges, cycle_edges, start, k
-
-
-@dataclass(frozen=True)
-class WheelForest:
-    """Two-component spanning forest of a wheel, arc metadata included.
-
-    center_edges live in the component holding vertex 0 (spokes and possibly
-    rim edges); cycle_edges form the path on the center-free arc, which has
-    arc_len vertices and starts at rim position arc_start.
-    """
-
-    n: int
-    center_edges: tuple[Edge, ...]
-    cycle_edges: tuple[Edge, ...]
-    arc_start: int
-    arc_len: int
-
-    def __post_init__(self):
-        ce, cy, start, k = _analyze_forest(self.n, self.center_edges + self.cycle_edges)
-        if (ce, cy, start, k) != (self.center_edges, self.cycle_edges, self.arc_start, self.arc_len):
-            raise ValueError("forest fields are inconsistent with the edge set")
-
-    @classmethod
-    def _unchecked(cls, n: int, center_edges, cycle_edges, arc_start: int, arc_len: int) -> "WheelForest":
-        # Skips __post_init__.  Only three callers may use it, each with
-        # fields that already describe a valid forest: from_edges (fresh from
-        # _analyze_forest), normalize (a rotation of a validated forest) and
-        # from_arc_record (parts and arc computed by enum_arc_forests).
-        self = object.__new__(cls)
-        self.__dict__.update(
-            n=n, center_edges=center_edges, cycle_edges=cycle_edges, arc_start=arc_start, arc_len=arc_len
-        )
-        return self
-
-    @classmethod
-    def from_edges(cls, n: int, edges) -> "WheelForest":
-        return cls._unchecked(n, *_analyze_forest(n, edges))
-
-    @classmethod
-    def from_arc_record(cls, rec: ArcForestRecord) -> "WheelForest":
-        """The forest of an enum_arc_forests record, without re-analysing it."""
-        center_part, rim_part = rec.parts  # parts are ordered by minimum vertex, 0 first
-        n = len(center_part) + len(rim_part) - 1
-        rim = set(rim_part)
-        cycle_edges = tuple(e for e in rec.edges if e[0] in rim)
-        center_edges = tuple(e for e in rec.edges if e[0] not in rim)
-        return cls._unchecked(n, center_edges, cycle_edges, rec.arc_start, rec.arc_len)
-
-    @property
-    def edges(self) -> tuple[Edge, ...]:
-        return tuple(sorted(self.center_edges + self.cycle_edges))
+from .graphs import Edge, canonical_edge, is_spanning_tree, make_fan, rotate_rim_labels
+from .enumeration import DEFAULT_ENUM_CAP, WheelForest, enum_arc_forests, enum_spanning_trees
 
 
 @dataclass(frozen=True)
@@ -150,7 +67,8 @@ class FanTree:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("fan requires at least 1 path vertex")
-        if not is_spanning_tree(make_fan(self.m), self.edges):
+        # counted before the fan is built, so a huge m with few edges costs nothing
+        if len(self.edges) != self.m or not is_spanning_tree(make_fan(self.m), self.edges):
             raise ValueError(f"not a spanning tree of the fan with {self.m} path vertices")
 
     @classmethod
@@ -354,8 +272,8 @@ def fiber_report(n: int, cap: int = DEFAULT_ENUM_CAP, records=None) -> FiberRepo
         records = enum_arc_forests(n, cap=cap)
     by_class: dict[tuple[Edge, ...], NormalizedForest] = {}
     labeled_per_class: Counter = Counter()
-    for rec in records:
-        nf = normalize(WheelForest.from_arc_record(rec))
+    for f in records:
+        nf = normalize(f)
         by_class[nf.forest.edges] = nf
         labeled_per_class[nf.forest.edges] += 1
 

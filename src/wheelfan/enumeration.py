@@ -1,4 +1,4 @@
-"""Brute-force ground truth for small graphs.
+"""Brute-force ground truth for small graphs, and the wheel-forest type.
 
 Everything here enumerates explicitly and is meant to be audited, not to be
 fast.  The recursion prunes cycles early with a rollback union-find, and the
@@ -8,17 +8,22 @@ union-find also skips every edge that would join u's part to v's, so each
 subset the walk reaches is one the caller keeps.
 
 Two limits keep a run finite: the vertex cap, and a work budget.  Before it
-walks, an enumerator takes its exact output size from the Laplacian minor
-and refuses with EnumerationCapExceeded, naming that count, above
-ENUM_BUDGET.  The minor only sizes the run; every emitted subset is still
-found by the walk.
+walks, an enumerator takes its exact output size from a count and refuses
+with EnumerationCapExceeded, naming that count, above ENUM_BUDGET.  Trees
+and separating two-forests are sized by the Laplacian minor, the arc
+forests of a wheel by n*f(2n-1).  The count only sizes the run; every
+emitted subset is still found by the walk.
+
+WheelForest, the two-component spanning forest of a wheel with its rim arc
+located, lives here because enum_arc_forests emits it; the bijection module
+maps it to fan trees.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Edge, LabeledGraph, components, make_wheel, rotate_rim_labels
+from .graphs import Edge, LabeledGraph, canonical_edge, components, make_wheel, rotate_rim_labels
 from .kirchhoff import count_spanning_trees, count_two_forests
 from .report import Check, info_check
 from .sequences import fib
@@ -32,10 +37,10 @@ class EnumerationCapExceeded(ValueError):
     pass
 
 
-def _check_cap(g: LabeledGraph, cap: int):
-    if g.vertex_count > cap:
+def _check_cap(vertex_count: int, cap: int):
+    if vertex_count > cap:
         raise EnumerationCapExceeded(
-            f"graph has {g.vertex_count} vertices, enumeration cap is {cap}"
+            f"graph has {vertex_count} vertices, enumeration cap is {cap}"
         )
 
 
@@ -93,7 +98,7 @@ def _acyclic_subsets(
 
 def enum_spanning_trees(g: LabeledGraph, cap: int = DEFAULT_ENUM_CAP) -> list[tuple[Edge, ...]]:
     """All spanning trees as canonical edge tuples, lexicographically ordered."""
-    _check_cap(g, cap)
+    _check_cap(g.vertex_count, cap)
     _check_budget(count_spanning_trees(g), "spanning trees")
     # V-1 acyclic edges on V vertices are automatically connected
     return _acyclic_subsets(g, g.vertex_count - 1)
@@ -109,7 +114,7 @@ def enum_two_forests(g: LabeledGraph, u: int, v: int, cap: int = DEFAULT_ENUM_CA
     """All two-component spanning forests with u and v in different parts."""
     if u == v:
         raise ValueError("the two vertices must be distinct")
-    _check_cap(g, cap)
+    _check_cap(g.vertex_count, cap)
     # count_two_forests also refuses a vertex out of range, before the walk
     _check_budget(count_two_forests(g, u, v), "separating two-forests")
     # V-2 acyclic edges leave exactly two parts, and the walk keeps u and v apart
@@ -117,16 +122,6 @@ def enum_two_forests(g: LabeledGraph, u: int, v: int, cap: int = DEFAULT_ENUM_CA
         ForestRecord(sub, tuple(components(g, sub)))
         for sub in _acyclic_subsets(g, g.vertex_count - 2, (u, v))
     ]
-
-
-@dataclass(frozen=True)
-class ArcForestRecord:
-    """Two-component wheel forest whose center-free part is a rim arc."""
-
-    edges: tuple[Edge, ...]
-    parts: tuple[tuple[int, ...], ...]
-    arc_start: int
-    arc_len: int
 
 
 def rim_arc_of(n: int, rim_part: tuple[int, ...], cycle_edges) -> tuple[int, int]:
@@ -155,35 +150,104 @@ def rim_arc_of(n: int, rim_part: tuple[int, ...], cycle_edges) -> tuple[int, int
     return starts[0], k
 
 
-def enum_arc_forests(n: int, cap: int = DEFAULT_ENUM_CAP) -> list[ArcForestRecord]:
+def _split_forest(
+    n: int, edges: tuple[Edge, ...], rim_part: tuple[int, ...]
+) -> tuple[tuple[Edge, ...], tuple[Edge, ...], int, int]:
+    # the WheelForest fields of a two-component forest whose part without
+    # vertex 0 is rim_part; an edge lies in that part iff its smaller end does
+    rim = set(rim_part)
+    cycle_edges = tuple(e for e in edges if e[0] in rim)
+    center_edges = tuple(e for e in edges if e[0] not in rim)
+    return (center_edges, cycle_edges, *rim_arc_of(n, rim_part, cycle_edges))
+
+
+def _analyze_forest(n: int, edges) -> tuple[tuple[Edge, ...], tuple[Edge, ...], int, int]:
+    """Check a wheel forest's edges, then split them and locate the arc."""
+    if n < 3:
+        raise ValueError("wheel requires at least 3 rim vertices")
+    edges = tuple(sorted(canonical_edge(a, b) for a, b in edges))
+    if len(set(edges)) != len(edges):
+        raise ValueError("duplicate edge in forest")
+    # counted before the wheel is built, so a huge n with few edges costs nothing
+    if len(edges) != n - 1:
+        raise ValueError(f"forest on the wheel with {n} rim vertices needs {n - 1} edges, got {len(edges)}")
+    parts = components(make_wheel(n), edges)  # also validates edges against the wheel
+    if len(parts) != 2:
+        raise ValueError("edge set is not a two-component spanning forest (it contains a cycle)")
+    return _split_forest(n, edges, parts[1])  # parts are ordered by minimum vertex, 0 first
+
+
+@dataclass(frozen=True)
+class WheelForest:
+    """Two-component spanning forest of a wheel, arc metadata included.
+
+    center_edges live in the component holding vertex 0 (spokes and possibly
+    rim edges); cycle_edges form the path on the center-free arc, which has
+    arc_len vertices and starts at rim position arc_start.
+    """
+
+    n: int
+    center_edges: tuple[Edge, ...]
+    cycle_edges: tuple[Edge, ...]
+    arc_start: int
+    arc_len: int
+
+    def __post_init__(self):
+        ce, cy, start, k = _analyze_forest(self.n, self.center_edges + self.cycle_edges)
+        if (ce, cy, start, k) != (self.center_edges, self.cycle_edges, self.arc_start, self.arc_len):
+            raise ValueError("forest fields are inconsistent with the edge set")
+
+    @classmethod
+    def _unchecked(cls, n: int, center_edges, cycle_edges, arc_start: int, arc_len: int) -> "WheelForest":
+        # Skips __post_init__.  Only three callers may use it, each with
+        # fields that already describe a valid forest: from_edges (fresh from
+        # _analyze_forest), enum_arc_forests (split from a subset its walk
+        # found) and bijection.normalize (a rotation of a validated forest).
+        self = object.__new__(cls)
+        self.__dict__.update(
+            n=n, center_edges=center_edges, cycle_edges=cycle_edges, arc_start=arc_start, arc_len=arc_len
+        )
+        return self
+
+    @classmethod
+    def from_edges(cls, n: int, edges) -> "WheelForest":
+        return cls._unchecked(n, *_analyze_forest(n, edges))
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        return tuple(sorted(self.center_edges + self.cycle_edges))
+
+
+def enum_arc_forests(n: int, cap: int = DEFAULT_ENUM_CAP) -> list[WheelForest]:
     """Two-component spanning forests of the wheel, center part vs rim-only part.
 
     By definition one part holds vertex 0 and the other only rim vertices.
     Every two-component spanning forest of a wheel has that shape, so no
     filter is needed: n-1 acyclic edges on n+1 vertices always leave two
-    parts, ordered by minimum vertex, so parts[0] holds vertex 0.
-    rim_arc_of checks that the rim-only part is a contiguous arc.
+    parts.  rim_arc_of checks that the rim-only part is a contiguous arc.
     """
+    _check_cap(n + 1, cap)  # before the wheel is built
     g = make_wheel(n)
-    _check_cap(g, cap)
-    out = []
-    for sub in _acyclic_subsets(g, n - 1):
-        parts = tuple(components(g, sub))
-        rim_part = parts[1]
-        cycle_edges = [e for e in sub if e[0] in rim_part]
-        start, k = rim_arc_of(n, rim_part, cycle_edges)
-        out.append(ArcForestRecord(sub, parts, start, k))
-    return out
+    # Count by the arc length k of the rim-only part.  k = n: the center is
+    # isolated and the rim keeps all but one of its n edges, n forests.
+    # k < n: n arc starts, each arc spanned by its rim path, and the center
+    # part a spanning tree of the fan on the other n-k rim vertices,
+    # f(2(n-k)) choices.  With f(2) + f(4) + ... + f(2n-2) = f(2n-1) - 1 the
+    # total is n + n*(f(2n-1) - 1) = n*f(2n-1).
+    _check_budget(n * fib(2 * n - 1), "two-component forests")
+    return [
+        WheelForest._unchecked(n, *_split_forest(n, sub, components(g, sub)[1]))
+        for sub in _acyclic_subsets(g, n - 1)
+    ]
 
 
-def rotation_class_representative(rec: ArcForestRecord) -> tuple[Edge, ...]:
-    """The record's edges rotated so its arc starts at rim vertex 1.
+def rotation_class_representative(f: WheelForest) -> tuple[Edge, ...]:
+    """The forest's edges rotated so its arc starts at rim vertex 1.
 
     A forest has one arc, so every rotation of it lands on the same tuple:
     the arc-normal form, the edges of bijection.normalize's forest.
     """
-    n = len(rec.parts[0]) + len(rec.parts[1]) - 1
-    return rotate_rim_labels(rec.edges, 1 - rec.arc_start, n)
+    return rotate_rim_labels(f.edges, 1 - f.arc_start, f.n)
 
 
 def arc_forest_census(n_values, cap: int = DEFAULT_ENUM_CAP) -> list[Check]:

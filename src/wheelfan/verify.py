@@ -172,8 +172,7 @@ def suite_bijection(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> Verificatio
         stable = 0
         spoke_only = 0
         inverted = 0
-        for rec in records:
-            wf = bijection.WheelForest.from_arc_record(rec)
+        for wf in records:
             nf = bijection.normalize(wf)
             image = bijection.forward(nf.forest)
             if bijection.forward(wf).edges == image.edges:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wheelfan.bijection
+import wheelfan.enumeration
 from wheelfan.bijection import (
     FanTree,
     FiberReport,
@@ -84,31 +85,35 @@ def test_normalize_records_recovering_rotation(n):
 
 @pytest.mark.parametrize("n", range(3, 8))
 def test_unchecked_constructions_match_the_checked_path(n):
-    # from_arc_record and normalize build forests without analysing them;
+    # enum_arc_forests and normalize build forests without analysing them;
     # both must give exactly what from_edges gives, all five fields compared
     for rec in enum_arc_forests(n):
         f = wf(n, rec.edges)
-        assert WheelForest.from_arc_record(rec) == f
+        assert rec == f
         nf = normalize(f)
         assert nf.forest == wf(n, rotate_rim_labels(f.edges, -nf.rotation, n))
 
 
 def test_each_forest_is_analysed_once(monkeypatch):
     calls = []
-    original = wheelfan.bijection._analyze_forest
+    original = wheelfan.enumeration._analyze_forest
 
     def counting(n, edges):
         calls.append(n)
         return original(n, edges)
 
-    monkeypatch.setattr(wheelfan.bijection, "_analyze_forest", counting)
+    monkeypatch.setattr(wheelfan.enumeration, "_analyze_forest", counting)
     f = wf(5, [(0, 1), (0, 2), (3, 4), (4, 5)])
     assert len(calls) == 1
     nf = normalize(f)
     assert nf.rotation == 2
     normalize(nf.forest)
-    normalize(WheelForest.from_arc_record(enum_arc_forests(5)[-1]))
+    normalize(enum_arc_forests(5)[-1])
     assert len(calls) == 1
+
+
+def test_one_wheel_forest_class():
+    assert wheelfan.bijection.WheelForest is wheelfan.enumeration.WheelForest is wheelfan.WheelForest
 
 
 def test_normalized_forest_invariant():

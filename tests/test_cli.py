@@ -1,5 +1,6 @@
 import hashlib
 import io
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -118,6 +119,49 @@ def test_k10_is_refused_by_the_work_budget(tmp_path, args, predicted):
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == f"error: graph has {predicted}, enumeration budget is 1000000\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("enumerate", "tau", "--graph", "wheel:30", "--enum-cap", "40"),
+        ("bijection", "audit", "--n", "30", "--enum-cap", "40"),
+    ],
+)
+def test_arc_forests_are_refused_by_the_work_budget(args):
+    # 31 vertices pass a cap of 40, but wheel:30 has 30*f(59) two-component forests
+    proc = subprocess.run(
+        [sys.executable, "-m", "wheelfan", *args], capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "error: graph has 28701660781230 two-component forests, enumeration budget is 1000000\n"
+    )
+
+
+def _limit_address_space():
+    limit = 256 * 2**20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("audit",), "graph has 2000001 vertices, enumeration cap is 10"),
+        (("forward", "--edges", "1-2"), "forest on the wheel with 2000000 rim vertices needs 1999999 edges, got 1"),
+        (("inverse", "--edges", "0-1"), "not a spanning tree of the fan with 1999999 path vertices"),
+    ],
+)
+def test_huge_bijection_inputs_are_refused_before_the_graph_is_built(args, message):
+    # a wheel or fan on two million vertices does not fit in 256 MiB of address space
+    proc = subprocess.run(
+        [sys.executable, "-m", "wheelfan", "bijection", args[0], "--n", "2000000", *args[1:]],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_limit_address_space,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
 
 
 def test_bad_graph_spec(capsys):
@@ -364,6 +408,21 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "45\n"
+
+
+def test_cli_module_runs_as_a_script():
+    def run(spec):
+        return subprocess.run(
+            [sys.executable, "-m", "wheelfan.cli", "count", "trees", "--graph", spec],
+            capture_output=True,
+            text=True,
+        )
+
+    ok = run("wheel:4")
+    assert (ok.returncode, ok.stdout) == (0, "45\n")
+    bad = run("wheel:-5")
+    assert (bad.returncode, bad.stdout) == (2, "")
+    assert bad.stderr == "error: wheel requires at least 3 rim vertices\n"
 
 
 @pytest.mark.parametrize(

@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings
 
 from wheelfan import enumeration
-from wheelfan.bijection import WheelForest, normalize
+from wheelfan.bijection import normalize
 from wheelfan.enumeration import (
-    ArcForestRecord,
     EnumerationCapExceeded,
     ForestRecord,
     arc_forest_census,
@@ -18,6 +17,7 @@ from wheelfan.enumeration import (
 )
 from wheelfan.graphs import components, is_acyclic, make_fan, make_graph, make_wheel, rotate_rim_labels
 from wheelfan.kirchhoff import count_spanning_trees, count_two_forests
+from wheelfan.sequences import fib
 from strategies import connected_graphs
 
 
@@ -80,6 +80,12 @@ def test_budget_refuses_by_exact_count(monkeypatch):
     monkeypatch.setattr(enumeration, "ENUM_BUDGET", 23)
     with pytest.raises(EnumerationCapExceeded, match="24 separating two-forests"):
         enum_two_forests(make_wheel(4), 1, 2)
+    # wheel:3 has 3*f(5) = 15 two-component forests
+    monkeypatch.setattr(enumeration, "ENUM_BUDGET", 15)
+    assert len(enum_arc_forests(3)) == 15
+    monkeypatch.setattr(enumeration, "ENUM_BUDGET", 14)
+    with pytest.raises(EnumerationCapExceeded, match="15 two-component forests, enumeration budget is 14"):
+        enum_arc_forests(3)
 
 
 @pytest.mark.parametrize("u, v", [(1, 99), (-1, 2), (2, 5)])
@@ -122,14 +128,17 @@ def test_arc_forests_basic_membership():
     four = enum_arc_forests(4)
     target = next(r for r in four if r.edges == ((0, 4), (1, 2), (2, 3)))
     assert target.arc_start == 1 and target.arc_len == 3
-    assert target.parts == ((0, 4), (1, 2, 3))
+    assert target.center_edges == ((0, 4),)
+    assert target.cycle_edges == ((1, 2), (2, 3))
 
 
 @pytest.mark.parametrize("n", range(3, 7))
 def test_arc_forest_structure(n):
+    g = make_wheel(n)
     for rec in enum_arc_forests(n):
-        assert len(rec.parts) == 2
-        rim_part = next(p for p in rec.parts if 0 not in p)
+        parts = components(g, rec.edges)
+        assert len(parts) == 2
+        rim_part = next(p for p in parts if 0 not in p)
         # contiguity: the part is exactly the arc the metadata claims
         expected = {(rec.arc_start - 1 + t) % n + 1 for t in range(rec.arc_len)}
         assert set(rim_part) == expected
@@ -147,6 +156,11 @@ def test_arc_forests_are_exactly_the_two_component_forests(n):
         if len(components(g, sub)) == 2
     )
     assert len(enum_arc_forests(n)) == count
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_arc_forest_budget_count_is_the_enumerated_count(n):
+    assert len(enum_arc_forests(n)) == n * fib(2 * n - 1)
 
 
 def test_full_rim_arc_start_follows_missing_edge():
@@ -172,7 +186,7 @@ def test_rotation_representative_is_rotation_invariant():
 @pytest.mark.parametrize("n", range(3, 8))
 def test_rotation_representative_is_the_normalized_forest(n):
     for rec in enum_arc_forests(n):
-        expected = normalize(WheelForest.from_arc_record(rec)).forest.edges
+        expected = normalize(rec).forest.edges
         assert rotation_class_representative(rec) == expected
 
 
