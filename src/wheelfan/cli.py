@@ -2,7 +2,8 @@
 
 Subcommands: count, resist, bijection {forward,inverse,audit}, enumerate,
 verify, oeis.  Exit codes: 0 success, 1 verification mismatch, 2 usage or
-domain error.  All numbers print in plain decimal; rationals print as p/q.
+domain error.  Integers print in full decimal, however long; rationals as p/q.
+count and resist answer through one route table, built by _answer.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 from . import bijection, formulas, kirchhoff, verify
 from .enumeration import DEFAULT_ENUM_CAP, enum_arc_forests, enum_spanning_trees, enum_two_forests
 from .graphs import LabeledGraph, format_edge_list, make_fan, make_wheel, parse_edge_list
-from .report import BFile, format_fraction
+from .report import BFile, format_fraction, format_int
 
 
 def _parse_graph(spec: str) -> tuple[str, int, LabeledGraph]:
@@ -68,83 +69,73 @@ def _render_edges(edges) -> str:
     return " ".join(f"{a}-{b}" for a, b in sorted(edges))
 
 
-def _emit_methods(values: dict[str, object]) -> int:
+# (graph kind, quantity, pair holds vertex 0) -> closed form of (size, pair);
+# the formula route exists exactly where this table has an entry
+_CLOSED_FORMS = {
+    ("wheel", "trees", False): lambda n, pair: formulas.trees_wheel(n),
+    ("fan", "trees", False): lambda m, pair: formulas.trees_fan(m),
+    ("wheel", "forests", True): lambda n, pair: formulas.forests_sep_center(n),
+    ("wheel", "forests", False): lambda n, pair: formulas.forests_separating(formulas.RimPair(n, *pair)),
+    ("wheel", "resist", True): lambda n, pair: formulas.resistance_center(n),
+    ("wheel", "resist", False): lambda n, pair: formulas.resistance_rim(n, formulas.RimPair(n, *pair).k),
+}
+
+
+def _closed_form(kind: str, size: int, quantity: str, pair):
+    """The closed form answering the query, as a thunk, or None if there is none."""
+    form = _CLOSED_FORMS.get((kind, quantity, pair is not None and 0 in pair))
+    return None if form is None else lambda: form(size, pair)
+
+
+def _separated_pair(args, g: LabeledGraph) -> tuple[int, int]:
+    """The --separate pair of count forests and enumerate forests."""
+    if not args.separate:
+        raise ValueError(f"{args.command} forests requires --separate A,B")
+    return _parse_pair(args.separate, g)
+
+
+def _answer(args, quantity: str) -> int:
+    """Answer trees, forests or resist through its route table: formula where
+    a closed form exists, minor, and enum for counts only, in that order."""
+    kind, size, g = _parse_graph(args.graph)
+    pair = None
+    if quantity == "forests":
+        pair = _separated_pair(args, g)
+    elif quantity == "resist":
+        pair = _parse_pair(args.pair, g)
+    closed = _closed_form(kind, size, quantity, pair)
+    routes = {} if closed is None else {"formula": closed}
+    if quantity == "trees":
+        routes["minor"] = lambda: kirchhoff.count_spanning_trees(g)
+        routes["enum"] = lambda: len(enum_spanning_trees(g, cap=args.enum_cap))
+    elif quantity == "forests":
+        routes["minor"] = lambda: kirchhoff.count_two_forests(g, *pair)
+        routes["enum"] = lambda: len(enum_two_forests(g, *pair, cap=args.enum_cap))
+    else:
+        routes["minor"] = lambda: kirchhoff.effective_resistance(g, *pair)
+    show = format_fraction if quantity == "resist" else format_int
+    if args.method != "all":
+        if args.method not in routes:
+            raise ValueError(f"no closed form for this graph; use --method {' or '.join(routes)}")
+        print(show(routes[args.method]()))
+        return 0
+    if "enum" in routes and g.vertex_count > args.enum_cap:
+        del routes["enum"]  # all leaves enum out above the cap
+    values = {name: show(route()) for name, route in routes.items()}
     for name, value in values.items():
         print(f"{name}: {value}")
-    if len(set(map(str, values.values()))) > 1:
+    if len(set(values.values())) > 1:
         print("MISMATCH: methods disagree")
         return 1
     return 0
 
 
 def cmd_count(args) -> int:
-    kind, size, g = _parse_graph(args.graph)
-    if args.object == "trees":
-        compute = {
-            "formula": lambda: (
-                formulas.trees_wheel(size) if kind == "wheel" else formulas.trees_fan(size)
-            ),
-            "minor": lambda: kirchhoff.count_spanning_trees(g),
-            "enum": lambda: len(enum_spanning_trees(g, cap=args.enum_cap)),
-        }
-        formula_ok = kind in ("wheel", "fan")
-    else:
-        if not args.separate:
-            raise ValueError("count forests requires --separate A,B")
-        u, v = _parse_pair(args.separate, g)
-        if kind == "wheel" and 0 in (u, v):
-            closed = lambda: formulas.forests_sep_center(size)
-            formula_ok = True
-        elif kind == "wheel":
-            closed = lambda: formulas.forests_separating(formulas.RimPair(size, u, v))
-            formula_ok = True
-        else:
-            closed = lambda: None
-            formula_ok = False
-        compute = {
-            "formula": closed,
-            "minor": lambda: kirchhoff.count_two_forests(g, u, v),
-            "enum": lambda: len(enum_two_forests(g, u, v, cap=args.enum_cap)),
-        }
-    if args.method == "all":
-        values = {}
-        if formula_ok:
-            values["formula"] = compute["formula"]()
-        values["minor"] = compute["minor"]()
-        if g.vertex_count <= args.enum_cap:
-            values["enum"] = compute["enum"]()
-        return _emit_methods(values)
-    if args.method == "formula" and not formula_ok:
-        raise ValueError("no closed form for this graph; use --method minor or enum")
-    print(compute[args.method]())
-    return 0
+    return _answer(args, args.object)
 
 
 def cmd_resist(args) -> int:
-    kind, size, g = _parse_graph(args.graph)
-    u, v = _parse_pair(args.pair, g)
-    if kind == "wheel" and 0 in (u, v):
-        closed = lambda: formulas.resistance_center(size)
-        formula_ok = True
-    elif kind == "wheel":
-        closed = lambda: formulas.resistance_rim(size, formulas.RimPair(size, u, v).k)
-        formula_ok = True
-    else:
-        closed = lambda: None
-        formula_ok = False
-    if args.method == "all":
-        values = {}
-        if formula_ok:
-            values["formula"] = format_fraction(closed())
-        values["minor"] = format_fraction(kirchhoff.effective_resistance(g, u, v))
-        return _emit_methods(values)
-    if args.method == "formula":
-        if not formula_ok:
-            raise ValueError("no closed form for this graph; use --method minor")
-        print(format_fraction(closed()))
-    else:
-        print(format_fraction(kirchhoff.effective_resistance(g, u, v)))
-    return 0
+    return _answer(args, "resist")
 
 
 def _bijection_input(args, expect: str) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -185,9 +176,7 @@ def cmd_enumerate(args) -> int:
     if args.object == "trees":
         blocks = enum_spanning_trees(g, cap=args.enum_cap)
     elif args.object == "forests":
-        if not args.separate:
-            raise ValueError("enumerate forests requires --separate A,B")
-        u, v = _parse_pair(args.separate, g)
+        u, v = _separated_pair(args, g)
         blocks = [rec.edges for rec in enum_two_forests(g, u, v, cap=args.enum_cap)]
     else:
         if kind != "wheel":
@@ -300,10 +289,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.run(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,8 @@ walks, an enumerator takes its exact output size from a count and refuses
 with EnumerationCapExceeded, naming that count, above ENUM_BUDGET.  Trees
 and separating two-forests are sized by the Laplacian minor, the arc
 forests of a wheel by n*f(2n-1).  The count only sizes the run; every
-emitted subset is still found by the walk.
+emitted subset is still found by the walk.  The size_* functions make those
+checks alone, so a caller can refuse a whole run before any walk starts.
 
 WheelForest, the two-component spanning forest of a wheel with its rim arc
 located, lives here because enum_arc_forests emits it; the bijection module
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 from .graphs import Edge, LabeledGraph, canonical_edge, components, make_wheel, rotate_rim_labels
 from .kirchhoff import count_spanning_trees, count_two_forests
-from .report import Check, info_check
+from .report import Check, format_int, info_check
 from .sequences import fib
 
 DEFAULT_ENUM_CAP = 10
@@ -37,19 +38,16 @@ class EnumerationCapExceeded(ValueError):
     pass
 
 
-def _check_cap(vertex_count: int, cap: int):
+def _checked_size(vertex_count: int, cap: int, count, what: str) -> int:
+    # the vertex cap first, so the exact count() never runs on a graph over it
     if vertex_count > cap:
+        raise EnumerationCapExceeded(f"graph has {vertex_count} vertices, enumeration cap is {cap}")
+    size = count()
+    if size > ENUM_BUDGET:
         raise EnumerationCapExceeded(
-            f"graph has {vertex_count} vertices, enumeration cap is {cap}"
+            f"graph has {format_int(size)} {what}, enumeration budget is {ENUM_BUDGET}"
         )
-
-
-def _check_budget(count: int, what: str):
-    # the minor route predicts the output size exactly before the walk starts
-    if count > ENUM_BUDGET:
-        raise EnumerationCapExceeded(
-            f"graph has {count} {what}, enumeration budget is {ENUM_BUDGET}"
-        )
+    return size
 
 
 def _acyclic_subsets(
@@ -96,10 +94,14 @@ def _acyclic_subsets(
     return out
 
 
+def size_spanning_trees(g: LabeledGraph, cap: int = DEFAULT_ENUM_CAP) -> int:
+    """How many trees enum_spanning_trees(g, cap) emits; refuses as it does, without the walk."""
+    return _checked_size(g.vertex_count, cap, lambda: count_spanning_trees(g), "spanning trees")
+
+
 def enum_spanning_trees(g: LabeledGraph, cap: int = DEFAULT_ENUM_CAP) -> list[tuple[Edge, ...]]:
     """All spanning trees as canonical edge tuples, lexicographically ordered."""
-    _check_cap(g.vertex_count, cap)
-    _check_budget(count_spanning_trees(g), "spanning trees")
+    size_spanning_trees(g, cap)
     # V-1 acyclic edges on V vertices are automatically connected
     return _acyclic_subsets(g, g.vertex_count - 1)
 
@@ -110,13 +112,17 @@ class ForestRecord:
     parts: tuple[tuple[int, ...], ...]
 
 
-def enum_two_forests(g: LabeledGraph, u: int, v: int, cap: int = DEFAULT_ENUM_CAP) -> list[ForestRecord]:
-    """All two-component spanning forests with u and v in different parts."""
+def size_two_forests(g: LabeledGraph, u: int, v: int, cap: int = DEFAULT_ENUM_CAP) -> int:
+    """How many forests enum_two_forests(g, u, v, cap) emits; refuses as it does, without the walk."""
     if u == v:
         raise ValueError("the two vertices must be distinct")
-    _check_cap(g.vertex_count, cap)
-    # count_two_forests also refuses a vertex out of range, before the walk
-    _check_budget(count_two_forests(g, u, v), "separating two-forests")
+    # count_two_forests also refuses a vertex out of range
+    return _checked_size(g.vertex_count, cap, lambda: count_two_forests(g, u, v), "separating two-forests")
+
+
+def enum_two_forests(g: LabeledGraph, u: int, v: int, cap: int = DEFAULT_ENUM_CAP) -> list[ForestRecord]:
+    """All two-component spanning forests with u and v in different parts."""
+    size_two_forests(g, u, v, cap)
     # V-2 acyclic edges leave exactly two parts, and the walk keeps u and v apart
     return [
         ForestRecord(sub, tuple(components(g, sub)))
@@ -218,6 +224,17 @@ class WheelForest:
         return tuple(sorted(self.center_edges + self.cycle_edges))
 
 
+def size_arc_forests(n: int, cap: int = DEFAULT_ENUM_CAP) -> int:
+    """How many forests enum_arc_forests(n, cap) emits; refuses as it does, without the walk."""
+    # Count by the arc length k of the rim-only part.  k = n: the center is
+    # isolated and the rim keeps all but one of its n edges, n forests.
+    # k < n: n arc starts, each arc spanned by its rim path, and the center
+    # part a spanning tree of the fan on the other n-k rim vertices,
+    # f(2(n-k)) choices.  With f(2) + f(4) + ... + f(2n-2) = f(2n-1) - 1 the
+    # total is n + n*(f(2n-1) - 1) = n*f(2n-1).
+    return _checked_size(n + 1, cap, lambda: n * fib(2 * n - 1), "two-component forests")
+
+
 def enum_arc_forests(n: int, cap: int = DEFAULT_ENUM_CAP) -> list[WheelForest]:
     """Two-component spanning forests of the wheel, center part vs rim-only part.
 
@@ -226,15 +243,8 @@ def enum_arc_forests(n: int, cap: int = DEFAULT_ENUM_CAP) -> list[WheelForest]:
     filter is needed: n-1 acyclic edges on n+1 vertices always leave two
     parts.  rim_arc_of checks that the rim-only part is a contiguous arc.
     """
-    _check_cap(n + 1, cap)  # before the wheel is built
+    size_arc_forests(n, cap)
     g = make_wheel(n)
-    # Count by the arc length k of the rim-only part.  k = n: the center is
-    # isolated and the rim keeps all but one of its n edges, n forests.
-    # k < n: n arc starts, each arc spanned by its rim path, and the center
-    # part a spanning tree of the fan on the other n-k rim vertices,
-    # f(2(n-k)) choices.  With f(2) + f(4) + ... + f(2n-2) = f(2n-1) - 1 the
-    # total is n + n*(f(2n-1) - 1) = n*f(2n-1).
-    _check_budget(n * fib(2 * n - 1), "two-component forests")
     return [
         WheelForest._unchecked(n, *_split_forest(n, sub, components(g, sub)[1]))
         for sub in _acyclic_subsets(g, n - 1)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional
 
@@ -30,13 +31,20 @@ class Check:
         return " ".join(bits)
 
 
+def format_int(n: int) -> str:
+    """An exact integer in full decimal.  str() refuses more digits than
+    sys.get_int_max_str_digits(), a limit kept so int() bounds typed sizes."""
+    return str(Decimal(n))
+
+
 def format_fraction(r: Fraction) -> str:
     """A rational as p/q, denominator always shown (1 prints as 1/1)."""
-    return f"{r.numerator}/{r.denominator}"
+    return f"{format_int(r.numerator)}/{format_int(r.denominator)}"
 
 
 def equality_check(name: str, params: str, expected, actual) -> Check:
-    return Check(name, params, str(expected), str(actual), expected == actual)
+    shown = (format_int(x) if type(x) is int else str(x) for x in (expected, actual))
+    return Check(name, params, *shown, expected == actual)
 
 
 def info_check(name: str, params: str, message: str) -> Check:
@@ -67,9 +75,6 @@ class VerificationReport:
     def all_ok(self) -> bool:
         return self.failed == 0
 
-    def failures(self) -> list[Check]:
-        return [c for c in self.checks if c.ok is False]
-
     def render_lines(self) -> list[str]:
         lines = [c.render() for c in self.checks]
         lines.append(f"passed={self.passed} failed={self.failed} info={self.informational}")
@@ -90,5 +95,5 @@ class BFile:
 
     def render(self, comments: tuple[str, ...] = ()) -> str:
         lines = [f"# {c}" for c in comments]
-        lines.extend(f"{idx} {value}" for idx, value in self.rows)
+        lines.extend(f"{idx} {format_int(value)}" for idx, value in self.rows)
         return "\n".join(lines) + "\n"

@@ -50,21 +50,12 @@ def check_identities(max_n: int) -> list[Check]:
     running = 0  # sum of f(2k) for k < n
     for n in range(1, max_n + 1):
         f2n, l2n = fib(2 * n), lucas(2 * n)
-        checks.append(
-            equality_check("f(4n) = f(2n)*l(2n)", f"n={n}", fib(4 * n), f2n * l2n)
-        )
-        checks.append(
-            equality_check("l(2n) - f(2n) = 2*f(2n-1)", f"n={n}", l2n - f2n, 2 * fib(2 * n - 1))
-        )
-        checks.append(
-            equality_check(
-                "3*l(2n) - 5*f(2n) = 2*l(2n-2)", f"n={n}", 3 * l2n - 5 * f2n, 2 * lucas(2 * n - 2)
-            )
-        )
-        checks.append(
-            equality_check(
-                "sum_{k<n} f(2k) = f(2n-1) - 1", f"n={n}", running, fib(2 * n - 1) - 1
-            )
-        )
+        for name, lhs, rhs in (
+            ("f(4n) = f(2n)*l(2n)", fib(4 * n), f2n * l2n),
+            ("l(2n) - f(2n) = 2*f(2n-1)", l2n - f2n, 2 * fib(2 * n - 1)),
+            ("3*l(2n) - 5*f(2n) = 2*l(2n-2)", 3 * l2n - 5 * f2n, 2 * lucas(2 * n - 2)),
+            ("sum_{k<n} f(2k) = f(2n-1) - 1", running, fib(2 * n - 1) - 1),
+        ):
+            checks.append(equality_check(name, f"n={n}", lhs, rhs))
         running += f2n
     return checks

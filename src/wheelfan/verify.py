@@ -18,39 +18,40 @@ def suite_identities(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> Verificati
     return VerificationReport(sequences.check_identities(max_n))
 
 
+# family, index name, first index, graph constructor, closed form in formulas
+_TREE_FAMILIES = (("wheel", "n", 3, make_wheel, "trees_wheel"), ("fan", "m", 1, make_fan, "trees_fan"))
+
+
 def suite_trees(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> VerificationReport:
     report = VerificationReport()
-    for n in range(3, max_n + 1):
-        g = make_wheel(n)
-        minor = kirchhoff.count_spanning_trees(g)
-        report.checks.append(
-            equality_check("wheel trees: closed form vs minor", f"n={n}", formulas.trees_wheel(n), minor)
-        )
-        if g.vertex_count <= enum_cap:
+    for family, index, low, make, closed in _TREE_FAMILIES:
+        for i in range(low, max_n + 1):
+            g = make(i)
+            minor = kirchhoff.count_spanning_trees(g)
+            params = f"{index}={i}"
             report.checks.append(
                 equality_check(
-                    "wheel trees: enumeration vs minor",
-                    f"n={n}",
-                    len(enumeration.enum_spanning_trees(g, cap=enum_cap)),
-                    minor,
+                    f"{family} trees: closed form vs minor", params, getattr(formulas, closed)(i), minor
                 )
             )
-    for m in range(1, max_n + 1):
-        g = make_fan(m)
-        minor = kirchhoff.count_spanning_trees(g)
-        report.checks.append(
-            equality_check("fan trees: closed form vs minor", f"m={m}", formulas.trees_fan(m), minor)
-        )
-        if g.vertex_count <= enum_cap:
-            report.checks.append(
-                equality_check(
-                    "fan trees: enumeration vs minor",
-                    f"m={m}",
-                    len(enumeration.enum_spanning_trees(g, cap=enum_cap)),
-                    minor,
+            if g.vertex_count <= enum_cap:
+                report.checks.append(
+                    equality_check(
+                        f"{family} trees: enumeration vs minor",
+                        params,
+                        len(enumeration.enum_spanning_trees(g, cap=enum_cap)),
+                        minor,
+                    )
                 )
-            )
     return report
+
+
+# label, the vertex rim vertex 1 is separated from, smallest n, closed form
+_NAMED_FOREST_FORMS = (
+    ("adjacent-pair", 2, 3, "forests_sep_adjacent"),
+    ("distance-2", 3, 4, "forests_sep_dist2"),
+    ("center-pair", 0, 3, "forests_sep_center"),
+)
 
 
 def suite_forests(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> VerificationReport:
@@ -76,31 +77,16 @@ def suite_forests(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> VerificationR
                         minor,
                     )
                 )
-        report.checks.append(
-            equality_check(
-                "adjacent-pair closed form vs minor",
-                f"n={n}",
-                formulas.forests_sep_adjacent(n),
-                kirchhoff.count_two_forests(g, 1, 2),
-            )
-        )
-        if n >= 4:
-            report.checks.append(
-                equality_check(
-                    "distance-2 closed form vs minor",
-                    f"n={n}",
-                    formulas.forests_sep_dist2(n),
-                    kirchhoff.count_two_forests(g, 1, 3),
+        for label, v, low, closed in _NAMED_FOREST_FORMS:
+            if n >= low:
+                report.checks.append(
+                    equality_check(
+                        f"{label} closed form vs minor",
+                        f"n={n}",
+                        getattr(formulas, closed)(n),
+                        kirchhoff.count_two_forests(g, 1, v),
+                    )
                 )
-            )
-        report.checks.append(
-            equality_check(
-                "center-pair closed form vs minor",
-                f"n={n}",
-                formulas.forests_sep_center(n),
-                kirchhoff.count_two_forests(g, 1, 0),
-            )
-        )
     return report
 
 
@@ -108,23 +94,18 @@ def suite_resistance(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> Verificati
     report = VerificationReport()
     for n in range(3, max_n + 1):
         g = make_wheel(n)
-        for k in range(1, n // 2 + 1):
+        # rim vertex 1 against 1+k at each cycle distance k, then against the center
+        cases = [("rim", f"n={n} k={k}", 1 + k, formulas.resistance_rim(n, k)) for k in range(1, n // 2 + 1)]
+        cases.append(("center", f"n={n}", 0, formulas.resistance_center(n)))
+        for where, params, v, closed in cases:
             report.checks.append(
                 equality_check(
-                    "rim resistance: closed form vs minor ratio",
-                    f"n={n} k={k}",
-                    format_fraction(formulas.resistance_rim(n, k)),
-                    format_fraction(kirchhoff.effective_resistance(g, 1, 1 + k)),
+                    f"{where} resistance: closed form vs minor ratio",
+                    params,
+                    format_fraction(closed),
+                    format_fraction(kirchhoff.effective_resistance(g, 1, v)),
                 )
             )
-        report.checks.append(
-            equality_check(
-                "center resistance: closed form vs minor ratio",
-                f"n={n}",
-                format_fraction(formulas.resistance_center(n)),
-                format_fraction(kirchhoff.effective_resistance(g, 1, 0)),
-            )
-        )
     return report
 
 
@@ -224,10 +205,34 @@ SUITES = {
 }
 
 
+def _size_enumerations(name: str, max_n: int, enum_cap: int):
+    # sizes the enumerations suite `name` runs, in its order, with the
+    # enumerators' own counts; every graph here has index+1 vertices, hence top
+    top = min(max_n, enum_cap - 1)
+    if name == "trees":
+        for _, _, low, make, _ in _TREE_FAMILIES:
+            for i in range(low, top + 1):
+                enumeration.size_spanning_trees(make(i), enum_cap)
+    elif name == "forests":
+        for n in range(3, top + 1):
+            for k in range(1, n // 2 + 1):
+                enumeration.size_two_forests(make_wheel(n), 1, 1 + k, enum_cap)
+    elif name in ("bijection", "tau"):
+        for n in range(3, top + 1):
+            enumeration.size_arc_forests(n, enum_cap)
+            if name == "bijection":  # fiber_report also lists the smaller fan's trees
+                enumeration.size_spanning_trees(make_fan(n - 1), enum_cap)
+
+
 def run_suites(names, max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> VerificationReport:
-    combined = VerificationReport()
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or all")
+    # the budget holds per enumeration, so size them all before any suite
+    # walks: a run that would be refused late is refused at once
+    for name in names:
+        _size_enumerations(name, max_n, enum_cap)
+    combined = VerificationReport()
+    for name in names:
         combined.extend(SUITES[name](max_n, enum_cap).checks)
     return combined

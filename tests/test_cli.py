@@ -1,17 +1,23 @@
 import hashlib
 import io
+import re
 import resource
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import wheelfan.formulas
+from wheelfan import enumeration, verify
 from wheelfan.cli import main
 from wheelfan.graphs import format_edge_list, make_wheel
+from wheelfan.sequences import fib
+from test_report import full_decimal
 
 
 def run_cli(capsys, *args):
@@ -77,6 +83,41 @@ def run_quiet(*args):
     with redirect_stdout(out), redirect_stderr(err):
         code = main(list(args))
     return code, out.getvalue(), err.getvalue()
+
+
+GRID_GRAPHS = (
+    "wheel:4", "wheel:5", "fan:3", "file:g.txt", "file:split.txt",
+    "wheel:2", "fan:0", "file:missing.txt", "wheel4", "cube:3", "wheel:x",
+)
+GRID_PAIRS = ("0,1", "1,2", "1,3", "2,4", "0,0", "1,99", "-1,2", "a,b", "1")
+# sha256 over (argv, exit code, stdout, stderr) of every grid run, recorded at
+# the commit before the route table replaced the per-command dispatch
+GRID_DIGEST = "7ad2514abde1d5dbad31b0804da590c91e7023ada2f8d128cc4fc6f3c460029c"
+
+
+def test_count_and_resist_grid_matches_pinned_digest(tmp_path, monkeypatch, capsys):
+    # graph x method x pair, error cases included, so the digest also pins
+    # which error wins when several apply; relative paths keep it host-free
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.txt").write_text(format_edge_list(5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4), (3, 4)]))
+    (tmp_path / "split.txt").write_text(format_edge_list(4, [(0, 1), (2, 3)]))
+    argvs = []
+    for graph in GRID_GRAPHS:
+        for method in ("formula", "minor", "enum", "all"):
+            argvs.append(("count", "trees", f"--graph={graph}", f"--method={method}"))
+            argvs.append(("count", "forests", f"--graph={graph}", f"--method={method}"))
+            argvs.extend(
+                ("count", "forests", f"--graph={graph}", f"--separate={p}", f"--method={method}")
+                for p in GRID_PAIRS
+            )
+        for method in ("formula", "minor", "all"):
+            argvs.extend(
+                ("resist", f"--graph={graph}", f"--pair={p}", f"--method={method}") for p in GRID_PAIRS
+            )
+    digest = hashlib.sha256()
+    for argv in argvs:
+        digest.update(repr((argv, *run_cli(capsys, *argv))).encode())
+    assert digest.hexdigest() == GRID_DIGEST
 
 
 @settings(deadline=None)
@@ -156,6 +197,51 @@ def test_huge_bijection_inputs_are_refused_before_the_graph_is_built(args, messa
     # a wheel or fan on two million vertices does not fit in 256 MiB of address space
     proc = subprocess.run(
         [sys.executable, "-m", "wheelfan", "bijection", args[0], "--n", "2000000", *args[1:]],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_limit_address_space,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+
+
+def test_integers_over_4300_digits_print_in_full(capsys):
+    # str() refuses ints over 4300 digits by default; the CLI prints them whole
+    trees = full_decimal(wheelfan.formulas.trees_wheel(10300))
+    assert len(trees) == 4306
+    args = ("count", "trees", "--graph", "wheel:10300", "--method", "formula")
+    assert run_cli(capsys, *args) == (0, trees + "\n", "")
+    code, out, err = run_cli(capsys, "oeis", "--sequence", "fan-trees", "--max-n", "10300", "--bfile")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == f"10300 {full_decimal(wheelfan.formulas.trees_fan(10300))}"
+    r = wheelfan.formulas.resistance_center(20600)
+    assert len(full_decimal(r.numerator)) > 4300
+    assert run_cli(capsys, "resist", "--graph", "wheel:20600", "--pair", "0,1", "--method", "formula") == (
+        0,
+        f"{full_decimal(r.numerator)}/{full_decimal(r.denominator)}\n",
+        "",
+    )
+    # the count a budget refusal names: wheel:10300 has 10300*f(20599) arc forests
+    count = full_decimal(10300 * fib(20599))
+    assert run_cli(capsys, "enumerate", "tau", "--graph", "wheel:10300", "--enum-cap", "10301") == (
+        2,
+        "",
+        f"error: graph has {count} two-component forests, enumeration budget is 1000000\n",
+    )
+
+
+@pytest.mark.parametrize("where", ["spec", "file"])
+def test_sizes_over_4300_digits_are_refused_before_a_graph_is_built(tmp_path, where):
+    # int() keeps its digit limit, so a huge typed size is a usage error at once
+    digits = "9" * 5000
+    if where == "spec":
+        graph, message = f"wheel:{digits}", f"bad rim size {digits!r}"
+    else:
+        path = tmp_path / "huge.txt"
+        path.write_text(f"V {digits}\n0 1\n")
+        graph, message = f"file:{path}", f"bad vertex count line: 'V {digits}'"
+    proc = subprocess.run(
+        [sys.executable, "-m", "wheelfan", "count", "trees", "--graph", graph],
         capture_output=True,
         text=True,
         timeout=60,
@@ -351,6 +437,56 @@ def test_verify_unknown_suite(capsys):
     assert "unknown suite" in err
 
 
+@pytest.mark.parametrize(
+    "suite, predicted",
+    [
+        ("trees", "1860496 spanning trees"),
+        ("forests", "1028456 separating two-forests"),
+        ("tau", "2749852 two-component forests"),
+    ],
+)
+def test_verify_over_the_budget_is_refused_at_once(suite, predicted):
+    # the first enumeration over the budget (wheel:15, wheel:15 at k=1,
+    # wheel:14) follows smaller ones, which used to be walked first for
+    # 13.5 s, 138.5 s and 58.8 s; the timeout turns that back into a failure
+    proc = subprocess.run(
+        [sys.executable, "-m", "wheelfan", "verify", "--suite", suite, "--max-n", "30", "--enum-cap", "40"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: graph has {predicted}, enumeration budget is 1000000\n"
+
+
+@pytest.mark.parametrize("suite", ["trees", "forests", "bijection", "tau", "all"])
+def test_verify_walks_nothing_before_the_budget_refuses(capsys, monkeypatch, suite):
+    def walk(*args):
+        raise AssertionError("an enumeration walked before the run was sized")
+
+    monkeypatch.setattr(enumeration, "_acyclic_subsets", walk)
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--max-n", "30", "--enum-cap", "40")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: graph has ") and err.endswith(", enumeration budget is 1000000\n")
+
+
+@pytest.mark.parametrize("max_n, enum_cap", [(12, 9), (6, 12), (9, 3)])
+def test_verify_sizes_exactly_the_enumerations_its_suites_run(monkeypatch, max_n, enum_cap):
+    # every size_* call is recorded: the sizing pass, then the enumerators'
+    # own calls while the suites run, which must repeat it call for call
+    calls = []
+    for name in ("size_spanning_trees", "size_two_forests", "size_arc_forests"):
+        def record(*args, _name=name, _size=getattr(enumeration, name)):
+            calls.append((_name, args))
+            return _size(*args)
+
+        monkeypatch.setattr(enumeration, name, record)
+    verify.run_suites(list(verify.SUITES), max_n, enum_cap)
+    half = len(calls) // 2
+    assert calls[:half] == calls[half:]
+    assert len(calls) == 2 * half
+
+
 def test_verify_tau_is_informational(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "tau", "--max-n", "5")
     assert code == 0
@@ -435,3 +571,38 @@ def test_cli_module_runs_as_a_script():
 )
 def test_outputs_are_byte_deterministic(capsys, args):
     assert run_cli(capsys, *args) == run_cli(capsys, *args)
+
+
+def _readme_examples() -> list[tuple[str, str]]:
+    # (command, shown output) for each "$ wheelfan" line of README.md's code
+    # blocks; the output runs to the next command or the end of the block
+    examples, current, in_block = [], None, False
+    for line in (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            in_block, current = not in_block, None
+        elif in_block and line.startswith("$ wheelfan "):
+            current = (line[2:], [])
+            examples.append(current)
+        elif current is not None:
+            current[1].append(line)
+    return [(command, "\n".join(shown).strip("\n")) for command, shown in examples]
+
+
+def _shown_matches(shown: str, printed: str) -> bool:
+    # a "..." line stands for any run of lines, none included
+    pattern = "".join(
+        r"(?:[^\n]*\n)*?" if line == "..." else re.escape(line) + "\n" for line in shown.splitlines()
+    )
+    return re.fullmatch(pattern, printed) is not None
+
+
+README_EXAMPLES = _readme_examples()
+
+
+@pytest.mark.parametrize("command, shown", README_EXAMPLES, ids=[command for command, _ in README_EXAMPLES])
+def test_readme_examples_reproduce(capsys, command, shown):
+    code, out, err = run_cli(capsys, *shlex.split(command)[1:])
+    if shown:
+        assert _shown_matches(shown, out + err), out + err
+    else:
+        assert code == 0, err
