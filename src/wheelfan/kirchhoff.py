@@ -2,30 +2,43 @@
 
 count_spanning_trees is the matrix-tree determinant; count_two_forests is the
 all-minors extension (drop both vertices of the pair).  Determinants run over
-plain Python ints with Bareiss elimination, so nothing is ever rounded.
+plain Python ints with fraction-free Bareiss elimination, so nothing is ever
+rounded.
 
-The minor is eliminated in greedy minimum-degree order (Tinney-Walker), which
-keeps the fill of sparse graphs small, and det_exact skips every row whose
-entry in the pivot column is zero, rescaling it only when it is next used.
+A Laplacian is held as its neighbour lists, never as an n x n array.  Each
+minor is built from them straight into sparse rows in greedy minimum-degree
+order (Tinney-Walker), which keeps the fill of sparse graphs small.  The
+minor is symmetric, so a row keeps only its upper triangle, as a dict from
+column to entry, and det_exact eliminates it with one symmetric Bareiss pass
+(George & Liu 1981): the lead of row i at step k is entry i of pivot row k,
+a row the pivot row does not reach is rescaled only when it is next used,
+and the pivot row is dropped once used.  A Laplacian minor is positive
+semidefinite, so a zero pivot means the minor is singular.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import LabeledGraph
+from .graphs import LabeledGraph, components, make_graph
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LaplacianMatrix:
-    order: int
-    entries: tuple[tuple[int, ...], ...]
+    """The Laplacian D - A of a simple graph, held as its neighbour lists.
 
-    def __post_init__(self):
-        n, rows = self.order, self.entries
+    The constructor takes dense entries and checks that they form a
+    Laplacian; laplacian() builds one from a graph's edges instead.
+    """
+
+    order: int
+    neighbours: tuple[tuple[int, ...], ...]
+
+    def __init__(self, order: int, entries: Sequence[Sequence[int]]):
+        n, rows = order, entries
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("entries must form an order x order square")
         for i in range(n):
@@ -36,101 +49,138 @@ class LaplacianMatrix:
                     raise ValueError("Laplacian must be symmetric")
                 if i != j and rows[i][j] not in (0, -1):
                     raise ValueError("off-diagonal entries must be 0 or -1")
+        self._fill(n, tuple(tuple(j for j in range(n) if j != i and rows[i][j]) for i in range(n)))
 
-    @classmethod
-    def _unchecked(cls, order: int, entries: tuple[tuple[int, ...], ...]) -> "LaplacianMatrix":
-        # Skips __post_init__.  Only laplacian() may use it: it has just built
-        # the entries from the edges of a validated LabeledGraph.
-        self = object.__new__(cls)
-        self.__dict__.update(order=order, entries=entries)
-        return self
+    def _fill(self, order: int, neighbours: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "neighbours", neighbours)
+
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        """The dense n x n entries; for tests and oracles, never on a route."""
+        rows = []
+        for i, nbrs in enumerate(self.neighbours):
+            row = [0] * self.order
+            row[i] = len(nbrs)
+            for j in nbrs:
+                row[j] = -1
+            rows.append(tuple(row))
+        return tuple(rows)
 
     def minor(self, drop: set[int]) -> list[list[int]]:
+        """Dense minor without the rows and columns in drop, in vertex order."""
         keep = [i for i in range(self.order) if i not in drop]
-        return [[self.entries[i][j] for j in keep] for i in keep]
+        entries = self.entries
+        return [[entries[i][j] for j in keep] for i in keep]
 
 
 def laplacian(g: LabeledGraph) -> LaplacianMatrix:
-    n = g.vertex_count
-    m = [[0] * n for _ in range(n)]
+    nbrs: list[list[int]] = [[] for _ in range(g.vertex_count)]
     for a, b in g.edges:
-        m[a][b] -= 1
-        m[b][a] -= 1
-        m[a][a] += 1
-        m[b][b] += 1
-    return LaplacianMatrix._unchecked(n, tuple(tuple(row) for row in m))
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    lap = object.__new__(LaplacianMatrix)
+    # the edges of a validated LabeledGraph need no further check
+    lap._fill(g.vertex_count, tuple(map(tuple, nbrs)))
+    return lap
 
 
-def _rescale(row: list[int], start: int, num: int, den: int) -> None:
-    for j in range(start, len(row)):
-        row[j] = row[j] * num // den
+class LaplacianMinor(list):
+    """A Laplacian minor as sparse upper-triangular rows.
+
+    Row i is a dict from column j >= i to the entry, the diagonal always
+    present.  Only _ordered_minor builds one, so det_exact may rely on it
+    being symmetric positive semidefinite; det_exact consumes its rows.
+    """
+
+
+def _det_minor(rows: LaplacianMinor) -> int:
+    n = len(rows)
+    if n == 0:
+        return 1
+    # prevs[k] is the divisor of step k; a row with stamp s holds its true
+    # entries at step k times prevs[s] / prevs[k]
+    prevs = [1]
+    stamp = [0] * n
+    for k in range(n - 1):
+        rk, rows[k] = rows[k], None
+        prev, old = prevs[k], prevs[stamp[k]]
+        if old != prev:
+            for j in rk:
+                rk[j] = rk[j] * prev // old
+        pivot = rk.pop(k)
+        if pivot == 0:
+            # a singular leading block of a semidefinite matrix makes it singular
+            return 0
+        # by symmetry, the rows the pivot row reaches are its own columns
+        cols = sorted(j for j, a in rk.items() if a)
+        for p, i in enumerate(cols):
+            lead, ri = rk[i], rows[i]
+            old = prevs[stamp[i]]
+            stale = old != prev
+            stamp[i] = k + 1
+            new = {}
+            for j in cols[p:]:
+                a = ri.pop(j, 0)
+                if stale:
+                    a = a * prev // old
+                new[j] = (pivot * a - lead * rk[j]) // prev
+            # columns the pivot row does not reach only scale by pivot / prev,
+            # which on a stale row's stored entries is pivot / old
+            for j, a in ri.items():
+                new[j] = a * pivot // old
+            rows[i] = new
+        prevs.append(pivot)
+    return rows[n - 1][n - 1] * prevs[n - 1] // prevs[stamp[n - 1]]
 
 
 def det_exact(matrix: Sequence[Sequence[int]]) -> int:
     """Exact determinant by fraction-free Bareiss elimination.
 
-    Every intermediate entry is a minor of the input, so the integer divisions
-    are exact.  Zero pivots trigger a row swap; if no swap helps, the matrix
-    is singular and the answer is 0.  The empty matrix has determinant 1.
-
-    A row whose entry in the pivot column is zero is skipped: Bareiss would
-    only scale it by pivot / divisor.  Its stamp records the step it was last
-    brought up to date, and the product of the skipped scalings telescopes to
-    one exact rescale when the row is next used.
+    A LaplacianMinor is eliminated in place by the symmetric sparse pass of
+    the module docstring.  Any other square matrix is copied and eliminated
+    by textbook Bareiss: every intermediate entry is a minor of the input, so
+    the integer divisions are exact; a zero pivot triggers a row swap, and if
+    no swap helps the matrix is singular and the answer is 0.  The empty
+    matrix has determinant 1.
     """
+    if isinstance(matrix, LaplacianMinor):
+        return _det_minor(matrix)
     n = len(matrix)
     if n == 0:
         return 1
     rows = [list(r) for r in matrix]
     if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
-    sign = 1
-    # prevs[k] is the divisor of step k; a row with stamp s holds its true
-    # entries at step k times prevs[s] / prevs[k]
-    prevs = [1]
-    stamp = [0] * n
+    sign, prev = 1, 1
     for k in range(n - 1):
         if rows[k][k] == 0:
             for i in range(k + 1, n):
                 if rows[i][k] != 0:
                     rows[k], rows[i] = rows[i], rows[k]
-                    stamp[k], stamp[i] = stamp[i], stamp[k]
                     sign = -sign
                     break
             else:
                 return 0
-        prev = prevs[k]
         rk = rows[k]
-        if stamp[k] != k:
-            _rescale(rk, k, prev, prevs[stamp[k]])
         pivot = rk[k]
         for i in range(k + 1, n):
             ri = rows[i]
-            if ri[k] == 0:
-                continue
-            if stamp[i] != k:
-                _rescale(ri, k, prev, prevs[stamp[i]])
             lead = ri[k]
             for j in range(k + 1, n):
                 ri[j] = (pivot * ri[j] - lead * rk[j]) // prev
-            ri[k] = 0
-            stamp[i] = k + 1
-        prevs.append(pivot)
-    return sign * rows[n - 1][n - 1] * prevs[n - 1] // prevs[stamp[n - 1]]
+        prev = pivot
+    return sign * rows[n - 1][n - 1]
 
 
-def _min_degree_order(g: LabeledGraph, drop: set[int]) -> list[int]:
+def _min_degree_order(neighbours: tuple[tuple[int, ...], ...], drop: set[int]) -> list[int]:
     """Greedy minimum-degree elimination order of the vertices not dropped.
 
     Eliminating a vertex joins its neighbours into a clique (the fill Bareiss
     would create).  Ties go to the lowest id, and once the remaining vertices
     form a clique they follow in id order.
     """
-    adj = {v: set() for v in range(g.vertex_count) if v not in drop}
-    for a, b in g.edges:
-        if a in adj and b in adj:
-            adj[a].add(b)
-            adj[b].add(a)
+    adj = {v: {w for w in nbrs if w not in drop} for v, nbrs in enumerate(neighbours) if v not in drop}
     # lazy heap: an entry is stale once its vertex is gone or its degree moved
     heap = [(len(nbrs), v) for v, nbrs in adj.items()]
     heapify(heap)
@@ -152,11 +202,20 @@ def _min_degree_order(g: LabeledGraph, drop: set[int]) -> list[int]:
     return order + sorted(adj)
 
 
-def _ordered_minor(g: LabeledGraph, drop: set[int]) -> list[list[int]]:
+def _ordered_minor(lap: LaplacianMatrix, drop: set[int]) -> LaplacianMinor:
     # a symmetric permutation of rows and columns keeps the determinant
-    entries = laplacian(g).entries
-    keep = _min_degree_order(g, drop)
-    return [[entries[i][j] for j in keep] for i in keep]
+    keep = _min_degree_order(lap.neighbours, drop)
+    pos = {v: i for i, v in enumerate(keep)}
+    rows = LaplacianMinor()
+    for i, v in enumerate(keep):
+        nbrs = lap.neighbours[v]
+        row = {i: len(nbrs)}
+        for w in nbrs:
+            j = pos.get(w, -1)
+            if j > i:
+                row[j] = -1
+        rows.append(row)
+    return rows
 
 
 def count_spanning_trees(g: LabeledGraph) -> int:
@@ -167,7 +226,7 @@ def count_spanning_trees(g: LabeledGraph) -> int:
     """
     if g.vertex_count == 1:
         return 1
-    return det_exact(_ordered_minor(g, {0}))
+    return det_exact(_ordered_minor(laplacian(g), {0}))
 
 
 def count_two_forests(g: LabeledGraph, u: int, v: int) -> int:
@@ -177,19 +236,35 @@ def count_two_forests(g: LabeledGraph, u: int, v: int) -> int:
     for w in (u, v):
         if not 0 <= w < g.vertex_count:
             raise ValueError(f"vertex {w} out of range")
-    return det_exact(_ordered_minor(g, {u, v}))
+    return det_exact(_ordered_minor(laplacian(g), {u, v}))
+
+
+def _component_holding(g: LabeledGraph, u: int, v: int) -> tuple[LabeledGraph, int, int]:
+    """The component of g that holds u, relabelled 0.., with u and v in its labels."""
+    part = next(p for p in components(g, g.edges) if u in p)
+    if v not in part:
+        raise ValueError("infinite resistance: graph is disconnected")
+    index = {w: i for i, w in enumerate(part)}
+    h = make_graph(len(part), ((index[a], index[b]) for a, b in g.edges if a in index))
+    return h, index[u], index[v]
 
 
 def effective_resistance(g: LabeledGraph, u: int, v: int) -> Fraction:
     """Exact resistance between u and v with every edge a unit resistor.
 
-    Equals count_two_forests(g,u,v) / count_spanning_trees(g).  u == v gives 0.
+    On a connected graph it equals count_two_forests(g,u,v) /
+    count_spanning_trees(g) (Bapat and Gupta).  No current leaves the
+    component of u, so a disconnected graph is answered on that component
+    alone; v outside it has infinite resistance, a ValueError.  u == v
+    gives 0.
     """
+    for w in (u, v):
+        if not 0 <= w < g.vertex_count:
+            raise ValueError(f"vertex {w} out of range")
     if u == v:
-        if not 0 <= u < g.vertex_count:
-            raise ValueError(f"vertex {u} out of range")
         return Fraction(0)
     trees = count_spanning_trees(g)
     if trees == 0:
-        raise ValueError("infinite resistance: graph is disconnected")
+        g, u, v = _component_holding(g, u, v)
+        trees = count_spanning_trees(g)
     return Fraction(count_two_forests(g, u, v), trees)

@@ -15,3 +15,11 @@ def connected_graphs(draw, max_vertices=8):
         pair = st.tuples(st.integers(0, vertices - 1), st.integers(0, vertices - 1)).filter(lambda p: p[0] != p[1])
         edges += draw(st.lists(pair, max_size=5))
     return make_graph(vertices, edges)
+
+
+@st.composite
+def graphs(draw, max_vertices=7):
+    """A random simple graph on at most max_vertices; it may be disconnected or have isolated vertices."""
+    vertices = draw(st.integers(1, max_vertices))
+    pair = st.tuples(st.integers(0, vertices - 1), st.integers(0, vertices - 1)).filter(lambda p: p[0] != p[1])
+    return make_graph(vertices, draw(st.lists(pair, max_size=2 * vertices)) if vertices >= 2 else [])

@@ -91,8 +91,10 @@ GRID_GRAPHS = (
 )
 GRID_PAIRS = ("0,1", "1,2", "1,3", "2,4", "0,0", "1,99", "-1,2", "a,b", "1")
 # sha256 over (argv, exit code, stdout, stderr) of every grid run, recorded at
-# the commit before the route table replaced the per-command dispatch
-GRID_DIGEST = "7ad2514abde1d5dbad31b0804da590c91e7023ada2f8d128cc4fc6f3c460029c"
+# the commit before the route table replaced the per-command dispatch, then
+# re-pinned when resist answered within a component (split.txt pair 0,1 with
+# --method minor and all, which had exited 2, print 1/1; no other run changed)
+GRID_DIGEST = "cca2ea36361f26dacb5d41d8a4ee3ee376dc31a7aa612926c4b1b235128e6c6a"
 
 
 def test_count_and_resist_grid_matches_pinned_digest(tmp_path, monkeypatch, capsys):
@@ -275,6 +277,38 @@ def test_resist_method_all(capsys):
     )
     assert code == 0
     assert out == "formula: 2/3\nminor: 2/3\n"
+
+
+def test_resist_within_a_component_of_a_disconnected_graph(tmp_path, capsys):
+    # vertex 2 is isolated; 0 and 1 share an edge, so their resistance is 1
+    path = tmp_path / "v3.txt"
+    path.write_text("V 3\n0 1\n")
+    for method, out in (("minor", "1/1\n"), ("all", "minor: 1/1\n")):
+        args = ("resist", "--graph", f"file:{path}", "--pair", "0,1", "--method", method)
+        assert run_cli(capsys, *args) == (0, out, "")
+    assert run_cli(capsys, "resist", "--graph", f"file:{path}", "--pair", "0,2") == (
+        2,
+        "",
+        "error: infinite resistance: graph is disconnected\n",
+    )
+
+
+def _limit_address_space_to_128_mib():
+    resource.setrlimit(resource.RLIMIT_AS, (128 * 2**20, 128 * 2**20))
+
+
+def test_minor_route_on_a_large_wheel_runs_in_small_memory():
+    # a dense 5000 x 5000 minor peaks near 400 MiB; the sparse rows of a
+    # wheel need about 20 MiB, so 128 MiB of address space fails only the former
+    proc = subprocess.run(
+        [sys.executable, "-m", "wheelfan", "count", "trees", "--graph", "wheel:5000"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_limit_address_space_to_128_mib,
+    )
+    trees = full_decimal(wheelfan.formulas.trees_wheel(5000))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, trees + "\n", "")
 
 
 def test_resist_same_vertex_is_usage_error(capsys):

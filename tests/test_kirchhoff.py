@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from wheelfan import formulas
 from wheelfan.enumeration import enum_spanning_trees, enum_two_forests
-from wheelfan.graphs import make_fan, make_graph, make_wheel
+from wheelfan.graphs import components, make_fan, make_graph, make_wheel
 from wheelfan.kirchhoff import (
     LaplacianMatrix,
     count_spanning_trees,
@@ -16,7 +16,7 @@ from wheelfan.kirchhoff import (
     effective_resistance,
     laplacian,
 )
-from strategies import connected_graphs
+from strategies import connected_graphs, graphs
 
 
 def cofactor_det(m):
@@ -136,6 +136,27 @@ def test_every_dropped_vertex_gives_the_tree_count(g):
 
 
 @settings(deadline=None)
+@given(g=graphs())
+def test_minor_route_matches_natural_order_minors_on_any_graph(g):
+    # isolated vertices give zero pivots, and the rows of a second component
+    # are never reached by the first one's pivots
+    L = laplacian(g)
+    assert LaplacianMatrix(g.vertex_count, L.entries) == L
+    for v in range(g.vertex_count):
+        assert count_spanning_trees(g) == det_exact(L.minor({v}))
+    for u, v in combinations(range(g.vertex_count), 2):
+        assert count_two_forests(g, u, v) == det_exact(L.minor({u, v}))
+
+
+@settings(deadline=None)
+@given(g=graphs())
+def test_foster_theorem_holds_on_every_component(g):
+    # Foster 1949 on each component: the resistances of all edges sum to V - c
+    total = sum(effective_resistance(g, a, b) for a, b in g.edges)
+    assert total == Fraction(g.vertex_count - len(components(g, g.edges)))
+
+
+@settings(deadline=None)
 @given(g=connected_graphs())
 def test_foster_theorem_holds_exactly(g):
     # Foster 1949: the resistances of the edges sum to V - 1
@@ -205,6 +226,20 @@ def test_resistance_conventions():
     assert effective_resistance(make_wheel(3), 2, 2) == 0
     with pytest.raises(ValueError, match="infinite resistance"):
         effective_resistance(make_graph(3, [(0, 1)]), 0, 2)
+
+
+def test_resistance_within_a_component():
+    assert effective_resistance(make_graph(3, [(0, 1)]), 0, 1) == 1
+    # K4 on {1, 3, 5, 6} beside the edge 0-2 and the isolated vertex 4
+    k4 = [(1, 3), (1, 5), (1, 6), (3, 5), (3, 6), (5, 6)]
+    g = make_graph(7, k4 + [(0, 2)])
+    assert effective_resistance(g, 5, 3) == effective_resistance(make_wheel(3), 2, 1) == Fraction(1, 2)
+    assert effective_resistance(g, 2, 0) == 1
+    for u, v in [(0, 1), (4, 6), (6, 4)]:
+        with pytest.raises(ValueError, match="infinite resistance"):
+            effective_resistance(g, u, v)
+    with pytest.raises(ValueError, match="vertex 7 out of range"):
+        effective_resistance(g, 1, 7)
 
 
 def test_resistance_same_distance_same_value():
