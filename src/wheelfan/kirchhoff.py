@@ -5,6 +5,13 @@ all-minors extension (drop both vertices of the pair).  Determinants run over
 plain Python ints with fraction-free Bareiss elimination, so nothing is ever
 rounded.
 
+effective_resistance needs both of those minors, and one is nested in the
+other: with v ordered last, det(L without u and v) is the leading block of
+det(L without u).  Bareiss makes each step's divisor a leading principal
+minor, so one pass over L without u reads both, the two-forest count as the
+divisor of the last step and the tree count as the result.  Of the pair, u
+is the end of higher degree and v the other.
+
 A Laplacian is held as its neighbour lists, never as an n x n array.  Each
 minor is built from them straight into sparse rows in greedy minimum-degree
 order (Tinney-Walker), which keeps the fill of sparse graphs small.  The
@@ -90,8 +97,12 @@ class LaplacianMinor(list):
 
     Row i is a dict from column j >= i to the entry, the diagonal always
     present.  Only _ordered_minor builds one, so det_exact may rely on it
-    being symmetric positive semidefinite; det_exact consumes its rows.
+    being symmetric positive semidefinite.  det_exact consumes its rows and
+    leaves in `leading` the determinant of the block without the last row
+    and column, the divisor of the last Bareiss step.
     """
+
+    leading: int
 
 
 def _det_minor(rows: LaplacianMinor) -> int:
@@ -110,7 +121,9 @@ def _det_minor(rows: LaplacianMinor) -> int:
                 rk[j] = rk[j] * prev // old
         pivot = rk.pop(k)
         if pivot == 0:
-            # a singular leading block of a semidefinite matrix makes it singular
+            # a singular leading block of a semidefinite matrix makes it, and
+            # every larger leading block, singular
+            rows.leading = 0
             return 0
         # by symmetry, the rows the pivot row reaches are its own columns
         cols = sorted(j for j, a in rk.items() if a)
@@ -131,6 +144,7 @@ def _det_minor(rows: LaplacianMinor) -> int:
                 new[j] = a * pivot // old
             rows[i] = new
         prevs.append(pivot)
+    rows.leading = prevs[n - 1]
     return rows[n - 1][n - 1] * prevs[n - 1] // prevs[stamp[n - 1]]
 
 
@@ -173,21 +187,22 @@ def det_exact(matrix: Sequence[Sequence[int]]) -> int:
     return sign * rows[n - 1][n - 1]
 
 
-def _min_degree_order(neighbours: tuple[tuple[int, ...], ...], drop: set[int]) -> list[int]:
+def _min_degree_order(neighbours: tuple[tuple[int, ...], ...], drop: set[int], last: int | None = None) -> list[int]:
     """Greedy minimum-degree elimination order of the vertices not dropped.
 
     Eliminating a vertex joins its neighbours into a clique (the fill Bareiss
     would create).  Ties go to the lowest id, and once the remaining vertices
-    form a clique they follow in id order.
+    form a clique they follow in id order.  The vertex last, if any, counts
+    in the degrees and the fill but is never chosen: it comes last.
     """
     adj = {v: {w for w in nbrs if w not in drop} for v, nbrs in enumerate(neighbours) if v not in drop}
     # lazy heap: an entry is stale once its vertex is gone or its degree moved
     heap = [(len(nbrs), v) for v, nbrs in adj.items()]
     heapify(heap)
     order = []
-    while adj:
+    while len(adj) > 1:
         d, v = heappop(heap)
-        if v not in adj or d != len(adj[v]):
+        if v == last or v not in adj or d != len(adj[v]):
             continue
         if d == len(adj) - 1:
             break
@@ -199,12 +214,12 @@ def _min_degree_order(neighbours: tuple[tuple[int, ...], ...], drop: set[int]) -
             adj_w.discard(v)
             heappush(heap, (len(adj_w), w))
         order.append(v)
-    return order + sorted(adj)
+    return order + sorted(adj, key=lambda w: (w == last, w))
 
 
-def _ordered_minor(lap: LaplacianMatrix, drop: set[int]) -> LaplacianMinor:
+def _ordered_minor(lap: LaplacianMatrix, drop: set[int], last: int | None = None) -> LaplacianMinor:
     # a symmetric permutation of rows and columns keeps the determinant
-    keep = _min_degree_order(lap.neighbours, drop)
+    keep = _min_degree_order(lap.neighbours, drop, last)
     pos = {v: i for i, v in enumerate(keep)}
     rows = LaplacianMinor()
     for i, v in enumerate(keep):
@@ -249,22 +264,38 @@ def _component_holding(g: LabeledGraph, u: int, v: int) -> tuple[LabeledGraph, i
     return h, index[u], index[v]
 
 
+def _forests_and_trees(g: LabeledGraph, u: int, v: int) -> tuple[int, int]:
+    """The two-forest count and the tree count of (u, v), off one elimination.
+
+    R is symmetric, so the end of higher degree is dropped and the other
+    goes last: a hub kept last would be updated at nearly every step.
+    """
+    lap = laplacian(g)
+    if len(lap.neighbours[u]) < len(lap.neighbours[v]):
+        u, v = v, u
+    minor = _ordered_minor(lap, {u}, last=v)
+    trees = det_exact(minor)
+    return minor.leading, trees
+
+
 def effective_resistance(g: LabeledGraph, u: int, v: int) -> Fraction:
     """Exact resistance between u and v with every edge a unit resistor.
 
     On a connected graph it equals count_two_forests(g,u,v) /
-    count_spanning_trees(g) (Bapat and Gupta).  No current leaves the
-    component of u, so a disconnected graph is answered on that component
-    alone; v outside it has infinite resistance, a ValueError.  u == v
-    gives 0.
+    count_spanning_trees(g) (Bapat and Gupta).  Both are read off one
+    Bareiss pass over the Laplacian without the end of higher degree (u on
+    a tie), the other end ordered last: the divisor of the last step is the
+    two-forest count and the result is the tree count.  No current leaves
+    the component of u, so a disconnected graph, whose tree count is 0, is
+    answered by a second pass on that component alone; v outside it has
+    infinite resistance, a ValueError.  u == v gives 0.
     """
     for w in (u, v):
         if not 0 <= w < g.vertex_count:
             raise ValueError(f"vertex {w} out of range")
     if u == v:
         return Fraction(0)
-    trees = count_spanning_trees(g)
+    forests, trees = _forests_and_trees(g, u, v)
     if trees == 0:
-        g, u, v = _component_holding(g, u, v)
-        trees = count_spanning_trees(g)
-    return Fraction(count_two_forests(g, u, v), trees)
+        forests, trees = _forests_and_trees(*_component_holding(g, u, v))
+    return Fraction(forests, trees)

@@ -5,7 +5,7 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wheelfan import formulas
+from wheelfan import formulas, kirchhoff
 from wheelfan.enumeration import enum_spanning_trees, enum_two_forests
 from wheelfan.graphs import components, make_fan, make_graph, make_wheel
 from wheelfan.kirchhoff import (
@@ -93,7 +93,8 @@ def _zero_heavy_matrix(rng, size, kind):
 
 
 def test_det_zero_heavy_against_cofactor_oracle():
-    # mostly-zero rows drive the skipped-row rescale and the pivot swap
+    # mostly-zero rows drive the dense branch's row swap at a zero pivot and,
+    # when no row below has a nonzero in the pivot column, its singular exit
     rng = random.Random(20261018)
     dets = []
     for case in range(360):
@@ -102,8 +103,8 @@ def test_det_zero_heavy_against_cofactor_oracle():
         dets.append(det_exact(m))
         assert dets[-1] == cofactor_det(m), (kind, m)
     assert dets.count(0) > 30 and len(dets) - dets.count(0) > 100
-    # step 0 updates rows 1 and 2 but skips row 3; the zero pivot at step 1
-    # swaps rows 1 and 3, whose stamps must travel with them
+    # step 0 leaves a zero pivot at step 1, so rows 1 and 3 swap and the
+    # sign flips before the elimination goes on
     m = [[2, 0, 1, 2], [-1, 0, 0, 0], [1, 0, 1, 0], [0, -1, 0, 0]]
     assert det_exact(m) == cofactor_det(m) == 2
 
@@ -113,6 +114,63 @@ def test_minor_route_matches_closed_forms_at_large_n(n):
     assert count_spanning_trees(make_wheel(n)) == formulas.trees_wheel(n)
     assert count_spanning_trees(make_fan(n)) == formulas.trees_fan(n)
     assert count_two_forests(make_wheel(n), 0, 1) == formulas.forests_sep_center(n)
+
+
+@pytest.mark.parametrize("n", [100, 200])
+def test_resistance_matches_closed_forms_at_large_n(n):
+    # both orientations: the pass drops the end of higher degree either way
+    wheel, fan = make_wheel(n), make_fan(n)
+    for u, v in [(0, 1), (1, 0), (n, 0)]:
+        assert effective_resistance(wheel, u, v) == formulas.resistance_center(n)
+    for k in (1, 2, n // 3, n // 2):
+        for u, v in [(1, 1 + k), (1 + k, 1), (n, (n + k - 1) % n + 1)]:
+            assert effective_resistance(wheel, u, v) == formulas.resistance_rim(n, k)
+    trees = count_spanning_trees(fan)
+    for u, v in [(0, 1), (n // 2, 0), (1, n), (n // 3, 2 * n // 3 + 1), (n, 2)]:
+        assert effective_resistance(fan, u, v) == Fraction(count_two_forests(fan, u, v), trees)
+
+
+@settings(deadline=None)
+@given(g=graphs())
+def test_resistance_is_the_ratio_of_natural_order_minors_on_each_component(g):
+    # the dense branch of det_exact in vertex order is the oracle: it shares
+    # neither the minimum-degree order nor the last divisor the pass reads
+    parts = components(g, g.edges)
+    where = {w: i for i, part in enumerate(parts) for w in part}
+    for part in parts:
+        index = {w: i for i, w in enumerate(part)}
+        Lc = laplacian(make_graph(len(part), [(index[a], index[b]) for a, b in g.edges if a in index]))
+        for u, v in permutations(part, 2):
+            i, j = index[u], index[v]
+            assert effective_resistance(g, u, v) == Fraction(det_exact(Lc.minor({i, j})), det_exact(Lc.minor({i})))
+    for u, v in permutations(range(g.vertex_count), 2):
+        if where[u] != where[v]:
+            with pytest.raises(ValueError, match="infinite resistance"):
+                effective_resistance(g, u, v)
+
+
+@pytest.mark.parametrize(
+    "g, u, v, passes",
+    [
+        (make_wheel(6), 2, 5, 1),
+        (make_fan(5), 0, 3, 1),
+        (make_fan(5), 3, 0, 1),
+        (make_graph(7, [(1, 3), (1, 5), (1, 6), (3, 5), (3, 6), (5, 6), (0, 2)]), 6, 3, 2),
+    ],
+)
+def test_resistance_takes_one_elimination_per_pass(monkeypatch, g, u, v, passes):
+    # a disconnected graph has tree count 0 and makes exactly one more pass
+    expected = effective_resistance(g, u, v)
+    calls = dict.fromkeys(["laplacian", "det_exact", "count_spanning_trees", "count_two_forests"], 0)
+    for name in calls:
+
+        def counted(*args, _name=name, _original=getattr(kirchhoff, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(kirchhoff, name, counted)
+    assert effective_resistance(g, u, v) == expected
+    assert calls == {"laplacian": passes, "det_exact": passes, "count_spanning_trees": 0, "count_two_forests": 0}
 
 
 @settings(deadline=None)
