@@ -35,7 +35,9 @@ a hub edge inside it, are not images of this construction and are rejected.
 
 The collapse map is measured, not assumed: there are f(2n-1) rotation
 classes but only f(2n-2) spanning trees of its target fan, so it cannot be
-injective; fiber_report quantifies exactly how the classes collapse.
+injective; fiber_report quantifies exactly how the classes collapse.  It is
+the one pass over the arc forests: each labeled forest goes through forward
+once, and the verify suite reads its checks off the report.
 
 Validation happens once per input forest, where it enters the module:
 WheelForest.from_edges and the public five-field constructor analyse the
@@ -56,7 +58,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .graphs import Edge, canonical_edge, is_spanning_tree, make_fan, rotate_rim_labels
-from .enumeration import DEFAULT_ENUM_CAP, WheelForest, enum_arc_forests, enum_spanning_trees
+from .enumeration import (
+    DEFAULT_ENUM_CAP, WheelForest, enum_arc_forests, enum_spanning_trees, rotation_class_representative
+)
 
 
 @dataclass(frozen=True)
@@ -210,7 +214,10 @@ class FiberReport:
     Fiber histograms pair a fiber size with how many images have it; the
     labeled histogram counts labeled forests per image, the normalized one
     counts rotation classes per image.  roundtrip_* restrict inverse(forward)
-    to normalized representatives.
+    to normalized representatives.  The last three fields are not printed:
+    rotation_stable counts the labeled forests whose image is their class
+    representative's, and spoke_only_* restrict the round trip to the
+    representatives whose center edges are all spokes.
     """
 
     n: int
@@ -225,6 +232,9 @@ class FiberReport:
     target_path_vertices: int
     roundtrip_ok: int
     roundtrip_total: int
+    rotation_stable: int
+    spoke_only_total: int
+    spoke_only_ok: int
 
     @property
     def roundtrip_pass(self) -> bool:
@@ -265,49 +275,62 @@ class FiberReport:
 def fiber_report(n: int, cap: int = DEFAULT_ENUM_CAP, records=None) -> FiberReport:
     """Fold the arc forests of the wheel with n rim vertices through forward.
 
+    One pass: every labeled forest goes through forward once, and the
+    labeled histogram counts those images.  A forest's class is keyed by
+    rotation_class_representative; its representative is the member with
+    arc_start 1, whose image stands for the class and is inverted for the
+    round trip.
+
     records, when given, must be enum_arc_forests(n, cap=cap), already
     computed by the caller; otherwise they are enumerated here.
     """
     if records is None:
         records = enum_arc_forests(n, cap=cap)
-    by_class: dict[tuple[Edge, ...], NormalizedForest] = {}
-    labeled_per_class: Counter = Counter()
-    for f in records:
-        nf = normalize(f)
-        by_class[nf.forest.edges] = nf
-        labeled_per_class[nf.forest.edges] += 1
-
     labeled_per_image: Counter = Counter()
-    classes_per_image: Counter = Counter()
-    valid = 0
-    roundtrip_ok = 0
-    for rep_edges, nf in by_class.items():
+    per_class_image: Counter = Counter()  # (class, image) -> labeled forests
+    rep_images: dict[tuple[Edge, ...], tuple[Edge, ...]] = {}  # class -> its representative's image
+    class_count = roundtrip_ok = spoke_only_total = spoke_only_ok = 0
+    for f in records:
+        key = rotation_class_representative(f)
         try:
-            image = forward(nf.forest)
+            image = forward(f)
         except ValueError:
+            image = None
+        else:
+            labeled_per_image[image.edges] += 1
+            per_class_image[key, image.edges] += 1
+        if f.arc_start != 1:
             continue
-        valid += 1
-        classes_per_image[image.edges] += 1
-        labeled_per_image[image.edges] += labeled_per_class[rep_edges]
+        class_count += 1
+        spoke_only = all(a == 0 for a, _ in f.center_edges)
+        spoke_only_total += spoke_only
+        if image is None:
+            continue
+        rep_images[key] = image.edges
         try:
-            if inverse(image, n).edges == rep_edges:
-                roundtrip_ok += 1
+            back = inverse(image, n).edges == key
         except ValueError:
-            pass
+            back = False
+        roundtrip_ok += back
+        spoke_only_ok += back and spoke_only
 
+    classes_per_image = Counter(rep_images.values())
     fan_trees = {tuple(t) for t in enum_spanning_trees(make_fan(n - 1), cap=cap)}
     to_hist = lambda c: tuple(sorted(Counter(c.values()).items()))
     return FiberReport(
         n=n,
         labeled_count=len(records),
-        class_count=len(by_class),
+        class_count=class_count,
         image_count=len(classes_per_image),
         fan_tree_count=len(fan_trees),
         labeled_fibers=to_hist(labeled_per_image),
         normalized_fibers=to_hist(classes_per_image),
-        all_images_valid=valid == len(by_class),
+        all_images_valid=len(rep_images) == class_count,
         covers_target_fan=set(classes_per_image) == fan_trees,
         target_path_vertices=n - 1,
         roundtrip_ok=roundtrip_ok,
-        roundtrip_total=len(by_class),
+        roundtrip_total=class_count,
+        rotation_stable=sum(per_class_image[item] for item in rep_images.items()),
+        spoke_only_total=spoke_only_total,
+        spoke_only_ok=spoke_only_ok,
     )

@@ -232,6 +232,8 @@ def size_arc_forests(n: int, cap: int = DEFAULT_ENUM_CAP) -> int:
     # part a spanning tree of the fan on the other n-k rim vertices,
     # f(2(n-k)) choices.  With f(2) + f(4) + ... + f(2n-2) = f(2n-1) - 1 the
     # total is n + n*(f(2n-1) - 1) = n*f(2n-1).
+    if n < 3:  # before the count, which has no meaning below 3
+        raise ValueError("wheel requires at least 3 rim vertices")
     return _checked_size(n + 1, cap, lambda: n * fib(2 * n - 1), "two-component forests")
 
 

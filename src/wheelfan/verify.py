@@ -1,9 +1,11 @@
 """Verification suites: closed forms vs Laplacian minors vs brute force.
 
 Suites call the formula layer through its module object on purpose, so a
-test build can corrupt one function and watch the sweep fail.  The tau suite
-emits informational rows only; its cardinality comparisons are findings, not
-assertions (see arc_forest_census).
+test build can corrupt one function and watch the sweep fail.  The bijection
+suite takes every per-n check from one bijection.fiber_report, the single
+pass over that wheel's arc forests.  The tau suite emits informational rows
+only; its cardinality comparisons are findings, not assertions (see
+arc_forest_census).
 """
 
 from __future__ import annotations
@@ -133,60 +135,30 @@ def suite_bijection(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> Verificatio
             )
         )
     for n in range(3, min(max_n, enum_cap - 1) + 1):
-        records = enumeration.enum_arc_forests(n, cap=enum_cap)
-        rep = bijection.fiber_report(n, cap=enum_cap, records=records)
-        report.checks.append(
+        rep = bijection.fiber_report(n, cap=enum_cap)
+        params = f"n={n}"
+        report.checks += [
             equality_check(
                 "all images are fan spanning trees",
-                f"n={n}",
+                params,
                 f"{rep.class_count}/{rep.class_count}",
                 f"{rep.class_count if rep.all_images_valid else 'fewer'}/{rep.class_count}",
-            )
-        )
-        report.checks.append(
-            equality_check("images cover the target fan", f"n={n}", True, rep.covers_target_fan)
-        )
-        # one pass over the labeled forests, each built once:
-        # rotation invariance: forward of any labeled forest equals forward of
-        # its normalized representative;
-        # forests whose center component uses spokes only invert exactly
-        stable = 0
-        spoke_only = 0
-        inverted = 0
-        for wf in records:
-            nf = bijection.normalize(wf)
-            image = bijection.forward(nf.forest)
-            if bijection.forward(wf).edges == image.edges:
-                stable += 1
-            if nf.rotation != 0 or any(a != 0 for a, _ in nf.forest.center_edges):
-                continue
-            spoke_only += 1
-            try:
-                if bijection.inverse(image, n).edges == nf.forest.edges:
-                    inverted += 1
-            except ValueError:
-                pass
-        report.checks.append(
-            equality_check(
-                "forward map is rotation invariant", f"n={n}", len(records), stable
-            )
-        )
-        report.checks.append(
+            ),
+            equality_check("images cover the target fan", params, True, rep.covers_target_fan),
+            equality_check("forward map is rotation invariant", params, rep.labeled_count, rep.rotation_stable),
             equality_check(
                 "round trip on spoke-only normalized forests",
-                f"n={n}",
-                f"{spoke_only}/{spoke_only}",
-                f"{inverted}/{spoke_only}",
-            )
-        )
-        report.checks.append(
+                params,
+                f"{rep.spoke_only_total}/{rep.spoke_only_total}",
+                f"{rep.spoke_only_ok}/{rep.spoke_only_total}",
+            ),
             info_check(
                 "round trips over all normalized forests",
-                f"n={n}",
+                params,
                 f"{rep.roundtrip_ok}/{rep.roundtrip_total}; {rep.class_count} classes fold onto "
                 f"{rep.image_count} images, so a universal round trip is impossible",
-            )
-        )
+            ),
+        ]
     return report
 
 

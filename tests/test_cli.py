@@ -5,6 +5,7 @@ import resource
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wheelfan.formulas
-from wheelfan import enumeration, verify
+from wheelfan import bijection, enumeration, verify
 from wheelfan.cli import main
 from wheelfan.graphs import format_edge_list, make_wheel
 from wheelfan.sequences import fib
@@ -120,6 +121,18 @@ def test_count_and_resist_grid_matches_pinned_digest(tmp_path, monkeypatch, caps
     for argv in argvs:
         digest.update(repr((argv, *run_cli(capsys, *argv))).encode())
     assert digest.hexdigest() == GRID_DIGEST
+
+
+# the canonical sweep, verify --suite all --max-n 12 --enum-cap 9: stdout
+# sha256 and last line; a change to any suite must print the same bytes
+SWEEP_DIGEST = "127d41acf8feb135bf981d3bead1f9f194dd4cf3706709a5e8546b73da1d8bec"
+
+
+def test_canonical_sweep_matches_pinned_digest(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--max-n", "12", "--enum-cap", "9")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "passed=237 failed=0 info=12"
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_DIGEST
 
 
 @settings(deadline=None)
@@ -366,6 +379,15 @@ def test_bijection_audit(capsys):
     assert "rotation classes: 13" in out
 
 
+@pytest.mark.parametrize("n", ["0", "-5", "2"])
+def test_audit_below_three_rim_vertices_is_a_usage_error(capsys, n):
+    assert run_cli(capsys, "bijection", "audit", "--n", n) == (
+        2,
+        "",
+        "error: wheel requires at least 3 rim vertices\n",
+    )
+
+
 def test_audit_is_deterministic(capsys):
     first = run_cli(capsys, "bijection", "audit", "--n", "5")
     second = run_cli(capsys, "bijection", "audit", "--n", "5")
@@ -533,6 +555,57 @@ def test_verify_detects_corrupted_formula(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--suite", "trees", "--max-n", "6")
     assert code == 1
     assert "FAIL" in out
+
+
+def _fail_lines(out: str) -> list[str]:
+    return [line for line in out.splitlines() if line.startswith("FAIL")]
+
+
+def test_verify_bijection_detects_a_forward_that_is_not_rotation_invariant(capsys, monkeypatch):
+    # one labeled forest off its class representative is sent to another class's image
+    real = bijection.forward
+    records = enumeration.enum_arc_forests(6)
+    moved = next(f for f in records if f.arc_start != 1)
+    home = real(moved).edges
+    wrong = next(image for f in records if (image := real(f)).edges != home)
+    monkeypatch.setattr(bijection, "forward", lambda f: wrong if f == moved else real(f))
+    code, out, _ = run_cli(capsys, "verify", "--suite", "bijection", "--max-n", "6")
+    assert code == 1
+    assert _fail_lines(out) == ["FAIL forward map is rotation invariant [n=6] expected=534 actual=533"]
+
+
+def test_verify_bijection_detects_an_inverse_refusing_a_spoke_only_forest(capsys, monkeypatch):
+    # the spoke-only representative with arc 1..2 at n=5 no longer inverts
+    real = bijection.inverse
+    refused = bijection.forward(bijection.WheelForest.from_edges(5, [(1, 2), (0, 3), (0, 4), (0, 5)])).edges
+
+    def inverse(tree, n):
+        if tree.edges == refused and n == 5:
+            raise ValueError("refused")
+        return real(tree, n)
+
+    monkeypatch.setattr(bijection, "inverse", inverse)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "bijection", "--max-n", "6")
+    assert code == 1
+    assert _fail_lines(out) == [
+        "FAIL round trip on spoke-only normalized forests [n=5] expected=5/5 actual=4/5"
+    ]
+
+
+def test_verify_bijection_sends_each_arc_forest_through_forward_once(capsys, monkeypatch):
+    calls = Counter()  # rim size -> forward calls
+    real = bijection.forward
+
+    def counting(f):
+        calls[f.n] += 1
+        return real(f)
+
+    monkeypatch.setattr(bijection, "forward", counting)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "bijection", "--max-n", "6")
+    assert (code, out.splitlines()[-1]) == (0, "passed=21 failed=0 info=4")
+    labeled = sum(enumeration.size_arc_forests(n) for n in range(3, 7))
+    pinned = sum(direction == "forward" for direction, _, _ in verify._PINNED)
+    assert sum(calls.values()) <= labeled + pinned
 
 
 def test_oeis_bfile_bytes(capsys):

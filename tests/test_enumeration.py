@@ -163,6 +163,14 @@ def test_arc_forest_budget_count_is_the_enumerated_count(n):
     assert len(enum_arc_forests(n)) == n * fib(2 * n - 1)
 
 
+@pytest.mark.parametrize("n", [2, 0, -5])
+def test_arc_forests_below_three_rim_vertices_are_refused_before_the_count(n):
+    # n*f(2n-1) is not evaluated: below 1 it would ask fib for a negative index
+    for call in (enumeration.size_arc_forests, enum_arc_forests):
+        with pytest.raises(ValueError, match="^wheel requires at least 3 rim vertices$"):
+            call(n)
+
+
 def test_full_rim_arc_start_follows_missing_edge():
     assert rim_arc_of(4, (1, 2, 3, 4), [(1, 2), (2, 3), (3, 4)]) == (1, 4)
     assert rim_arc_of(4, (1, 2, 3, 4), [(2, 3), (3, 4), (1, 4)]) == (2, 4)
