@@ -272,7 +272,7 @@ class FiberReport:
         ]
 
 
-def fiber_report(n: int, cap: int = DEFAULT_ENUM_CAP, records=None) -> FiberReport:
+def fiber_report(n: int, cap: int = DEFAULT_ENUM_CAP) -> FiberReport:
     """Fold the arc forests of the wheel with n rim vertices through forward.
 
     One pass: every labeled forest goes through forward once, and the
@@ -280,12 +280,8 @@ def fiber_report(n: int, cap: int = DEFAULT_ENUM_CAP, records=None) -> FiberRepo
     rotation_class_representative; its representative is the member with
     arc_start 1, whose image stands for the class and is inverted for the
     round trip.
-
-    records, when given, must be enum_arc_forests(n, cap=cap), already
-    computed by the caller; otherwise they are enumerated here.
     """
-    if records is None:
-        records = enum_arc_forests(n, cap=cap)
+    records = enum_arc_forests(n, cap=cap)
     labeled_per_image: Counter = Counter()
     per_class_image: Counter = Counter()  # (class, image) -> labeled forests
     rep_images: dict[tuple[Edge, ...], tuple[Edge, ...]] = {}  # class -> its representative's image
