@@ -9,6 +9,7 @@ count and resist answer through one route table, built by _answer.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -220,9 +221,10 @@ def cmd_oeis(args) -> int:
     offset, value_at, description = SEQUENCES[args.sequence]
     if args.max_n < offset:
         raise ValueError(f"--max-n must be at least the offset {offset} for {args.sequence}")
-    rows = tuple((i, value_at(i)) for i in range(offset, args.max_n + 1))
+    rows = ((i, value_at(i)) for i in range(offset, args.max_n + 1))
     comments = () if args.bfile else (f"{args.sequence}: {description}; offset {offset}",)
-    sys.stdout.write(BFile(offset, rows).render(comments))
+    # row by row: a long b-file never sits in memory whole
+    sys.stdout.writelines(BFile(offset, rows).lines(comments))
     return 0
 
 
@@ -239,13 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--separate", help="vertex pair A,B for forests")
     p.add_argument("--method", choices=["formula", "minor", "enum", "all"], default="minor")
     p.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
-    p.set_defaults(run=cmd_count)
 
     p = sub.add_parser("resist", help="exact effective resistance between two vertices")
     p.add_argument("--graph", required=True)
     p.add_argument("--pair", required=True, help="vertex pair A,B")
     p.add_argument("--method", choices=["formula", "minor", "all"], default="minor")
-    p.set_defaults(run=cmd_resist)
 
     p = sub.add_parser("bijection", help="map wheel forests to fan trees and back")
     dirs = p.add_subparsers(dest="direction", required=True)
@@ -254,41 +254,44 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--n", type=int, help="rim size of the wheel")
         q.add_argument("--edges", help="inline edges A-B,C-D,...")
         q.add_argument("--file", help="edge-list file")
-        q.set_defaults(run=cmd_bijection)
     q = dirs.add_parser("audit")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
-    q.set_defaults(run=cmd_bijection)
 
     p = sub.add_parser("enumerate", help="list trees, forests or the arc-forest family")
     p.add_argument("object", choices=["trees", "forests", "tau"])
     p.add_argument("--graph", required=True)
     p.add_argument("--separate")
     p.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
-    p.set_defaults(run=cmd_enumerate)
 
     p = sub.add_parser("verify", help="run the cross-validation suites")
     p.add_argument("--suite", default="all", help="identities, trees, forests, resistance, bijection, tau or all")
     p.add_argument("--max-n", type=int, default=10)
     p.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
-    p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("oeis", help="emit b-file rows for the counting sequences")
     p.add_argument("--sequence", required=True, choices=sorted(SEQUENCES))
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--bfile", action="store_true", help="rows only, no comment header")
-    p.set_defaults(run=cmd_oeis)
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser every main call reuses, built on the first call, not on import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; may be called repeatedly in one process."""
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    # looked up by name at call time, so a rebound cmd_* is the one that runs
+    run = globals()[f"cmd_{args.command}"]
     try:
-        return args.run(args)
+        return run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

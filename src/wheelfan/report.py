@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 
 @dataclass(frozen=True)
@@ -83,17 +83,19 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class BFile:
-    """OEIS-style b-file: consecutive indices from a fixed offset."""
+    """OEIS-style b-file: consecutive indices from a fixed offset.
+
+    rows may be a generator: lines() checks and renders one row at a time,
+    so a long b-file is never held in memory whole."""
 
     offset: int
-    rows: tuple[tuple[int, int], ...]
+    rows: Iterable[tuple[int, int]]
 
-    def __post_init__(self):
-        for pos, (idx, _) in enumerate(self.rows):
+    def lines(self, comments: tuple[str, ...] = ()) -> Iterator[str]:
+        """Each line with its newline; a row out of sequence raises ValueError when reached."""
+        for c in comments:
+            yield f"# {c}\n"
+        for pos, (idx, value) in enumerate(self.rows):
             if idx != self.offset + pos:
                 raise ValueError(f"row {pos} has index {idx}, expected {self.offset + pos}")
-
-    def render(self, comments: tuple[str, ...] = ()) -> str:
-        lines = [f"# {c}" for c in comments]
-        lines.extend(f"{idx} {format_int(value)}" for idx, value in self.rows)
-        return "\n".join(lines) + "\n"
+            yield f"{idx} {format_int(value)}\n"

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wheelfan.formulas
-from wheelfan import bijection, enumeration, verify
+from wheelfan import bijection, cli, enumeration, verify
 from wheelfan.cli import main
 from wheelfan.graphs import format_edge_list, make_wheel
 from wheelfan.sequences import fib
@@ -321,6 +321,22 @@ def test_minor_route_on_a_large_wheel_runs_in_small_memory():
     )
     trees = full_decimal(wheelfan.formulas.trees_wheel(5000))
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, trees + "\n", "")
+
+
+def test_a_long_bfile_streams_in_small_memory():
+    # fan-trees up to 8000 is 13 MB of text; built whole (rows, lines, one
+    # joined string) it needs over 64 MiB of address space, row by row under 32
+    proc = subprocess.run(
+        [sys.executable, "-m", "wheelfan", "oeis", "--sequence", "fan-trees", "--max-n", "8000", "--bfile"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (64 * 2**20, 64 * 2**20)),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert [int(line.split()[0]) for line in lines] == list(range(1, 8001))
+    assert lines[-1] == f"8000 {full_decimal(wheelfan.formulas.trees_fan(8000))}"
 
 
 def test_resist_same_vertex_is_usage_error(capsys):
@@ -641,6 +657,99 @@ def test_oeis_unknown_sequence(capsys):
 def test_no_arguments_is_usage_error(capsys):
     assert main([]) == 2
     capsys.readouterr()
+
+
+def test_a_reused_parser_leaks_no_state(tmp_path, monkeypatch):
+    # one mixed list of argvs, failures included, through one process in two
+    # orders; each must print and exit exactly as on a freshly built parser
+    monkeypatch.setattr(wheelfan.formulas, "trees_fan", lambda m: 9999)
+    path = tmp_path / "k4.txt"
+    path.write_text(format_edge_list(4, combinations(range(4), 2)))
+    argvs = [
+        ("count", "trees", "--graph", "wheel:5"),
+        ("count", "forests", "--graph", f"file:{path}", "--separate", "0,1", "--method", "all"),
+        ("resist", "--graph", "wheel:4", "--pair", "1,3", "--method", "all"),
+        ("bijection", "forward", "--n", "4", "--edges", "2-3,0-1,0-4"),
+        ("bijection", "inverse", "--n", "4", "--edges", "1-2,0-2,0-3"),
+        ("bijection", "audit", "--n", "3"),
+        ("enumerate", "forests", "--graph", "wheel:3", "--separate", "1,2"),
+        ("verify", "--suite", "identities", "--max-n", "5"),
+        ("oeis", "--sequence", "sep-center", "--max-n", "6"),
+        ("count", "trees"),
+        ("count", "bogus", "--graph", "wheel:5"),
+        (),
+        ("count", "trees", "--graph", "wheel:2"),
+        ("count", "trees", "--graph", f"file:{tmp_path / 'missing.txt'}"),
+        ("count", "trees", "--graph", "fan:3", "--method", "all"),
+        ("--help",),
+        ("bijection", "audit", "--help"),
+    ]
+
+    def fresh(argv):
+        cli._shared_parser.cache_clear()
+        return run_quiet(*argv)
+
+    expected = {argv: fresh(argv) for argv in argvs}
+    assert sorted({code for code, _, _ in expected.values()}) == [0, 1, 2]
+    for order in (argvs, argvs[::-1]):
+        assert {argv: run_quiet(*argv) for argv in order} == expected
+
+
+def test_a_command_rebound_after_the_first_call_is_the_one_that_runs(capsys, monkeypatch):
+    args = ("resist", "--graph", "wheel:3", "--pair", "1,2")
+    assert run_cli(capsys, *args) == (0, "1/2\n", "")
+    monkeypatch.setattr(cli, "cmd_resist", lambda parsed: 7)
+    assert run_cli(capsys, *args) == (7, "", "")
+
+
+def test_importing_the_cli_builds_no_parser():
+    # perfbench's setup_s times this import plus one build_parser() call
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
+        "import wheelfan.cli\n"
+        "print(len(built))\n"
+        "wheelfan.cli.build_parser()\n"
+        "print(len(built))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    # the count after build_parser() shows the hook sees every parser built
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n10\n", "")
+    assert cli.build_parser() is not cli.build_parser()
+
+
+HELP_COMMANDS = (
+    (),
+    ("count",),
+    ("resist",),
+    ("bijection",),
+    ("bijection", "forward"),
+    ("bijection", "inverse"),
+    ("bijection", "audit"),
+    ("enumerate",),
+    ("verify",),
+    ("oeis",),
+)
+USAGE_ERRORS = (("count", "trees"), ("count", "bogus", "--graph", "wheel:5"))
+# sha256 over the --help of every command and two usage errors at 80 columns,
+# recorded before main reused one parser; argparse's layout is Python 3.11's
+HELP_DIGEST = "308d77d95697794ee2e9a0a8e2683de1755be1cba871495cfacaa19ea9457c93"
+
+
+def test_help_and_usage_text_match_pinned_digest(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    digest = hashlib.sha256()
+    for command in HELP_COMMANDS:
+        code, out, err = run_cli(capsys, *command, "--help")
+        assert (code, err) == (0, ""), command
+        digest.update(out.encode())
+    for args in USAGE_ERRORS:
+        code, out, err = run_cli(capsys, *args)
+        assert (code, out) == (2, ""), args
+        digest.update(err.encode())
+    assert digest.hexdigest() == HELP_DIGEST
 
 
 def test_module_entry_point():

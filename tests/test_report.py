@@ -35,7 +35,7 @@ def test_every_printed_integer_goes_through_the_formatter():
     # non-integers keep their text; a bool is not printed as a number
     assert equality_check("flag", "", True, True).render() == "PASS flag expected=True actual=True"
     assert equality_check("text", "", "1/2", "1/2").expected == "1/2"
-    assert BFile(3, ((3, BIG),)).render() == f"3 {digits}\n"
+    assert list(BFile(3, ((3, BIG),)).lines()) == [f"3 {digits}\n"]
 
 
 def test_the_str_limit_stays_for_parsing():
@@ -44,3 +44,11 @@ def test_the_str_limit_stays_for_parsing():
     format_int(BIG)
     with pytest.raises(ValueError, match="4300 digits"):
         int("9" * 5000)
+
+
+def test_bfile_streams_rows_and_checks_each_index_when_reached():
+    rows = iter(((3, 8), (4, 21), (6, 89)))
+    lines = BFile(3, rows).lines(("sep-center",))
+    assert [next(lines), next(lines), next(lines)] == ["# sep-center\n", "3 8\n", "4 21\n"]
+    with pytest.raises(ValueError, match="row 2 has index 6, expected 5"):
+        next(lines)
