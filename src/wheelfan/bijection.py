@@ -40,16 +40,17 @@ the one pass over the arc forests: each labeled forest goes through forward
 once, and the verify suite reads its checks off the report.
 
 Validation happens once per input forest, where it enters the module:
-WheelForest.from_edges and the public five-field constructor analyse the
+WheelForest.from_edges and the public four-field constructor analyse the
 edge set (one union-find pass over the wheel) and locate the arc, and
 enum_arc_forests locates the arc of each subset its walk finds.
 WheelForest lives in the enumeration module, which emits it;
-bijection.WheelForest is the same class.  Every derived forest is then
-built unchecked: a rim rotation is an automorphism of the wheel, so
-normalize keeps each edge on its side, rotates the two sides separately,
-moves arc_start to 1 and keeps arc_len.  Fan trees are different: FanTree
-checks every image with is_spanning_tree, because that check is what the
-audit reports.
+bijection.WheelForest is the same class.  A forest is its sorted edge tuple
+and its arc, nothing else, so every derived forest is built unchecked:
+normalize rotates the whole edge tuple with rotation_class_representative
+(a rim rotation is an automorphism of the wheel, so the result is again a
+valid forest), moves arc_start to 1 and keeps arc_len.  Fan trees are
+different: FanTree checks every image with is_spanning_tree, because that
+check is what the audit reports.
 """
 
 from __future__ import annotations
@@ -80,52 +81,25 @@ class FanTree:
         return cls(m, tuple(sorted(canonical_edge(a, b) for a, b in edges)))
 
 
-@dataclass(frozen=True)
-class NormalizedForest:
-    """Forest rotated so its arc occupies rim positions 1..arc_len.
+def normalize(f: WheelForest) -> WheelForest:
+    """The forest rotated so its arc starts at rim vertex 1; arc_len is unchanged.
 
-    rotation is the shift that recovers the original labeling:
-    rotate_rim_labels(forest.edges, rotation, n) == original edges.
+    Returns f itself when its arc already starts at 1.  Otherwise the edges
+    are the class's arc-normal form, rotation_class_representative(f); a
+    rotation is an automorphism of the wheel, so they need no new analysis.
     """
-
-    forest: WheelForest
-    rotation: int
-
-    def __post_init__(self):
-        if self.forest.arc_start != 1:
-            raise ValueError("normalized forest must have its arc start at rim position 1")
-        if not 0 <= self.rotation < self.forest.n:
-            raise ValueError("rotation out of range")
-
-
-def normalize(f: WheelForest) -> NormalizedForest:
-    """Rotate the rim so the arc starts at vertex 1; arc_len is unchanged.
-
-    A rotation is an automorphism of the wheel, so it keeps the forest valid
-    and keeps each edge on its side; rotating the two sides separately gives
-    the fields that analysing the rotated edge set would give.
-    """
-    rotation = f.arc_start - 1
-    if rotation == 0:
-        return NormalizedForest(f, 0)
-    n = f.n
-    rotated = WheelForest._unchecked(
-        n,
-        rotate_rim_labels(f.center_edges, -rotation, n),
-        rotate_rim_labels(f.cycle_edges, -rotation, n),
-        1,
-        f.arc_len,
-    )
-    return NormalizedForest(rotated, rotation)
+    if f.arc_start == 1:
+        return f
+    return WheelForest._unchecked(f.n, rotation_class_representative(f), 1, f.arc_len)
 
 
 def forward(f: WheelForest) -> FanTree:
     """Image of the forest in the fan with n-1 path vertices.
 
-    Normalizes first, so rotation-equivalent forests share one image.
+    Reads the image off the normalized forest, so rotation-equivalent
+    forests share one image.
     """
-    nf = normalize(f)
-    n, k = f.n, nf.forest.arc_len
+    n, k = f.n, f.arc_len
     if k == n:
         # isolated center: keep the path on 1..n-1, hang the hub on vertex 1
         image = [(i, i + 1) for i in range(1, n - 1)]
@@ -137,7 +111,7 @@ def forward(f: WheelForest) -> FanTree:
                 return v
             return k if v == k + 1 else v - 1
 
-        image = [canonical_edge(collapse(a), collapse(b)) for a, b in nf.forest.edges]
+        image = [canonical_edge(collapse(a), collapse(b)) for a, b in normalize(f).edges]
         if len(set(image)) != len(image):  # cannot happen; guards the collapse
             raise AssertionError("forward map collapsed two edges together")
     return FanTree.from_edges(n - 1, image)
@@ -186,11 +160,10 @@ def conditioned_forward(f: WheelForest) -> FanTree:
     component are outside the domain and raise.
     """
     n = f.n
-    if (1 - f.arc_start) % n >= f.arc_len:
+    j = (1 - f.arc_start) % n + 1
+    if j > f.arc_len:
         raise ValueError("not in F(v1|vc): rim vertex 1 is in the center's component")
-    nf = normalize(f)
-    j = (-nf.rotation) % n + 1
-    return FanTree.from_edges(n, nf.forest.edges + ((0, j),))
+    return FanTree.from_edges(n, normalize(f).edges + ((0, j),))
 
 
 def conditioned_inverse(tree: FanTree) -> WheelForest:
@@ -213,11 +186,12 @@ class FiberReport:
 
     Fiber histograms pair a fiber size with how many images have it; the
     labeled histogram counts labeled forests per image, the normalized one
-    counts rotation classes per image.  roundtrip_* restrict inverse(forward)
-    to normalized representatives.  The last three fields are not printed:
-    rotation_stable counts the labeled forests whose image is their class
-    representative's, and spoke_only_* restrict the round trip to the
-    representatives whose center edges are all spokes.
+    counts rotation classes per image.  roundtrip_ok counts the normalized
+    representatives, one per class, that inverse(forward) restores.  The
+    last three fields are not printed: rotation_stable counts the labeled
+    forests whose image is their class representative's, and spoke_only_*
+    restrict the round trip to the representatives whose center edges are
+    all spokes.
     """
 
     n: int
@@ -229,16 +203,14 @@ class FiberReport:
     normalized_fibers: tuple[tuple[int, int], ...]
     all_images_valid: bool
     covers_target_fan: bool
-    target_path_vertices: int
     roundtrip_ok: int
-    roundtrip_total: int
     rotation_stable: int
     spoke_only_total: int
     spoke_only_ok: int
 
     @property
     def roundtrip_pass(self) -> bool:
-        return self.roundtrip_ok == self.roundtrip_total
+        return self.roundtrip_ok == self.class_count
 
     @property
     def max_fiber(self) -> int:
@@ -258,13 +230,13 @@ class FiberReport:
             f"labeled arc forests: {self.labeled_count}",
             f"rotation classes: {self.class_count}",
             f"distinct forward images: {self.image_count}",
-            f"target fan path vertices: {self.target_path_vertices}",
+            f"target fan path vertices: {self.n - 1}",
             f"fan spanning trees: {self.fan_tree_count}",
             f"all images are fan spanning trees: {yesno(self.all_images_valid)}",
             f"images cover every fan spanning tree: {yesno(self.covers_target_fan)}",
             f"labeled fiber histogram (size x images): {hist(self.labeled_fibers)}",
             f"normalized fiber histogram (size x images): {hist(self.normalized_fibers)}",
-            f"round trips on normalized representatives: {self.roundtrip_ok}/{self.roundtrip_total}",
+            f"round trips on normalized representatives: {self.roundtrip_ok}/{self.class_count}",
             "note: images use one path vertex fewer than the rim size; "
             f"{self.class_count} rotation classes share {self.image_count} images, "
             "so the map cannot be inverted everywhere",
@@ -298,7 +270,8 @@ def fiber_report(n: int, cap: int = DEFAULT_ENUM_CAP) -> FiberReport:
         if f.arc_start != 1:
             continue
         class_count += 1
-        spoke_only = all(a == 0 for a, _ in f.center_edges)
+        # the center's component has n - arc_len edges; spoke-only if all are spokes
+        spoke_only = sum(a == 0 for a, _ in f.edges) == n - f.arc_len
         spoke_only_total += spoke_only
         if image is None:
             continue
@@ -323,9 +296,7 @@ def fiber_report(n: int, cap: int = DEFAULT_ENUM_CAP) -> FiberReport:
         normalized_fibers=to_hist(classes_per_image),
         all_images_valid=len(rep_images) == class_count,
         covers_target_fan=set(classes_per_image) == fan_trees,
-        target_path_vertices=n - 1,
         roundtrip_ok=roundtrip_ok,
-        roundtrip_total=class_count,
         rotation_stable=sum(per_class_image[item] for item in rep_images.items()),
         spoke_only_total=spoke_only_total,
         spoke_only_ok=spoke_only_ok,

@@ -178,12 +178,14 @@ def cmd_enumerate(args) -> int:
         blocks = enum_spanning_trees(g, cap=args.enum_cap)
     elif args.object == "forests":
         u, v = _separated_pair(args, g)
-        blocks = [rec.edges for rec in enum_two_forests(g, u, v, cap=args.enum_cap)]
+        blocks = (rec.edges for rec in enum_two_forests(g, u, v, cap=args.enum_cap))
     else:
         if kind != "wheel":
             raise ValueError("enumerate tau requires --graph wheel:N")
-        blocks = [rec.edges for rec in enum_arc_forests(size, cap=args.enum_cap)]
-    sys.stdout.write("\n".join(format_edge_list(g.vertex_count, b) for b in blocks))
+        blocks = (rec.edges for rec in enum_arc_forests(size, cap=args.enum_cap))
+    # block by block: one joined string of every block can exhaust memory
+    for i, b in enumerate(blocks):
+        sys.stdout.write(("\n" if i else "") + format_edge_list(g.vertex_count, b))
     return 0
 
 

@@ -130,16 +130,17 @@ def enum_two_forests(g: LabeledGraph, u: int, v: int, cap: int = DEFAULT_ENUM_CA
     ]
 
 
-def rim_arc_of(n: int, rim_part: tuple[int, ...], cycle_edges) -> tuple[int, int]:
+def rim_arc_of(n: int, rim_part: tuple[int, ...], edges) -> tuple[int, int]:
     """(start, length) of a rim vertex set that must be a contiguous arc.
 
-    A full-rim part takes its start from the one missing cycle edge: missing
-    {i, i+1} starts the arc at i+1, missing {1, n} starts it at 1.
+    edges are the forest's edges.  A full-rim part takes its start from the
+    one missing cycle edge: missing {i, i+1} starts the arc at i+1, missing
+    {1, n} starts it at 1.
     """
     k = len(rim_part)
     members = set(rim_part)
     if k == n:
-        present = set(cycle_edges)
+        present = set(edges)
         missing = [
             e
             for i in range(1, n + 1)
@@ -156,19 +157,8 @@ def rim_arc_of(n: int, rim_part: tuple[int, ...], cycle_edges) -> tuple[int, int
     return starts[0], k
 
 
-def _split_forest(
-    n: int, edges: tuple[Edge, ...], rim_part: tuple[int, ...]
-) -> tuple[tuple[Edge, ...], tuple[Edge, ...], int, int]:
-    # the WheelForest fields of a two-component forest whose part without
-    # vertex 0 is rim_part; an edge lies in that part iff its smaller end does
-    rim = set(rim_part)
-    cycle_edges = tuple(e for e in edges if e[0] in rim)
-    center_edges = tuple(e for e in edges if e[0] not in rim)
-    return (center_edges, cycle_edges, *rim_arc_of(n, rim_part, cycle_edges))
-
-
-def _analyze_forest(n: int, edges) -> tuple[tuple[Edge, ...], tuple[Edge, ...], int, int]:
-    """Check a wheel forest's edges, then split them and locate the arc."""
+def _analyze_forest(n: int, edges) -> tuple[tuple[Edge, ...], int, int]:
+    """Check a wheel forest's edges; return them sorted and canonical, and locate the arc."""
     if n < 3:
         raise ValueError("wheel requires at least 3 rim vertices")
     edges = tuple(sorted(canonical_edge(a, b) for a, b in edges))
@@ -180,48 +170,40 @@ def _analyze_forest(n: int, edges) -> tuple[tuple[Edge, ...], tuple[Edge, ...], 
     parts = components(make_wheel(n), edges)  # also validates edges against the wheel
     if len(parts) != 2:
         raise ValueError("edge set is not a two-component spanning forest (it contains a cycle)")
-    return _split_forest(n, edges, parts[1])  # parts are ordered by minimum vertex, 0 first
+    return (edges, *rim_arc_of(n, parts[1], edges))  # parts are ordered by minimum vertex, 0 first
 
 
 @dataclass(frozen=True)
 class WheelForest:
-    """Two-component spanning forest of a wheel, arc metadata included.
+    """Two-component spanning forest of a wheel, its rim arc located.
 
-    center_edges live in the component holding vertex 0 (spokes and possibly
-    rim edges); cycle_edges form the path on the center-free arc, which has
-    arc_len vertices and starts at rim position arc_start.
+    edges is the sorted tuple of canonical edges.  The component without the
+    center is a rim arc of arc_len vertices starting at rim position
+    arc_start; the center's component holds the other n - arc_len edges.
     """
 
     n: int
-    center_edges: tuple[Edge, ...]
-    cycle_edges: tuple[Edge, ...]
+    edges: tuple[Edge, ...]
     arc_start: int
     arc_len: int
 
     def __post_init__(self):
-        ce, cy, start, k = _analyze_forest(self.n, self.center_edges + self.cycle_edges)
-        if (ce, cy, start, k) != (self.center_edges, self.cycle_edges, self.arc_start, self.arc_len):
+        if _analyze_forest(self.n, self.edges) != (self.edges, self.arc_start, self.arc_len):
             raise ValueError("forest fields are inconsistent with the edge set")
 
     @classmethod
-    def _unchecked(cls, n: int, center_edges, cycle_edges, arc_start: int, arc_len: int) -> "WheelForest":
+    def _unchecked(cls, n: int, edges: tuple[Edge, ...], arc_start: int, arc_len: int) -> "WheelForest":
         # Skips __post_init__.  Only three callers may use it, each with
         # fields that already describe a valid forest: from_edges (fresh from
-        # _analyze_forest), enum_arc_forests (split from a subset its walk
-        # found) and bijection.normalize (a rotation of a validated forest).
+        # _analyze_forest), enum_arc_forests (a subset its walk found) and
+        # bijection.normalize (a rotation of a validated forest).
         self = object.__new__(cls)
-        self.__dict__.update(
-            n=n, center_edges=center_edges, cycle_edges=cycle_edges, arc_start=arc_start, arc_len=arc_len
-        )
+        self.__dict__.update(n=n, edges=edges, arc_start=arc_start, arc_len=arc_len)
         return self
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "WheelForest":
         return cls._unchecked(n, *_analyze_forest(n, edges))
-
-    @property
-    def edges(self) -> tuple[Edge, ...]:
-        return tuple(sorted(self.center_edges + self.cycle_edges))
 
 
 def size_arc_forests(n: int, cap: int = DEFAULT_ENUM_CAP) -> int:
@@ -248,7 +230,7 @@ def enum_arc_forests(n: int, cap: int = DEFAULT_ENUM_CAP) -> list[WheelForest]:
     size_arc_forests(n, cap)
     g = make_wheel(n)
     return [
-        WheelForest._unchecked(n, *_split_forest(n, sub, components(g, sub)[1]))
+        WheelForest._unchecked(n, sub, *rim_arc_of(n, components(g, sub)[1], sub))
         for sub in _acyclic_subsets(g, n - 1)
     ]
 
@@ -257,7 +239,7 @@ def rotation_class_representative(f: WheelForest) -> tuple[Edge, ...]:
     """The forest's edges rotated so its arc starts at rim vertex 1.
 
     A forest has one arc, so every rotation of it lands on the same tuple:
-    the arc-normal form, the edges of bijection.normalize's forest.
+    the arc-normal form, which bijection.normalize builds its forest on.
     """
     return rotate_rim_labels(f.edges, 1 - f.arc_start, f.n)
 

@@ -155,7 +155,7 @@ def suite_bijection(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> Verificatio
             info_check(
                 "round trips over all normalized forests",
                 params,
-                f"{rep.roundtrip_ok}/{rep.roundtrip_total}; {rep.class_count} classes fold onto "
+                f"{rep.roundtrip_ok}/{rep.class_count}; {rep.class_count} classes fold onto "
                 f"{rep.image_count} images, so a universal round trip is impossible",
             ),
         ]

@@ -1,3 +1,4 @@
+from dataclasses import fields
 from functools import lru_cache
 
 import pytest
@@ -8,7 +9,6 @@ import wheelfan.enumeration
 from wheelfan.bijection import (
     FanTree,
     FiberReport,
-    NormalizedForest,
     WheelForest,
     conditioned_forward,
     conditioned_inverse,
@@ -27,8 +27,7 @@ def wf(n, edges):
 
 def test_forest_fields():
     f = wf(4, [(1, 2), (2, 3), (0, 4)])
-    assert f.center_edges == ((0, 4),)
-    assert f.cycle_edges == ((1, 2), (2, 3))
+    assert [field.name for field in fields(f)] == ["n", "edges", "arc_start", "arc_len"]
     assert (f.arc_start, f.arc_len) == (1, 3)
     assert f.edges == ((0, 4), (1, 2), (2, 3))
 
@@ -42,8 +41,14 @@ def test_forest_validation():
         wf(5, [(1, 3), (0, 2), (0, 4), (0, 5)])
     with pytest.raises(ValueError, match="at least 3"):
         wf(2, [(1, 2)])
+    # the public constructor takes the four fields and checks them against the edges
+    assert WheelForest(4, ((0, 4), (1, 2), (2, 3)), arc_start=1, arc_len=3) == wf(4, [(1, 2), (2, 3), (0, 4)])
     with pytest.raises(ValueError, match="inconsistent"):
-        WheelForest(4, ((0, 4),), ((1, 2), (2, 3)), arc_start=2, arc_len=3)
+        WheelForest(4, ((0, 4), (1, 2), (2, 3)), arc_start=2, arc_len=3)
+    with pytest.raises(ValueError, match="inconsistent"):
+        WheelForest(4, ((1, 2), (2, 3), (0, 4)), arc_start=1, arc_len=3)  # not sorted
+    with pytest.raises(ValueError, match="inconsistent"):
+        WheelForest(4, ((0, 4), (1, 2), (2, 3)), arc_start=1, arc_len=2)
 
 
 def test_fan_tree_validation():
@@ -53,45 +58,47 @@ def test_fan_tree_validation():
 
 
 def test_normalize_moves_arc_to_position_one():
-    nf = normalize(wf(4, [(2, 3), (0, 1), (0, 4)]))
-    assert nf.rotation == 1
-    assert nf.forest.edges == ((0, 3), (0, 4), (1, 2))
-    assert (nf.forest.arc_start, nf.forest.arc_len) == (1, 2)
+    f = wf(4, [(2, 3), (0, 1), (0, 4)])
+    assert (f.arc_start, f.arc_len) == (2, 2)
+    nf = normalize(f)
+    assert nf.edges == ((0, 3), (0, 4), (1, 2))
+    assert (nf.arc_start, nf.arc_len) == (1, 2)
 
 
 def test_normalize_is_identity_when_already_normal():
     f = wf(4, [(1, 2), (2, 3), (0, 4)])
-    nf = normalize(f)
-    assert nf.rotation == 0
-    assert nf.forest.edges == f.edges
+    assert normalize(f) is f
 
 
 def test_normalize_full_path_tie_break():
     # missing cycle edge already at {4,1}: no rotation
-    nf = normalize(wf(4, [(1, 2), (2, 3), (3, 4)]))
-    assert nf.rotation == 0
+    f = wf(4, [(1, 2), (2, 3), (3, 4)])
+    assert normalize(f) is f
     # rotated copy: missing edge {1,2} means the arc starts at 2
-    nf = normalize(wf(4, [(2, 3), (3, 4), (1, 4)]))
-    assert nf.rotation == 1
-    assert nf.forest.edges == ((1, 2), (2, 3), (3, 4))
+    f = wf(4, [(2, 3), (3, 4), (1, 4)])
+    assert f.arc_start == 2
+    assert normalize(f).edges == ((1, 2), (2, 3), (3, 4))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_normalize_records_recovering_rotation(n):
+    # rotating the rim back by arc_start - 1 recovers the original labeling
     for rec in enum_arc_forests(n):
         nf = normalize(wf(n, rec.edges))
-        assert rotate_rim_labels(nf.forest.edges, nf.rotation, n) == rec.edges
+        assert rotate_rim_labels(nf.edges, rec.arc_start - 1, n) == rec.edges
 
 
 @pytest.mark.parametrize("n", range(3, 8))
 def test_unchecked_constructions_match_the_checked_path(n):
     # enum_arc_forests and normalize build forests without analysing them;
-    # both must give exactly what from_edges gives, all five fields compared
+    # both must give exactly what from_edges and the four-field constructor
+    # give, all four fields compared
     for rec in enum_arc_forests(n):
         f = wf(n, rec.edges)
-        assert rec == f
+        assert rec == f == WheelForest(n, rec.edges, rec.arc_start, rec.arc_len)
         nf = normalize(f)
-        assert nf.forest == wf(n, rotate_rim_labels(f.edges, -nf.rotation, n))
+        assert nf == wf(n, rotate_rim_labels(f.edges, 1 - f.arc_start, n))
+        assert nf == WheelForest(n, nf.edges, 1, f.arc_len)
 
 
 def test_each_forest_is_analysed_once(monkeypatch):
@@ -106,8 +113,8 @@ def test_each_forest_is_analysed_once(monkeypatch):
     f = wf(5, [(0, 1), (0, 2), (3, 4), (4, 5)])
     assert len(calls) == 1
     nf = normalize(f)
-    assert nf.rotation == 2
-    normalize(nf.forest)
+    assert (f.arc_start, nf.arc_start) == (3, 1)
+    normalize(nf)
     normalize(enum_arc_forests(5)[-1])
     assert len(calls) == 1
 
@@ -117,9 +124,12 @@ def test_one_wheel_forest_class():
 
 
 def test_normalized_forest_invariant():
+    # a normalized forest's arc starts at rim position 1, and the constructor
+    # refuses a shifted forest that claims so
     shifted = wf(4, [(2, 3), (0, 1), (0, 4)])
-    with pytest.raises(ValueError, match="start at rim position 1"):
-        NormalizedForest(shifted, 0)
+    assert normalize(shifted).arc_start == 1
+    with pytest.raises(ValueError, match="inconsistent"):
+        WheelForest(4, shifted.edges, 1, shifted.arc_len)
 
 
 # the three pinned forward vectors and two pinned inverse vectors, n=4
@@ -190,10 +200,10 @@ def test_images_are_spanning_trees_of_the_smaller_fan(n):
     seen_classes = set()
     for rec in enum_arc_forests(n):
         nf = normalize(wf(n, rec.edges))
-        if nf.forest.edges in seen_classes:
+        if nf.edges in seen_classes:
             continue
-        seen_classes.add(nf.forest.edges)
-        image = forward(nf.forest)
+        seen_classes.add(nf.edges)
+        image = forward(nf)
         assert image.m == n - 1
         assert len(image.edges) == n - 1
         assert is_spanning_tree(fan, image.edges)
@@ -240,10 +250,11 @@ def test_fiber_report_frozen_numbers(n):
     assert rep.image_count == images
     assert rep.max_fiber == max_fiber
     assert rep.roundtrip_ok == trips
-    assert rep.roundtrip_total == classes
     assert rep.all_images_valid
     assert rep.covers_target_fan
-    assert rep.target_path_vertices == n - 1
+    lines = rep.render_lines()
+    assert f"target fan path vertices: {n - 1}" in lines
+    assert f"round trips on normalized representatives: {trips}/{classes}" in lines
     assert not rep.roundtrip_pass
     # every labeled forest keeps its class's image; the spoke-only
     # representatives (one per arc length) all invert exactly
@@ -278,7 +289,7 @@ def test_report_lines_mention_the_deviation():
 def test_n3_classes_and_images_exactly():
     rep = fiber_report(3)
     records = enum_arc_forests(3)
-    classes = {normalize(wf(3, r.edges)).forest.edges for r in records}
+    classes = {normalize(wf(3, r.edges)).edges for r in records}
     assert classes == {
         ((0, 2), (0, 3)),
         ((0, 2), (2, 3)),

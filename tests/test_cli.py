@@ -339,6 +339,24 @@ def test_a_long_bfile_streams_in_small_memory():
     assert lines[-1] == f"8000 {full_decimal(wheelfan.formulas.trees_fan(8000))}"
 
 
+# sha256 of `enumerate trees --graph wheel:12`, recorded before the blocks were streamed
+WHEEL_12_TREES_DIGEST = "91e14df59f53450f92ecdc1c6b50735dcd0aa0aff09591e6d9a040247a1f466a"
+
+
+def test_enumerate_streams_its_blocks_in_small_memory():
+    # wheel:12's 103,680 trees are 6 MB of text; formatted and joined into one
+    # string they need over 50 MiB of address space, block by block under 36
+    proc = subprocess.run(
+        [sys.executable, "-m", "wheelfan", "enumerate", "trees", "--graph", "wheel:12", "--enum-cap", "13"],
+        capture_output=True,
+        timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (44 * 2**20, 44 * 2**20)),
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.count(b"V 13\n") == wheelfan.formulas.trees_wheel(12)
+    assert hashlib.sha256(proc.stdout).hexdigest() == WHEEL_12_TREES_DIGEST
+
+
 def test_resist_same_vertex_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "resist", "--graph", "wheel:4", "--pair", "2,2")
     assert code == 2

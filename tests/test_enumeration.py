@@ -8,6 +8,7 @@ from wheelfan.bijection import normalize
 from wheelfan.enumeration import (
     EnumerationCapExceeded,
     ForestRecord,
+    WheelForest,
     arc_forest_census,
     enum_arc_forests,
     enum_spanning_trees,
@@ -128,8 +129,7 @@ def test_arc_forests_basic_membership():
     four = enum_arc_forests(4)
     target = next(r for r in four if r.edges == ((0, 4), (1, 2), (2, 3)))
     assert target.arc_start == 1 and target.arc_len == 3
-    assert target.center_edges == ((0, 4),)
-    assert target.cycle_edges == ((1, 2), (2, 3))
+    assert target == WheelForest(4, ((0, 4), (1, 2), (2, 3)), 1, 3)
 
 
 @pytest.mark.parametrize("n", range(3, 7))
@@ -194,8 +194,10 @@ def test_rotation_representative_is_rotation_invariant():
 @pytest.mark.parametrize("n", range(3, 8))
 def test_rotation_representative_is_the_normalized_forest(n):
     for rec in enum_arc_forests(n):
-        expected = normalize(rec).forest.edges
-        assert rotation_class_representative(rec) == expected
+        nf = normalize(rec)
+        assert rotation_class_representative(rec) == nf.edges
+        assert nf.arc_start == 1
+        assert (nf is rec) == (rec.arc_start == 1)
 
 
 FROZEN_COUNTS = {3: (15, 5), 4: (52, 13), 5: (170, 34), 6: (534, 89), 7: (1631, 233)}
