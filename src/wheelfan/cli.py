@@ -3,7 +3,8 @@
 Subcommands: count, resist, bijection {forward,inverse,audit}, enumerate,
 verify, oeis.  Exit codes: 0 success, 1 verification mismatch, 2 usage or
 domain error.  Integers print in full decimal, however long; rationals as p/q.
-count and resist answer through one route table, built by _answer.
+count and resist answer from verify.routes, the route table the verify
+suites check; this module only parses the query, picks --method and prints.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import functools
 import sys
 from pathlib import Path
 
-from . import bijection, formulas, kirchhoff, verify
+from . import bijection, formulas, verify
 from .enumeration import DEFAULT_ENUM_CAP, enum_arc_forests, enum_spanning_trees, enum_two_forests
 from .graphs import LabeledGraph, format_edge_list, make_fan, make_wheel, parse_edge_list
 from .report import BFile, format_fraction, format_int
@@ -70,24 +71,6 @@ def _render_edges(edges) -> str:
     return " ".join(f"{a}-{b}" for a, b in sorted(edges))
 
 
-# (graph kind, quantity, pair holds vertex 0) -> closed form of (size, pair);
-# the formula route exists exactly where this table has an entry
-_CLOSED_FORMS = {
-    ("wheel", "trees", False): lambda n, pair: formulas.trees_wheel(n),
-    ("fan", "trees", False): lambda m, pair: formulas.trees_fan(m),
-    ("wheel", "forests", True): lambda n, pair: formulas.forests_sep_center(n),
-    ("wheel", "forests", False): lambda n, pair: formulas.forests_separating(formulas.RimPair(n, *pair)),
-    ("wheel", "resist", True): lambda n, pair: formulas.resistance_center(n),
-    ("wheel", "resist", False): lambda n, pair: formulas.resistance_rim(n, formulas.RimPair(n, *pair).k),
-}
-
-
-def _closed_form(kind: str, size: int, quantity: str, pair):
-    """The closed form answering the query, as a thunk, or None if there is none."""
-    form = _CLOSED_FORMS.get((kind, quantity, pair is not None and 0 in pair))
-    return None if form is None else lambda: form(size, pair)
-
-
 def _separated_pair(args, g: LabeledGraph) -> tuple[int, int]:
     """The --separate pair of count forests and enumerate forests."""
     if not args.separate:
@@ -96,24 +79,16 @@ def _separated_pair(args, g: LabeledGraph) -> tuple[int, int]:
 
 
 def _answer(args, quantity: str) -> int:
-    """Answer trees, forests or resist through its route table: formula where
-    a closed form exists, minor, and enum for counts only, in that order."""
+    """Answer trees, forests or resist along the routes verify.routes lists:
+    the one that --method names, or with --method all each one in turn."""
     kind, size, g = _parse_graph(args.graph)
     pair = None
     if quantity == "forests":
         pair = _separated_pair(args, g)
     elif quantity == "resist":
         pair = _parse_pair(args.pair, g)
-    closed = _closed_form(kind, size, quantity, pair)
-    routes = {} if closed is None else {"formula": closed}
-    if quantity == "trees":
-        routes["minor"] = lambda: kirchhoff.count_spanning_trees(g)
-        routes["enum"] = lambda: len(enum_spanning_trees(g, cap=args.enum_cap))
-    elif quantity == "forests":
-        routes["minor"] = lambda: kirchhoff.count_two_forests(g, *pair)
-        routes["enum"] = lambda: len(enum_two_forests(g, *pair, cap=args.enum_cap))
-    else:
-        routes["minor"] = lambda: kirchhoff.effective_resistance(g, *pair)
+    # resist has no --enum-cap, and no enum route to use one
+    routes = verify.routes(kind, size, g, quantity, pair, getattr(args, "enum_cap", DEFAULT_ENUM_CAP))
     show = format_fraction if quantity == "resist" else format_int
     if args.method != "all":
         if args.method not in routes:

@@ -7,13 +7,15 @@ are deterministic and duplicate-free.  For separating two-forests the same
 union-find also skips every edge that would join u's part to v's, so each
 subset the walk reaches is one the caller keeps.
 
-Two limits keep a run finite: the vertex cap, and a work budget.  Before it
-walks, an enumerator takes its exact output size from a count and refuses
-with EnumerationCapExceeded, naming that count, above ENUM_BUDGET.  Trees
-and separating two-forests are sized by the Laplacian minor, the arc
-forests of a wheel by n*f(2n-1).  The count only sizes the run; every
-emitted subset is still found by the walk.  The size_* functions make those
-checks alone, so a caller can refuse a whole run before any walk starts.
+Three limits keep a run finite: the vertex cap, a work budget and the walk's
+depth.  Before it walks, an enumerator takes its exact output size from a
+count and refuses with EnumerationCapExceeded, naming that count, above
+ENUM_BUDGET.  Trees and separating two-forests are sized by the Laplacian
+minor, the arc forests of a wheel by n*f(2n-1).  The count only sizes the
+run; every emitted subset is still found by the walk.  The walk recurses
+once per chosen edge, so a graph with more vertices than half of Python's
+recursion limit is refused too.  The size_* functions make those checks
+alone, so a caller can refuse a whole run before any walk starts.
 
 WheelForest, the two-component spanning forest of a wheel with its rim arc
 located, lives here because enum_arc_forests emits it; the bijection module
@@ -22,6 +24,7 @@ maps it to fan trees.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .graphs import Edge, LabeledGraph, canonical_edge, components, make_wheel, rotate_rim_labels
@@ -47,6 +50,11 @@ def _checked_size(vertex_count: int, cap: int, count, what: str) -> int:
         raise EnumerationCapExceeded(
             f"graph has {format_int(size)} {what}, enumeration budget is {ENUM_BUDGET}"
         )
+    # the walk recurses once per chosen edge, up to V-1 deep; half the
+    # recursion limit leaves room for the frames of its callers
+    depth = sys.getrecursionlimit() // 2
+    if vertex_count > depth:
+        raise EnumerationCapExceeded(f"graph has {vertex_count} vertices, enumeration depth limit is {depth}")
     return size
 
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Sequence
 
-from .graphs import LabeledGraph, components, make_graph
+from .graphs import LabeledGraph, make_graph
 
 
 @dataclass(frozen=True, init=False)
@@ -237,10 +237,13 @@ def count_spanning_trees(g: LabeledGraph) -> int:
     """Spanning-tree count via the principal minor that drops vertex 0.
 
     Which vertex is dropped does not matter; invariance is covered by tests.
-    Disconnected graphs give 0 rather than an error.
+    Disconnected graphs give 0 rather than an error, at once when there are
+    too few edges to connect the vertices.
     """
     if g.vertex_count == 1:
         return 1
+    if len(g.edges) < g.vertex_count - 1:
+        return 0
     return det_exact(_ordered_minor(laplacian(g), {0}))
 
 
@@ -251,16 +254,31 @@ def count_two_forests(g: LabeledGraph, u: int, v: int) -> int:
     for w in (u, v):
         if not 0 <= w < g.vertex_count:
             raise ValueError(f"vertex {w} out of range")
+    if len(g.edges) < g.vertex_count - 2:
+        return 0  # too few edges for two parts to span the vertices
     return det_exact(_ordered_minor(laplacian(g), {u, v}))
 
 
 def _component_holding(g: LabeledGraph, u: int, v: int) -> tuple[LabeledGraph, int, int]:
-    """The component of g that holds u, relabelled 0.., with u and v in its labels."""
-    part = next(p for p in components(g, g.edges) if u in p)
-    if v not in part:
+    """The component of g that holds u, relabelled 0.., with u and v in its labels.
+
+    Found from the edge list alone, so a huge vertex count with few edges
+    allocates nothing per vertex.
+    """
+    adjacent: dict[int, list[int]] = {}
+    for a, b in g.edges:
+        adjacent.setdefault(a, []).append(b)
+        adjacent.setdefault(b, []).append(a)
+    seen, todo = {u}, [u]
+    while todo:
+        for w in adjacent.get(todo.pop(), ()):
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    if v not in seen:
         raise ValueError("infinite resistance: graph is disconnected")
-    index = {w: i for i, w in enumerate(part)}
-    h = make_graph(len(part), ((index[a], index[b]) for a, b in g.edges if a in index))
+    index = {w: i for i, w in enumerate(sorted(seen))}
+    h = make_graph(len(index), ((index[a], index[b]) for a, b in g.edges if a in index))
     return h, index[u], index[v]
 
 
@@ -287,15 +305,19 @@ def effective_resistance(g: LabeledGraph, u: int, v: int) -> Fraction:
     a tie), the other end ordered last: the divisor of the last step is the
     two-forest count and the result is the tree count.  No current leaves
     the component of u, so a disconnected graph, whose tree count is 0, is
-    answered by a second pass on that component alone; v outside it has
-    infinite resistance, a ValueError.  u == v gives 0.
+    answered by a second pass on that component alone, and by that pass only
+    when it has fewer than V-1 edges; v outside it has infinite resistance, a
+    ValueError.  u == v gives 0.
     """
     for w in (u, v):
         if not 0 <= w < g.vertex_count:
             raise ValueError(f"vertex {w} out of range")
     if u == v:
         return Fraction(0)
-    forests, trees = _forests_and_trees(g, u, v)
+    # with too few edges to connect g, the whole-graph pass would only say so
+    trees = 0
+    if len(g.edges) >= g.vertex_count - 1:
+        forests, trees = _forests_and_trees(g, u, v)
     if trees == 0:
         forests, trees = _forests_and_trees(*_component_holding(g, u, v))
     return Fraction(forests, trees)

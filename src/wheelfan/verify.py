@@ -1,50 +1,86 @@
-"""Verification suites: closed forms vs Laplacian minors vs brute force.
+"""Verification suites, and the route table the CLI answers from.
 
-Suites call the formula layer through its module object on purpose, so a
-test build can corrupt one function and watch the sweep fail.  The bijection
-suite takes every per-n check from one bijection.fiber_report, the single
-pass over that wheel's arc forests.  The tau suite emits informational rows
-only; its cardinality comparisons are findings, not assertions (see
-arc_forest_census).
+routes() maps a query (trees, separating forests or a resistance) to its
+exact routes: a closed form where CLOSED_FORMS has one, the Laplacian minor,
+and enumeration for counts.  count and resist answer from it, and the trees,
+forests and resistance suites check every route against the minor.  Table
+entries and suites call the formula layer through its module object on
+purpose, so a test build can corrupt one function and watch both fail.  The
+bijection suite takes every per-n check from one bijection.fiber_report, the
+single pass over that wheel's arc forests.  The tau suite emits
+informational rows only; its cardinality comparisons are findings, not
+assertions (see arc_forest_census).
 """
 
 from __future__ import annotations
 
 from . import bijection, enumeration, formulas, kirchhoff, sequences
 from .enumeration import DEFAULT_ENUM_CAP
-from .graphs import make_fan, make_wheel
-from .report import VerificationReport, equality_check, format_fraction, info_check
+from .graphs import LabeledGraph, make_fan, make_wheel
+from .report import Check, VerificationReport, equality_check, format_fraction, format_int, info_check
 
 
 def suite_identities(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> VerificationReport:
     return VerificationReport(sequences.check_identities(max_n))
 
 
-# family, index name, first index, graph constructor, closed form in formulas
-_TREE_FAMILIES = (("wheel", "n", 3, make_wheel, "trees_wheel"), ("fan", "m", 1, make_fan, "trees_fan"))
+# (graph kind, quantity, pair holds vertex 0) -> closed form of (size, pair);
+# the formula route exists exactly where this table has an entry
+CLOSED_FORMS = {
+    ("wheel", "trees", False): lambda n, pair: formulas.trees_wheel(n),
+    ("fan", "trees", False): lambda m, pair: formulas.trees_fan(m),
+    ("wheel", "forests", True): lambda n, pair: formulas.forests_sep_center(n),
+    ("wheel", "forests", False): lambda n, pair: formulas.forests_separating(formulas.RimPair(n, *pair)),
+    ("wheel", "resist", True): lambda n, pair: formulas.resistance_center(n),
+    ("wheel", "resist", False): lambda n, pair: formulas.resistance_rim(n, formulas.RimPair(n, *pair).k),
+}
+
+
+def routes(kind: str, size: int, g: LabeledGraph, quantity: str, pair=None, enum_cap: int = DEFAULT_ENUM_CAP):
+    """The routes answering trees, forests or resist on g, as thunks in order:
+    formula where a closed form exists, minor, and enum for counts only."""
+    form = CLOSED_FORMS.get((kind, quantity, pair is not None and 0 in pair))
+    found = {} if form is None else {"formula": lambda: form(size, pair)}
+    if quantity == "trees":
+        found["minor"] = lambda: kirchhoff.count_spanning_trees(g)
+        found["enum"] = lambda: len(enumeration.enum_spanning_trees(g, cap=enum_cap))
+    elif quantity == "forests":
+        found["minor"] = lambda: kirchhoff.count_two_forests(g, *pair)
+        found["enum"] = lambda: len(enumeration.enum_two_forests(g, *pair, cap=enum_cap))
+    else:
+        found["minor"] = lambda: kirchhoff.effective_resistance(g, *pair)
+    return found
+
+
+# what a check's name calls each route it compares against the minor
+_SHOWN_AS = {"formula": "closed form", "enum": "enumeration"}
+
+
+def _route_checks(label: str, params: str, enum_cap: int, kind, size, g, quantity, pair) -> list[Check]:
+    # every other route of the query against its minor, compared as the CLI
+    # prints them; enum only when g is within enum_cap
+    found = routes(kind, size, g, quantity, pair, enum_cap)
+    show = format_fraction if quantity == "resist" else format_int
+    minor = show(found.pop("minor")())
+    if g.vertex_count > enum_cap:
+        found.pop("enum", None)
+    ratio = " ratio" if quantity == "resist" else ""
+    return [
+        equality_check(f"{label}: {_SHOWN_AS[name]} vs minor{ratio}", params, show(route()), minor)
+        for name, route in found.items()
+    ]
+
+
+# family, index name, first index, graph constructor
+_TREE_FAMILIES = (("wheel", "n", 3, make_wheel), ("fan", "m", 1, make_fan))
 
 
 def suite_trees(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> VerificationReport:
     report = VerificationReport()
-    for family, index, low, make, closed in _TREE_FAMILIES:
+    for family, index, low, make in _TREE_FAMILIES:
         for i in range(low, max_n + 1):
-            g = make(i)
-            minor = kirchhoff.count_spanning_trees(g)
             params = f"{index}={i}"
-            report.checks.append(
-                equality_check(
-                    f"{family} trees: closed form vs minor", params, getattr(formulas, closed)(i), minor
-                )
-            )
-            if g.vertex_count <= enum_cap:
-                report.checks.append(
-                    equality_check(
-                        f"{family} trees: enumeration vs minor",
-                        params,
-                        len(enumeration.enum_spanning_trees(g, cap=enum_cap)),
-                        minor,
-                    )
-                )
+            report.extend(_route_checks(f"{family} trees", params, enum_cap, family, i, make(i), "trees", None))
     return report
 
 
@@ -61,24 +97,8 @@ def suite_forests(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> VerificationR
     for n in range(3, max_n + 1):
         g = make_wheel(n)
         for k in range(1, n // 2 + 1):
-            minor = kirchhoff.count_two_forests(g, 1, 1 + k)
-            report.checks.append(
-                equality_check(
-                    "separating forests: closed form vs minor",
-                    f"n={n} k={k}",
-                    formulas.forests_separating(formulas.RimPair(n, 1, 1 + k)),
-                    minor,
-                )
-            )
-            if g.vertex_count <= enum_cap:
-                report.checks.append(
-                    equality_check(
-                        "separating forests: enumeration vs minor",
-                        f"n={n} k={k}",
-                        len(enumeration.enum_two_forests(g, 1, 1 + k, cap=enum_cap)),
-                        minor,
-                    )
-                )
+            params = f"n={n} k={k}"
+            report.extend(_route_checks("separating forests", params, enum_cap, "wheel", n, g, "forests", (1, 1 + k)))
         for label, v, low, closed in _NAMED_FOREST_FORMS:
             if n >= low:
                 report.checks.append(
@@ -97,17 +117,9 @@ def suite_resistance(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> Verificati
     for n in range(3, max_n + 1):
         g = make_wheel(n)
         # rim vertex 1 against 1+k at each cycle distance k, then against the center
-        cases = [("rim", f"n={n} k={k}", 1 + k, formulas.resistance_rim(n, k)) for k in range(1, n // 2 + 1)]
-        cases.append(("center", f"n={n}", 0, formulas.resistance_center(n)))
-        for where, params, v, closed in cases:
-            report.checks.append(
-                equality_check(
-                    f"{where} resistance: closed form vs minor ratio",
-                    params,
-                    format_fraction(closed),
-                    format_fraction(kirchhoff.effective_resistance(g, 1, v)),
-                )
-            )
+        cases = [("rim", f"n={n} k={k}", 1 + k) for k in range(1, n // 2 + 1)] + [("center", f"n={n}", 0)]
+        for where, params, v in cases:
+            report.extend(_route_checks(f"{where} resistance", params, enum_cap, "wheel", n, g, "resist", (1, v)))
     return report
 
 
@@ -182,7 +194,7 @@ def _size_enumerations(name: str, max_n: int, enum_cap: int):
     # enumerators' own counts; every graph here has index+1 vertices, hence top
     top = min(max_n, enum_cap - 1)
     if name == "trees":
-        for _, _, low, make, _ in _TREE_FAMILIES:
+        for _, _, low, make in _TREE_FAMILIES:
             for i in range(low, top + 1):
                 enumeration.size_spanning_trees(make(i), enum_cap)
     elif name == "forests":

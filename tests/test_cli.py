@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -305,6 +306,55 @@ def test_resist_within_a_component_of_a_disconnected_graph(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "args, code, out, err",
+    [
+        (("count", "trees"), 0, "0\n", ""),
+        (("count", "forests", "--separate", "0,1"), 0, "0\n", ""),
+        (("resist", "--pair", "0,1"), 0, "1/1\n", ""),
+        (("resist", "--pair", "0,2"), 2, "", "error: infinite resistance: graph is disconnected\n"),
+    ],
+    ids=["trees", "forests", "resist", "resist-apart"],
+)
+def test_a_huge_vertex_count_with_one_edge_answers_in_small_memory(tmp_path, args, code, out, err):
+    # 10^8 vertices and one edge: too few edges for a tree or a two-forest,
+    # and u's component is found from the edges, so nothing is sized by V
+    path = tmp_path / "huge.txt"
+    path.write_text("V 100000000\n0 1\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "wheelfan", *args, "--graph", f"file:{path}"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_limit_address_space,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("count", "trees", "--method", "enum"),
+        ("enumerate", "trees"),
+        ("count", "forests", "--separate", "0,5", "--method", "enum"),
+    ],
+    ids=["count-trees", "enumerate-trees", "count-forests"],
+)
+def test_an_enumeration_deeper_than_the_recursion_limit_is_refused(tmp_path, args):
+    # the walk recurses once per chosen edge; a 990-vertex path would go 989
+    # deep against Python's default limit of 1000, so it is refused with exit 2
+    path = tmp_path / "path990.txt"
+    path.write_text(format_edge_list(990, ((i, i + 1) for i in range(989))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wheelfan", *args, "--graph", f"file:{path}", "--enum-cap", "5000"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: graph has 990 vertices, enumeration depth limit is 500\n"
+
+
 def _limit_address_space_to_128_mib():
     resource.setrlimit(resource.RLIMIT_AS, (128 * 2**20, 128 * 2**20))
 
@@ -592,6 +642,21 @@ def test_verify_detects_corrupted_formula(capsys, monkeypatch):
 
 def _fail_lines(out: str) -> list[str]:
     return [line for line in out.splitlines() if line.startswith("FAIL")]
+
+
+def test_one_route_table_reaches_both_front_ends(capsys, monkeypatch):
+    # one corrupt entry of verify.CLOSED_FORMS fails the verify checks of that
+    # entry alone, and the CLI query answered from it
+    monkeypatch.setitem(verify.CLOSED_FORMS, ("wheel", "resist", False), lambda n, pair: Fraction(7))
+    code, out, _ = run_cli(capsys, "verify", "--suite", "resistance", "--max-n", "6")
+    assert code == 1
+    # n = 3..6 has 1 + 2 + 2 + 3 rim pairs, and no other check may fail
+    failed = _fail_lines(out)
+    assert len(failed) == 8
+    assert all(line.startswith("FAIL rim resistance: closed form vs minor ratio [") for line in failed)
+    code, out, _ = run_cli(capsys, "resist", "--graph", "wheel:6", "--pair", "1,3", "--method", "all")
+    assert code == 1
+    assert out == "formula: 7/1\nminor: 3/4\nMISMATCH: methods disagree\n"
 
 
 def test_verify_bijection_detects_a_forward_that_is_not_rotation_invariant(capsys, monkeypatch):
