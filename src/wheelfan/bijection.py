@@ -49,8 +49,10 @@ and its arc, nothing else, so every derived forest is built unchecked:
 normalize rotates the whole edge tuple with rotation_class_representative
 (a rim rotation is an automorphism of the wheel, so the result is again a
 valid forest), moves arc_start to 1 and keeps arc_len.  Fan trees are
-different: FanTree checks every image with is_spanning_tree, because that
-check is what the audit reports.
+different: FanTree checks every tree with is_spanning_tree, images
+included, because that check is what the audit reports.  FanTree.from_edges
+is the entry point for outside edges and makes them canonical; forward
+already holds canonical edges and builds its FanTree directly.
 """
 
 from __future__ import annotations
@@ -97,7 +99,8 @@ def forward(f: WheelForest) -> FanTree:
     """Image of the forest in the fan with n-1 path vertices.
 
     Reads the image off the normalized forest, so rotation-equivalent
-    forests share one image.
+    forests share one image.  The collapse never merges two edges: the arc
+    1..k has no spoke and no edge to the cut vertex k+1.
     """
     n, k = f.n, f.arc_len
     if k == n:
@@ -112,9 +115,7 @@ def forward(f: WheelForest) -> FanTree:
             return k if v == k + 1 else v - 1
 
         image = [canonical_edge(collapse(a), collapse(b)) for a, b in normalize(f).edges]
-        if len(set(image)) != len(image):  # cannot happen; guards the collapse
-            raise AssertionError("forward map collapsed two edges together")
-    return FanTree.from_edges(n - 1, image)
+    return FanTree(n - 1, tuple(sorted(image)))
 
 
 def _initial_run(tree: FanTree) -> int:

@@ -256,14 +256,16 @@ def arc_forest_census(n_values, cap: int = DEFAULT_ENUM_CAP) -> list[Check]:
     """Measured cardinalities beside candidate closed forms, as info rows.
 
     Reports the labeled count and the rotation-class count next to f(2n-2),
-    f(2n-1), f(2n) and n*f(2n-1), and names whichever candidates match.
-    Nothing here asserts; the comparison itself is the deliverable.
+    f(2n-1), f(2n) and n*f(2n-1), and names whichever candidates match.  A
+    rim rotation moves the arc start, so each class has exactly one member
+    whose arc starts at rim vertex 1, and the census counts those.  Nothing
+    here asserts; the comparison itself is the deliverable.
     """
     checks = []
     for n in n_values:
         records = enum_arc_forests(n, cap=cap)
         labeled = len(records)
-        classes = len({rotation_class_representative(r) for r in records})
+        classes = sum(r.arc_start == 1 for r in records)
         candidates = {
             "f(2n-2)": fib(2 * n - 2),
             "f(2n-1)": fib(2 * n - 1),

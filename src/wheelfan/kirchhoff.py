@@ -12,8 +12,10 @@ minor, so one pass over L without u reads both, the two-forest count as the
 divisor of the last step and the tree count as the result.  Of the pair, u
 is the end of higher degree and v the other.
 
-A Laplacian is held as its neighbour lists, never as an n x n array.  Each
-minor is built from them straight into sparse rows in greedy minimum-degree
+A Laplacian is made only from a graph, by laplacian(), and is held as its
+neighbour lists; no route builds it as an n x n array, whose dense entries
+and natural-order minors are kept as oracles for the tests.  Each minor is
+built from the lists straight into sparse rows in greedy minimum-degree
 order (Tinney-Walker), which keeps the fill of sparse graphs small.  The
 minor is symmetric, so a row keeps only its upper triangle, as a dict from
 column to entry, and det_exact eliminates it with one symmetric Bareiss pass
@@ -33,34 +35,16 @@ from typing import Sequence
 from .graphs import LabeledGraph, make_graph
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class LaplacianMatrix:
     """The Laplacian D - A of a simple graph, held as its neighbour lists.
 
-    The constructor takes dense entries and checks that they form a
-    Laplacian; laplacian() builds one from a graph's edges instead.
+    laplacian() is the one way to make one, from a validated graph, so the
+    matrix is symmetric with rows summing to zero by construction.
     """
 
     order: int
     neighbours: tuple[tuple[int, ...], ...]
-
-    def __init__(self, order: int, entries: Sequence[Sequence[int]]):
-        n, rows = order, entries
-        if len(rows) != n or any(len(r) != n for r in rows):
-            raise ValueError("entries must form an order x order square")
-        for i in range(n):
-            if sum(rows[i]) != 0:
-                raise ValueError(f"row {i} does not sum to zero")
-            for j in range(n):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError("Laplacian must be symmetric")
-                if i != j and rows[i][j] not in (0, -1):
-                    raise ValueError("off-diagonal entries must be 0 or -1")
-        self._fill(n, tuple(tuple(j for j in range(n) if j != i and rows[i][j]) for i in range(n)))
-
-    def _fill(self, order: int, neighbours: tuple[tuple[int, ...], ...]) -> None:
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "neighbours", neighbours)
 
     @property
     def entries(self) -> tuple[tuple[int, ...], ...]:
@@ -86,10 +70,7 @@ def laplacian(g: LabeledGraph) -> LaplacianMatrix:
     for a, b in g.edges:
         nbrs[a].append(b)
         nbrs[b].append(a)
-    lap = object.__new__(LaplacianMatrix)
-    # the edges of a validated LabeledGraph need no further check
-    lap._fill(g.vertex_count, tuple(map(tuple, nbrs)))
-    return lap
+    return LaplacianMatrix(g.vertex_count, tuple(map(tuple, nbrs)))
 
 
 class LaplacianMinor(list):

@@ -17,6 +17,7 @@ from wheelfan.bijection import (
     inverse,
     normalize,
 )
+from wheelfan.cli import main
 from wheelfan.enumeration import enum_arc_forests
 from wheelfan.graphs import is_spanning_tree, make_fan, rotate_rim_labels
 
@@ -117,6 +118,14 @@ def test_each_forest_is_analysed_once(monkeypatch):
     normalize(nf)
     normalize(enum_arc_forests(5)[-1])
     assert len(calls) == 1
+
+
+def test_forward_checks_each_image(monkeypatch, capsys):
+    # with the tree check refusing everything, no image may pass unchecked
+    monkeypatch.setattr(wheelfan.bijection, "is_spanning_tree", lambda g, sub: False)
+    assert main(["bijection", "forward", "--n", "4", "--edges", "0-3,0-4,1-2"]) == 2
+    assert "not a spanning tree of the fan with 3 path vertices" in capsys.readouterr().err
+    assert not fiber_report(5).all_images_valid
 
 
 def test_one_wheel_forest_class():

@@ -9,7 +9,6 @@ from wheelfan import formulas, kirchhoff
 from wheelfan.enumeration import enum_spanning_trees, enum_two_forests
 from wheelfan.graphs import components, make_fan, make_graph, make_wheel
 from wheelfan.kirchhoff import (
-    LaplacianMatrix,
     count_spanning_trees,
     count_two_forests,
     det_exact,
@@ -48,13 +47,17 @@ def test_laplacian_rows_sum_to_zero():
     assert all(sum(row) == 0 for row in L.entries)
 
 
-def test_laplacian_invariants_enforced():
-    with pytest.raises(ValueError, match="symmetric"):
-        LaplacianMatrix(2, ((1, -1), (0, 1)))
-    with pytest.raises(ValueError, match="sum to zero"):
-        LaplacianMatrix(2, ((1, -1), (-1, 2)))
-    with pytest.raises(ValueError, match="square"):
-        LaplacianMatrix(2, ((0, 0),))
+@given(g=graphs())
+def test_laplacian_of_any_graph_is_a_laplacian(g):
+    # symmetric, zero row sums, 0/-1 off the diagonal and the degree on it
+    entries = laplacian(g).entries
+    n = g.vertex_count
+    degree = [sum(v in e for e in g.edges) for v in range(n)]
+    assert len(entries) == n and all(len(row) == n for row in entries)
+    assert all(entries[i][j] == entries[j][i] for i in range(n) for j in range(n))
+    assert all(sum(row) == 0 for row in entries)
+    assert all(entries[i][j] in (0, -1) for i in range(n) for j in range(n) if i != j)
+    assert [entries[v][v] for v in range(n)] == degree
 
 
 def test_det_basics():
@@ -199,7 +202,6 @@ def test_minor_route_matches_natural_order_minors_on_any_graph(g):
     # isolated vertices give zero pivots, and the rows of a second component
     # are never reached by the first one's pivots
     L = laplacian(g)
-    assert LaplacianMatrix(g.vertex_count, L.entries) == L
     for v in range(g.vertex_count):
         assert count_spanning_trees(g) == det_exact(L.minor({v}))
     for u, v in combinations(range(g.vertex_count), 2):

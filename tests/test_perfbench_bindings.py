@@ -42,6 +42,25 @@ def test_every_traced_verify_sweep_function_records_calls():
     assert [name for name in run.COVERED["verify-sweep"] if not calls.get(name)] == []
 
 
+def test_traced_verify_sweep_keys_classes_and_builds_images_once():
+    # classes are keyed only where the report folds them, and forward builds
+    # its image tree directly rather than through the outside-input entry point
+    spans = _load("spans")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        with redirect_stdout(io.StringIO()):
+            code = cli.main(["verify", "--suite", "all", "--max-n", "6", "--enum-cap", "7"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    stats = tracer.aggregate()
+    keyed_under = stats["enumeration.rotation_class_representative"]["under"]
+    assert keyed_under and set(keyed_under) <= {"bijection.fiber_report", "bijection.normalize"}
+    assert stats["bijection.forward"]["calls"]
+    assert "bijection.forward" not in stats["bijection.FanTree.from_edges"]["under"]
+
+
 # in-process argvs, a few per workload, that between them reach every
 # function the workload's run lists in COVERED; FILE is a small connected graph
 QUERY_ARGVS = {
