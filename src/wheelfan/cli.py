@@ -5,6 +5,8 @@ verify, oeis.  Exit codes: 0 success, 1 verification mismatch, 2 usage or
 domain error.  Integers print in full decimal, however long; rationals as p/q.
 count and resist answer from verify.routes, the route table the verify
 suites check; this module only parses the query, picks --method and prints.
+oeis prints the closed forms row by row, looked up in formulas when it runs.
+It is the one front end: a b-file is `wheelfan oeis ... --bfile > FILE`.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from pathlib import Path
 from . import bijection, formulas, verify
 from .enumeration import DEFAULT_ENUM_CAP, enum_arc_forests, enum_spanning_trees, enum_two_forests
 from .graphs import LabeledGraph, format_edge_list, make_fan, make_wheel, parse_edge_list
-from .report import BFile, format_fraction, format_int
+from .report import format_fraction, format_int, summary_line
 
 
 def _parse_graph(spec: str) -> tuple[str, int, LabeledGraph]:
@@ -166,42 +168,46 @@ def cmd_enumerate(args) -> int:
 
 def cmd_verify(args) -> int:
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
-    report = verify.run_suites(names, args.max_n, args.enum_cap)
-    for line in report.render_lines():
-        print(line)
-    return 0 if report.all_ok else 1
+    checks = verify.run_suites(names, args.max_n, args.enum_cap)
+    for check in checks:
+        print(check.render())
+    print(summary_line(checks))
+    return 1 if any(check.ok is False for check in checks) else 0
 
 
-# name -> (offset, per-index value, description)
+# name -> (offset, per-index function of formulas, description); the function
+# is looked up by name when oeis runs, as the verify suites look theirs up
 SEQUENCES = {
-    "wheel-trees": (3, formulas.trees_wheel, "spanning trees of the wheel, l(2n)-2"),
-    "fan-trees": (1, formulas.trees_fan, "spanning trees of the fan, f(2n)"),
+    "wheel-trees": (3, "trees_wheel", "spanning trees of the wheel, l(2n)-2"),
+    "fan-trees": (1, "trees_fan", "spanning trees of the fan, f(2n)"),
     "sep-adjacent": (
         3,
-        formulas.forests_sep_adjacent,
+        "forests_sep_adjacent",
         "wheel forests separating two adjacent rim vertices, 2(f(2n-1)-1)",
     ),
     "sep-dist2": (
         4,
-        formulas.forests_sep_dist2,
+        "forests_sep_dist2",
         "wheel forests separating rim vertices at cycle distance 2, 2(l(2n-2)-3)",
     ),
     "sep-center": (
         3,
-        formulas.forests_sep_center,
+        "forests_sep_center",
         "wheel forests separating a rim vertex from the center, f(2n)",
     ),
 }
 
 
 def cmd_oeis(args) -> int:
-    offset, value_at, description = SEQUENCES[args.sequence]
+    offset, closed, description = SEQUENCES[args.sequence]
     if args.max_n < offset:
         raise ValueError(f"--max-n must be at least the offset {offset} for {args.sequence}")
-    rows = ((i, value_at(i)) for i in range(offset, args.max_n + 1))
-    comments = () if args.bfile else (f"{args.sequence}: {description}; offset {offset}",)
+    value_at = getattr(formulas, closed)
+    if not args.bfile:
+        sys.stdout.write(f"# {args.sequence}: {description}; offset {offset}\n")
     # row by row: a long b-file never sits in memory whole
-    sys.stdout.writelines(BFile(offset, rows).lines(comments))
+    for i in range(offset, args.max_n + 1):
+        sys.stdout.write(f"{i} {format_int(value_at(i))}\n")
     return 0
 
 
@@ -271,7 +277,10 @@ def main(argv=None) -> int:
         return run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except MemoryError:
+        # exit 1 means the routes disagree; running out of memory is a refusal
+        print("error: out of memory", file=sys.stderr)
+    return 2
 
 
 def entry():

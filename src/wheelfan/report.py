@@ -1,11 +1,12 @@
-"""Structured pass/fail records shared by the verification suites and the CLI."""
+"""Pass/fail records of the verification suites, and how the CLI prints them:
+one line per check, a closing count line, and integers and rationals in full."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -51,51 +52,7 @@ def info_check(name: str, params: str, message: str) -> Check:
     return Check(name, params, "", message, None)
 
 
-@dataclass
-class VerificationReport:
-    checks: list[Check] = field(default_factory=list)
-
-    def extend(self, more) -> "VerificationReport":
-        self.checks.extend(more)
-        return self
-
-    @property
-    def passed(self) -> int:
-        return sum(1 for c in self.checks if c.ok is True)
-
-    @property
-    def failed(self) -> int:
-        return sum(1 for c in self.checks if c.ok is False)
-
-    @property
-    def informational(self) -> int:
-        return sum(1 for c in self.checks if c.ok is None)
-
-    @property
-    def all_ok(self) -> bool:
-        return self.failed == 0
-
-    def render_lines(self) -> list[str]:
-        lines = [c.render() for c in self.checks]
-        lines.append(f"passed={self.passed} failed={self.failed} info={self.informational}")
-        return lines
-
-
-@dataclass(frozen=True)
-class BFile:
-    """OEIS-style b-file: consecutive indices from a fixed offset.
-
-    rows may be a generator: lines() checks and renders one row at a time,
-    so a long b-file is never held in memory whole."""
-
-    offset: int
-    rows: Iterable[tuple[int, int]]
-
-    def lines(self, comments: tuple[str, ...] = ()) -> Iterator[str]:
-        """Each line with its newline; a row out of sequence raises ValueError when reached."""
-        for c in comments:
-            yield f"# {c}\n"
-        for pos, (idx, value) in enumerate(self.rows):
-            if idx != self.offset + pos:
-                raise ValueError(f"row {pos} has index {idx}, expected {self.offset + pos}")
-            yield f"{idx} {format_int(value)}\n"
+def summary_line(checks: list[Check]) -> str:
+    """The closing line of a verify run; informational rows count apart."""
+    counts = [sum(c.ok is status for c in checks) for status in (True, False, None)]
+    return "passed={} failed={} info={}".format(*counts)

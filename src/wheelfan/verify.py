@@ -9,7 +9,8 @@ purpose, so a test build can corrupt one function and watch both fail.  The
 bijection suite takes every per-n check from one bijection.fiber_report, the
 single pass over that wheel's arc forests.  The tau suite emits
 informational rows only; its cardinality comparisons are findings, not
-assertions (see arc_forest_census).
+assertions (see arc_forest_census).  Each suite returns a plain list of
+report.Check rows in the order verify prints them; run_suites joins them.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ from __future__ import annotations
 from . import bijection, enumeration, formulas, kirchhoff, sequences
 from .enumeration import DEFAULT_ENUM_CAP
 from .graphs import LabeledGraph, make_fan, make_wheel
-from .report import Check, VerificationReport, equality_check, format_fraction, format_int, info_check
+from .report import Check, equality_check, format_fraction, format_int, info_check
 
 
-def suite_identities(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> VerificationReport:
-    return VerificationReport(sequences.check_identities(max_n))
+def suite_identities(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> list[Check]:
+    return sequences.check_identities(max_n)
 
 
 # (graph kind, quantity, pair holds vertex 0) -> closed form of (size, pair);
@@ -75,13 +76,13 @@ def _route_checks(label: str, params: str, enum_cap: int, kind, size, g, quantit
 _TREE_FAMILIES = (("wheel", "n", 3, make_wheel), ("fan", "m", 1, make_fan))
 
 
-def suite_trees(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> VerificationReport:
-    report = VerificationReport()
+def suite_trees(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> list[Check]:
+    checks = []
     for family, index, low, make in _TREE_FAMILIES:
         for i in range(low, max_n + 1):
             params = f"{index}={i}"
-            report.extend(_route_checks(f"{family} trees", params, enum_cap, family, i, make(i), "trees", None))
-    return report
+            checks += _route_checks(f"{family} trees", params, enum_cap, family, i, make(i), "trees", None)
+    return checks
 
 
 # label, the vertex rim vertex 1 is separated from, smallest n, closed form
@@ -92,16 +93,16 @@ _NAMED_FOREST_FORMS = (
 )
 
 
-def suite_forests(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> VerificationReport:
-    report = VerificationReport()
+def suite_forests(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> list[Check]:
+    checks = []
     for n in range(3, max_n + 1):
         g = make_wheel(n)
         for k in range(1, n // 2 + 1):
             params = f"n={n} k={k}"
-            report.extend(_route_checks("separating forests", params, enum_cap, "wheel", n, g, "forests", (1, 1 + k)))
+            checks += _route_checks("separating forests", params, enum_cap, "wheel", n, g, "forests", (1, 1 + k))
         for label, v, low, closed in _NAMED_FOREST_FORMS:
             if n >= low:
-                report.checks.append(
+                checks.append(
                     equality_check(
                         f"{label} closed form vs minor",
                         f"n={n}",
@@ -109,18 +110,18 @@ def suite_forests(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> VerificationR
                         kirchhoff.count_two_forests(g, 1, v),
                     )
                 )
-    return report
+    return checks
 
 
-def suite_resistance(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> VerificationReport:
-    report = VerificationReport()
+def suite_resistance(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> list[Check]:
+    checks = []
     for n in range(3, max_n + 1):
         g = make_wheel(n)
         # rim vertex 1 against 1+k at each cycle distance k, then against the center
         cases = [("rim", f"n={n} k={k}", 1 + k) for k in range(1, n // 2 + 1)] + [("center", f"n={n}", 0)]
         for where, params, v in cases:
-            report.extend(_route_checks(f"{where} resistance", params, enum_cap, "wheel", n, g, "resist", (1, v)))
-    return report
+            checks += _route_checks(f"{where} resistance", params, enum_cap, "wheel", n, g, "resist", (1, v))
+    return checks
 
 
 # forward/inverse vectors pinned from worked examples; edges over wheel rim
@@ -134,14 +135,14 @@ _PINNED = [
 ]
 
 
-def suite_bijection(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> VerificationReport:
-    report = VerificationReport()
+def suite_bijection(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> list[Check]:
+    checks = []
     for direction, given, expected in _PINNED:
         if direction == "forward":
             actual = bijection.forward(bijection.WheelForest.from_edges(4, given)).edges
         else:
             actual = bijection.inverse(bijection.FanTree.from_edges(3, given), 4).edges
-        report.checks.append(
+        checks.append(
             equality_check(
                 f"pinned {direction} vector", "n=4 " + str(given), str(expected), str(actual)
             )
@@ -149,7 +150,7 @@ def suite_bijection(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> Verificatio
     for n in range(3, min(max_n, enum_cap - 1) + 1):
         rep = bijection.fiber_report(n, cap=enum_cap)
         params = f"n={n}"
-        report.checks += [
+        checks += [
             equality_check(
                 "all images are fan spanning trees",
                 params,
@@ -171,12 +172,12 @@ def suite_bijection(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> Verificatio
                 f"{rep.image_count} images, so a universal round trip is impossible",
             ),
         ]
-    return report
+    return checks
 
 
-def suite_tau(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> VerificationReport:
+def suite_tau(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> list[Check]:
     top = min(max_n, enum_cap - 1)
-    return VerificationReport(enumeration.arc_forest_census(range(3, top + 1), cap=enum_cap))
+    return enumeration.arc_forest_census(range(3, top + 1), cap=enum_cap)
 
 
 SUITES = {
@@ -208,7 +209,7 @@ def _size_enumerations(name: str, max_n: int, enum_cap: int):
                 enumeration.size_spanning_trees(make_fan(n - 1), enum_cap)
 
 
-def run_suites(names, max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> VerificationReport:
+def run_suites(names, max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> list[Check]:
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or all")
@@ -216,7 +217,4 @@ def run_suites(names, max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> Verificat
     # walks: a run that would be refused late is refused at once
     for name in names:
         _size_enumerations(name, max_n, enum_cap)
-    combined = VerificationReport()
-    for name in names:
-        combined.extend(SUITES[name](max_n, enum_cap).checks)
-    return combined
+    return [check for name in names for check in SUITES[name](max_n, enum_cap)]

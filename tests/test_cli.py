@@ -389,6 +389,19 @@ def test_a_long_bfile_streams_in_small_memory():
     assert lines[-1] == f"8000 {full_decimal(wheelfan.formulas.trees_fan(8000))}"
 
 
+def test_running_out_of_memory_is_a_refusal_not_a_mismatch():
+    # exit 1 means the routes disagree; a graph too big to build under the
+    # ceiling is refused with exit 2 and one line, not a traceback
+    proc = subprocess.run(
+        [sys.executable, "-m", "wheelfan", "count", "trees", "--graph", "wheel:30000000"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_limit_address_space_to_128_mib,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: out of memory\n")
+
+
 # sha256 of `enumerate trees --graph wheel:12`, recorded before the blocks were streamed
 WHEEL_12_TREES_DIGEST = "91e14df59f53450f92ecdc1c6b50735dcd0aa0aff09591e6d9a040247a1f466a"
 
@@ -731,6 +744,13 @@ def test_oeis_header_comment(capsys):
     lines = out.splitlines()
     assert lines[0].startswith("# fan-trees:")
     assert lines[1:] == ["1 1", "2 3", "3 8"]
+
+
+def test_oeis_reaches_the_formulas_when_it_runs(capsys, monkeypatch):
+    # a corrupt formula reaches oeis as it reaches verify
+    monkeypatch.setattr(wheelfan.formulas, "forests_sep_center", lambda n: 7)
+    code, out, _ = run_cli(capsys, "oeis", "--sequence", "sep-center", "--max-n", "3", "--bfile")
+    assert (code, out) == (0, "3 7\n")
 
 
 def test_oeis_unknown_sequence(capsys):

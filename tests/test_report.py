@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from wheelfan.report import BFile, equality_check, format_fraction, format_int
+from wheelfan.report import equality_check, format_fraction, format_int
 
 
 def full_decimal(n: int) -> str:
@@ -35,7 +35,6 @@ def test_every_printed_integer_goes_through_the_formatter():
     # non-integers keep their text; a bool is not printed as a number
     assert equality_check("flag", "", True, True).render() == "PASS flag expected=True actual=True"
     assert equality_check("text", "", "1/2", "1/2").expected == "1/2"
-    assert list(BFile(3, ((3, BIG),)).lines()) == [f"3 {digits}\n"]
 
 
 def test_the_str_limit_stays_for_parsing():
@@ -45,10 +44,3 @@ def test_the_str_limit_stays_for_parsing():
     with pytest.raises(ValueError, match="4300 digits"):
         int("9" * 5000)
 
-
-def test_bfile_streams_rows_and_checks_each_index_when_reached():
-    rows = iter(((3, 8), (4, 21), (6, 89)))
-    lines = BFile(3, rows).lines(("sep-center",))
-    assert [next(lines), next(lines), next(lines)] == ["# sep-center\n", "3 8\n", "4 21\n"]
-    with pytest.raises(ValueError, match="row 2 has index 6, expected 5"):
-        next(lines)
