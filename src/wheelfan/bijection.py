@@ -40,19 +40,20 @@ the one pass over the arc forests: each labeled forest goes through forward
 once, and the verify suite reads its checks off the report.
 
 Validation happens once per input forest, where it enters the module:
-WheelForest.from_edges and the public four-field constructor analyse the
-edge set (one union-find pass over the wheel) and locate the arc, and
-enum_arc_forests locates the arc of each subset its walk finds.
-WheelForest lives in the enumeration module, which emits it;
-bijection.WheelForest is the same class.  A forest is its sorted edge tuple
-and its arc, nothing else, so every derived forest is built unchecked:
-normalize rotates the whole edge tuple with rotation_class_representative
-(a rim rotation is an automorphism of the wheel, so the result is again a
-valid forest), moves arc_start to 1 and keeps arc_len.  Fan trees are
-different: FanTree checks every tree with is_spanning_tree, images
-included, because that check is what the audit reports.  FanTree.from_edges
-is the entry point for outside edges and makes them canonical; forward
-already holds canonical edges and builds its FanTree directly.
+WheelForest.from_edges, the one checked entry, analyses the edge set (one
+union-find pass over the wheel) and locates the arc, and enum_arc_forests
+locates the arc of each subset its walk finds.  WheelForest lives in the
+enumeration module, which emits it; bijection.WheelForest is the same
+class.  A forest is its sorted edge tuple and its arc, nothing else, and
+its four-field constructor trusts them, so every derived forest is built
+directly: normalize rotates the whole edge tuple with
+rotation_class_representative (a rim rotation is an automorphism of the
+wheel, so the result is again a valid forest), moves arc_start to 1 and
+keeps arc_len.  Fan trees are different: FanTree checks every tree with
+is_spanning_tree, images included, because that check is what the audit
+reports.  FanTree.from_edges is the entry point for outside edges and makes
+them canonical; forward already holds canonical edges and builds its
+FanTree directly.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ def normalize(f: WheelForest) -> WheelForest:
     """
     if f.arc_start == 1:
         return f
-    return WheelForest._unchecked(f.n, rotation_class_representative(f), 1, f.arc_len)
+    return WheelForest(f.n, rotation_class_representative(f), 1, f.arc_len)
 
 
 def forward(f: WheelForest) -> FanTree:

@@ -19,7 +19,7 @@ from pathlib import Path
 from . import bijection, formulas, verify
 from .enumeration import DEFAULT_ENUM_CAP, enum_arc_forests, enum_spanning_trees, enum_two_forests
 from .graphs import LabeledGraph, format_edge_list, make_fan, make_wheel, parse_edge_list
-from .report import format_fraction, format_int, summary_line
+from .report import format_int, summary_line
 
 
 def _parse_graph(spec: str) -> tuple[str, int, LabeledGraph]:
@@ -91,15 +91,14 @@ def _answer(args, quantity: str) -> int:
         pair = _parse_pair(args.pair, g)
     # resist has no --enum-cap, and no enum route to use one
     routes = verify.routes(kind, size, g, quantity, pair, getattr(args, "enum_cap", DEFAULT_ENUM_CAP))
-    show = format_fraction if quantity == "resist" else format_int
     if args.method != "all":
         if args.method not in routes:
             raise ValueError(f"no closed form for this graph; use --method {' or '.join(routes)}")
-        print(show(routes[args.method]()))
+        print(routes[args.method]())
         return 0
     if "enum" in routes and g.vertex_count > args.enum_cap:
         del routes["enum"]  # all leaves enum out above the cap
-    values = {name: show(route()) for name, route in routes.items()}
+    values = {name: route() for name, route in routes.items()}
     for name, value in values.items():
         print(f"{name}: {value}")
     if len(set(values.values())) > 1:

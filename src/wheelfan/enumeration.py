@@ -139,30 +139,16 @@ def enum_two_forests(g: LabeledGraph, u: int, v: int, cap: int = DEFAULT_ENUM_CA
 
 
 def rim_arc_of(n: int, rim_part: tuple[int, ...], edges) -> tuple[int, int]:
-    """(start, length) of a rim vertex set that must be a contiguous arc.
+    """(start, length) of the arc that the center-free part of a wheel forest spans.
 
-    edges are the forest's edges.  A full-rim part takes its start from the
-    one missing cycle edge: missing {i, i+1} starts the arc at i+1, missing
-    {1, n} starts it at 1.
+    edges are the forest's edges.  The part is joined by rim edges alone, so
+    it is an arc, and it starts at its one vertex whose rim edge from the
+    previous vertex is absent: that edge leaves the arc, or is the one
+    missing cycle edge when the arc is the whole rim.
     """
-    k = len(rim_part)
-    members = set(rim_part)
-    if k == n:
-        present = set(edges)
-        missing = [
-            e
-            for i in range(1, n + 1)
-            if (e := (min(i, i % n + 1), max(i, i % n + 1))) not in present
-        ]
-        if len(missing) != 1:
-            raise ValueError("full-rim component must omit exactly one cycle edge")
-        a, b = missing[0]
-        start = 1 if (a, b) == (1, n) else b
-        return start, n
-    starts = [v for v in rim_part if (v - 2) % n + 1 not in members]
-    if len(starts) != 1 or members != {(starts[0] - 1 + t) % n + 1 for t in range(k)}:
-        raise ValueError("component avoiding the center is not a contiguous rim arc")
-    return starts[0], k
+    present = set(edges)
+    (start,) = [v for v in rim_part if canonical_edge((v - 2) % n + 1, v) not in present]
+    return start, len(rim_part)
 
 
 def _analyze_forest(n: int, edges) -> tuple[tuple[Edge, ...], int, int]:
@@ -188,6 +174,8 @@ class WheelForest:
     edges is the sorted tuple of canonical edges.  The component without the
     center is a rim arc of arc_len vertices starting at rim position
     arc_start; the center's component holds the other n - arc_len edges.
+    The fields are trusted as given: edges from outside enter through
+    from_edges, which checks them and locates the arc.
     """
 
     n: int
@@ -195,23 +183,9 @@ class WheelForest:
     arc_start: int
     arc_len: int
 
-    def __post_init__(self):
-        if _analyze_forest(self.n, self.edges) != (self.edges, self.arc_start, self.arc_len):
-            raise ValueError("forest fields are inconsistent with the edge set")
-
-    @classmethod
-    def _unchecked(cls, n: int, edges: tuple[Edge, ...], arc_start: int, arc_len: int) -> "WheelForest":
-        # Skips __post_init__.  Only three callers may use it, each with
-        # fields that already describe a valid forest: from_edges (fresh from
-        # _analyze_forest), enum_arc_forests (a subset its walk found) and
-        # bijection.normalize (a rotation of a validated forest).
-        self = object.__new__(cls)
-        self.__dict__.update(n=n, edges=edges, arc_start=arc_start, arc_len=arc_len)
-        return self
-
     @classmethod
     def from_edges(cls, n: int, edges) -> "WheelForest":
-        return cls._unchecked(n, *_analyze_forest(n, edges))
+        return cls(n, *_analyze_forest(n, edges))
 
 
 def size_arc_forests(n: int, cap: int = DEFAULT_ENUM_CAP) -> int:
@@ -233,12 +207,12 @@ def enum_arc_forests(n: int, cap: int = DEFAULT_ENUM_CAP) -> list[WheelForest]:
     By definition one part holds vertex 0 and the other only rim vertices.
     Every two-component spanning forest of a wheel has that shape, so no
     filter is needed: n-1 acyclic edges on n+1 vertices always leave two
-    parts.  rim_arc_of checks that the rim-only part is a contiguous arc.
+    parts.  rim_arc_of locates the arc of each subset the walk finds.
     """
     size_arc_forests(n, cap)
     g = make_wheel(n)
     return [
-        WheelForest._unchecked(n, sub, *rim_arc_of(n, components(g, sub)[1], sub))
+        WheelForest(n, sub, *rim_arc_of(n, components(g, sub)[1], sub))
         for sub in _acyclic_subsets(g, n - 1)
     ]
 

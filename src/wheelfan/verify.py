@@ -39,7 +39,8 @@ CLOSED_FORMS = {
 
 def routes(kind: str, size: int, g: LabeledGraph, quantity: str, pair=None, enum_cap: int = DEFAULT_ENUM_CAP):
     """The routes answering trees, forests or resist on g, as thunks in order:
-    formula where a closed form exists, minor, and enum for counts only."""
+    formula where a closed form exists, minor, and enum for counts only.
+    Each thunk returns its answer as printed: p/q for resist, else in full."""
     form = CLOSED_FORMS.get((kind, quantity, pair is not None and 0 in pair))
     found = {} if form is None else {"formula": lambda: form(size, pair)}
     if quantity == "trees":
@@ -50,7 +51,8 @@ def routes(kind: str, size: int, g: LabeledGraph, quantity: str, pair=None, enum
         found["enum"] = lambda: len(enumeration.enum_two_forests(g, *pair, cap=enum_cap))
     else:
         found["minor"] = lambda: kirchhoff.effective_resistance(g, *pair)
-    return found
+    show = format_fraction if quantity == "resist" else format_int
+    return {name: lambda route=route: show(route()) for name, route in found.items()}
 
 
 # what a check's name calls each route it compares against the minor
@@ -61,13 +63,12 @@ def _route_checks(label: str, params: str, enum_cap: int, kind, size, g, quantit
     # every other route of the query against its minor, compared as the CLI
     # prints them; enum only when g is within enum_cap
     found = routes(kind, size, g, quantity, pair, enum_cap)
-    show = format_fraction if quantity == "resist" else format_int
-    minor = show(found.pop("minor")())
+    minor = found.pop("minor")()
     if g.vertex_count > enum_cap:
         found.pop("enum", None)
     ratio = " ratio" if quantity == "resist" else ""
     return [
-        equality_check(f"{label}: {_SHOWN_AS[name]} vs minor{ratio}", params, show(route()), minor)
+        equality_check(f"{label}: {_SHOWN_AS[name]} vs minor{ratio}", params, route(), minor)
         for name, route in found.items()
     ]
 

@@ -42,14 +42,6 @@ def test_forest_validation():
         wf(5, [(1, 3), (0, 2), (0, 4), (0, 5)])
     with pytest.raises(ValueError, match="at least 3"):
         wf(2, [(1, 2)])
-    # the public constructor takes the four fields and checks them against the edges
-    assert WheelForest(4, ((0, 4), (1, 2), (2, 3)), arc_start=1, arc_len=3) == wf(4, [(1, 2), (2, 3), (0, 4)])
-    with pytest.raises(ValueError, match="inconsistent"):
-        WheelForest(4, ((0, 4), (1, 2), (2, 3)), arc_start=2, arc_len=3)
-    with pytest.raises(ValueError, match="inconsistent"):
-        WheelForest(4, ((1, 2), (2, 3), (0, 4)), arc_start=1, arc_len=3)  # not sorted
-    with pytest.raises(ValueError, match="inconsistent"):
-        WheelForest(4, ((0, 4), (1, 2), (2, 3)), arc_start=1, arc_len=2)
 
 
 def test_fan_tree_validation():
@@ -90,16 +82,13 @@ def test_normalize_records_recovering_rotation(n):
 
 
 @pytest.mark.parametrize("n", range(3, 8))
-def test_unchecked_constructions_match_the_checked_path(n):
+def test_built_forests_match_from_edges(n):
     # enum_arc_forests and normalize build forests without analysing them;
-    # both must give exactly what from_edges and the four-field constructor
-    # give, all four fields compared
+    # both must give exactly what from_edges gives, all four fields compared
     for rec in enum_arc_forests(n):
         f = wf(n, rec.edges)
-        assert rec == f == WheelForest(n, rec.edges, rec.arc_start, rec.arc_len)
-        nf = normalize(f)
-        assert nf == wf(n, rotate_rim_labels(f.edges, 1 - f.arc_start, n))
-        assert nf == WheelForest(n, nf.edges, 1, f.arc_len)
+        assert rec == f
+        assert normalize(f) == wf(n, rotate_rim_labels(f.edges, 1 - f.arc_start, n))
 
 
 def test_each_forest_is_analysed_once(monkeypatch):
@@ -133,12 +122,9 @@ def test_one_wheel_forest_class():
 
 
 def test_normalized_forest_invariant():
-    # a normalized forest's arc starts at rim position 1, and the constructor
-    # refuses a shifted forest that claims so
+    # a normalized forest's arc starts at rim position 1
     shifted = wf(4, [(2, 3), (0, 1), (0, 4)])
     assert normalize(shifted).arc_start == 1
-    with pytest.raises(ValueError, match="inconsistent"):
-        WheelForest(4, shifted.edges, 1, shifted.arc_len)
 
 
 # the three pinned forward vectors and two pinned inverse vectors, n=4
