@@ -19,7 +19,8 @@ alone, so a caller can refuse a whole run before any walk starts.
 
 WheelForest, the two-component spanning forest of a wheel with its rim arc
 located, lives here because enum_arc_forests emits it; the bijection module
-maps it to fan trees.
+maps it to fan trees.  This module returns edges and counts only: the verify
+suites build every report row, the arc-forest census included.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 from .graphs import Edge, LabeledGraph, canonical_edge, components, make_wheel, rotate_rim_labels
 from .kirchhoff import count_spanning_trees, count_two_forests
-from .report import Check, format_int, info_check
+from .report import format_int
 from .sequences import fib
 
 DEFAULT_ENUM_CAP = 10
@@ -224,37 +225,3 @@ def rotation_class_representative(f: WheelForest) -> tuple[Edge, ...]:
     the arc-normal form, which bijection.normalize builds its forest on.
     """
     return rotate_rim_labels(f.edges, 1 - f.arc_start, f.n)
-
-
-def arc_forest_census(n_values, cap: int = DEFAULT_ENUM_CAP) -> list[Check]:
-    """Measured cardinalities beside candidate closed forms, as info rows.
-
-    Reports the labeled count and the rotation-class count next to f(2n-2),
-    f(2n-1), f(2n) and n*f(2n-1), and names whichever candidates match.  A
-    rim rotation moves the arc start, so each class has exactly one member
-    whose arc starts at rim vertex 1, and the census counts those.  Nothing
-    here asserts; the comparison itself is the deliverable.
-    """
-    checks = []
-    for n in n_values:
-        records = enum_arc_forests(n, cap=cap)
-        labeled = len(records)
-        classes = sum(r.arc_start == 1 for r in records)
-        candidates = {
-            "f(2n-2)": fib(2 * n - 2),
-            "f(2n-1)": fib(2 * n - 1),
-            "f(2n)": fib(2 * n),
-            "n*f(2n-1)": n * fib(2 * n - 1),
-        }
-        label_hits = [name for name, v in candidates.items() if v == labeled] or ["none"]
-        class_hits = [name for name, v in candidates.items() if v == classes] or ["none"]
-        values = " ".join(f"{name}={v}" for name, v in candidates.items())
-        checks.append(
-            info_check(
-                "arc-forest census",
-                f"n={n}",
-                f"labeled={labeled} classes={classes} {values} "
-                f"labeled_matches={','.join(label_hits)} class_matches={','.join(class_hits)}",
-            )
-        )
-    return checks

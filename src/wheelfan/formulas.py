@@ -6,31 +6,9 @@ brute-force oracle; the verification suites hold all three together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .sequences import fib, lucas
-
-
-@dataclass(frozen=True)
-class RimPair:
-    """Two rim positions on the wheel with n rim vertices; k is derived."""
-
-    n: int
-    i: int
-    j: int
-
-    def __post_init__(self):
-        if self.n < 3:
-            raise ValueError("wheel requires at least 3 rim vertices")
-        for v in (self.i, self.j):
-            if not 1 <= v <= self.n:
-                raise ValueError(f"rim index {v} out of range 1..{self.n}")
-
-    @property
-    def k(self) -> int:
-        d = abs(self.i - self.j)
-        return min(d, self.n - d)
 
 
 def trees_wheel(n: int) -> int:
@@ -47,14 +25,16 @@ def trees_fan(m: int) -> int:
     return fib(2 * m)
 
 
-def forests_separating(pair: RimPair) -> int:
-    """Two-component forests of the wheel separating the rim pair.
+def forests_separating(n: int, k: int) -> int:
+    """Two-component forests of the wheel with n rim vertices that separate
+    two rim vertices at cycle distance k.
 
-    f(2k)*(l(2n)-2) - f(2n)*(l(2k)-2) where k is the cycle distance.
+    f(2k)*(l(2n)-2) - f(2n)*(l(2k)-2), for k in 1..n//2.
     """
-    if pair.i == pair.j:
-        raise ValueError("separation requires two distinct rim vertices")
-    n, k = pair.n, pair.k
+    if n < 3:
+        raise ValueError("wheel requires at least 3 rim vertices")
+    if not 0 < k <= n // 2:
+        raise ValueError(f"cycle distance must lie in 1..{n // 2} for {n} rim vertices")
     return fib(2 * k) * (lucas(2 * n) - 2) - fib(2 * n) * (lucas(2 * k) - 2)
 
 

@@ -8,21 +8,48 @@ entries and suites call the formula layer through its module object on
 purpose, so a test build can corrupt one function and watch both fail.  The
 bijection suite takes every per-n check from one bijection.fiber_report, the
 single pass over that wheel's arc forests.  The tau suite emits
-informational rows only; its cardinality comparisons are findings, not
-assertions (see arc_forest_census).  Each suite returns a plain list of
-report.Check rows in the order verify prints them; run_suites joins them.
+informational rows only: its census is a finding, not an assertion.  Every
+report.Check row is built here, as the math layers return plain integers,
+fractions and edges.  Each suite returns its rows in the order verify prints
+them; run_suites joins them.
 """
 
 from __future__ import annotations
 
-from . import bijection, enumeration, formulas, kirchhoff, sequences
+from . import bijection, enumeration, formulas, kirchhoff
 from .enumeration import DEFAULT_ENUM_CAP
 from .graphs import LabeledGraph, make_fan, make_wheel
 from .report import Check, equality_check, format_fraction, format_int, info_check
+from .sequences import fib, lucas
 
 
 def suite_identities(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> list[Check]:
-    return sequences.check_identities(max_n)
+    """Even-index identity sweep for n = 1..max_n, all in exact integers.
+
+    The third identity carries coefficient 3 on the Lucas term:
+    3*l(2n) - 5*f(2n) = 2*l(2n-2).  Dropping the 3 fails for every n
+    (n=1 gives -2 vs 4); with it the two sides agree identically, since
+    l(2n)=f(2n-1)+f(2n+1) and both sides reduce to 2f(2n-3)+2f(2n-1).
+    """
+    checks = []
+    running = 0  # sum of f(2k) for k < n
+    for n in range(1, max_n + 1):
+        f2n, l2n = fib(2 * n), lucas(2 * n)
+        for name, lhs, rhs in (
+            ("f(4n) = f(2n)*l(2n)", fib(4 * n), f2n * l2n),
+            ("l(2n) - f(2n) = 2*f(2n-1)", l2n - f2n, 2 * fib(2 * n - 1)),
+            ("3*l(2n) - 5*f(2n) = 2*l(2n-2)", 3 * l2n - 5 * f2n, 2 * lucas(2 * n - 2)),
+            ("sum_{k<n} f(2k) = f(2n-1) - 1", running, fib(2 * n - 1) - 1),
+        ):
+            checks.append(equality_check(name, f"n={n}", lhs, rhs))
+        running += f2n
+    return checks
+
+
+def _cycle_distance(n: int, pair) -> int:
+    # pairs arrive checked: by cli._parse_pair, or built by a suite as (1, 1+k)
+    d = abs(pair[0] - pair[1])
+    return min(d, n - d)
 
 
 # (graph kind, quantity, pair holds vertex 0) -> closed form of (size, pair);
@@ -31,9 +58,9 @@ CLOSED_FORMS = {
     ("wheel", "trees", False): lambda n, pair: formulas.trees_wheel(n),
     ("fan", "trees", False): lambda m, pair: formulas.trees_fan(m),
     ("wheel", "forests", True): lambda n, pair: formulas.forests_sep_center(n),
-    ("wheel", "forests", False): lambda n, pair: formulas.forests_separating(formulas.RimPair(n, *pair)),
+    ("wheel", "forests", False): lambda n, pair: formulas.forests_separating(n, _cycle_distance(n, pair)),
     ("wheel", "resist", True): lambda n, pair: formulas.resistance_center(n),
-    ("wheel", "resist", False): lambda n, pair: formulas.resistance_rim(n, formulas.RimPair(n, *pair).k),
+    ("wheel", "resist", False): lambda n, pair: formulas.resistance_rim(n, _cycle_distance(n, pair)),
 }
 
 
@@ -177,8 +204,37 @@ def suite_bijection(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> list[Check]
 
 
 def suite_tau(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> list[Check]:
-    top = min(max_n, enum_cap - 1)
-    return enumeration.arc_forest_census(range(3, top + 1), cap=enum_cap)
+    """The arc-forest census: measured cardinalities as info rows.
+
+    Reports the labeled count and the rotation-class count next to f(2n-2),
+    f(2n-1), f(2n) and n*f(2n-1), and names whichever candidates match.  A
+    rim rotation moves the arc start, so each class has exactly one member
+    whose arc starts at rim vertex 1, and the census counts those.  Nothing
+    here asserts; the comparison itself is the deliverable.
+    """
+    checks = []
+    for n in range(3, min(max_n, enum_cap - 1) + 1):
+        records = enumeration.enum_arc_forests(n, cap=enum_cap)
+        labeled = len(records)
+        classes = sum(r.arc_start == 1 for r in records)
+        candidates = {
+            "f(2n-2)": fib(2 * n - 2),
+            "f(2n-1)": fib(2 * n - 1),
+            "f(2n)": fib(2 * n),
+            "n*f(2n-1)": n * fib(2 * n - 1),
+        }
+        label_hits = [name for name, v in candidates.items() if v == labeled] or ["none"]
+        class_hits = [name for name, v in candidates.items() if v == classes] or ["none"]
+        values = " ".join(f"{name}={v}" for name, v in candidates.items())
+        checks.append(
+            info_check(
+                "arc-forest census",
+                f"n={n}",
+                f"labeled={labeled} classes={classes} {values} "
+                f"labeled_matches={','.join(label_hits)} class_matches={','.join(class_hits)}",
+            )
+        )
+    return checks
 
 
 SUITES = {
@@ -214,6 +270,8 @@ def run_suites(names, max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> list[Chec
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or all")
+    if max_n < 1:
+        raise ValueError("max_n must be at least 1")
     # the budget holds per enumeration, so size them all before any suite
     # walks: a run that would be refused late is refused at once
     for name in names:

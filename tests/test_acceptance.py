@@ -26,13 +26,11 @@ from wheelfan.bijection import (
 )
 from wheelfan.cli import main
 from wheelfan.enumeration import (
-    arc_forest_census,
     enum_arc_forests,
     enum_spanning_trees,
     enum_two_forests,
 )
 from wheelfan.formulas import (
-    RimPair,
     forests_sep_adjacent,
     forests_sep_center,
     forests_sep_dist2,
@@ -42,7 +40,8 @@ from wheelfan.formulas import (
 )
 from wheelfan.graphs import is_spanning_tree, make_fan, make_wheel
 from wheelfan.kirchhoff import count_spanning_trees, count_two_forests, effective_resistance
-from wheelfan.sequences import check_identities, fib, lucas
+from wheelfan.sequences import fib, lucas
+from wheelfan.verify import suite_identities, suite_tau
 
 
 def record(tag, ok, detail):
@@ -83,7 +82,7 @@ def test_criterion_03_separation_formula():
         g = make_wheel(n)
         for k in range(1, n // 2 + 1):
             total += 1
-            if forests_separating(RimPair(n, 1, 1 + k)) == count_two_forests(g, 1, 1 + k):
+            if forests_separating(n, k) == count_two_forests(g, 1, 1 + k):
                 good += 1
     assert record(
         "3",
@@ -155,7 +154,7 @@ def test_criterion_06_enumeration_agrees_with_determinants():
 
 def test_criterion_07_identity_sweep():
     t0 = time.perf_counter()
-    checks = check_identities(500)
+    checks = suite_identities(500)
     bad = [c for c in checks if not c.ok]
     assert record(
         "7",
@@ -244,8 +243,8 @@ def test_criterion_09_reports_complete_deterministically():
     t0 = time.perf_counter()
     first = [fiber_report(n) for n in range(3, 8)]
     second = [fiber_report(n) for n in range(3, 8)]
-    census_a = arc_forest_census(range(3, 8))
-    census_b = arc_forest_census(range(3, 8))
+    census_a = suite_tau(7)
+    census_b = suite_tau(7)
     ok = first == second and census_a == census_b
     for rep, n in zip(first, range(3, 8)):
         ok &= rep.labeled_count == n * fib(2 * n - 1)
@@ -272,7 +271,7 @@ def test_criterion_10_cli_verify_and_fault_injection(capsys, monkeypatch):
     corruptions = {
         "trees_wheel": lambda n: 7,
         "trees_fan": lambda m: 7,
-        "forests_separating": lambda p: 7,
+        "forests_separating": lambda n, k: 7,
         "forests_sep_center": lambda n: 7,
         "resistance_rim": lambda n, k: 7,
     }

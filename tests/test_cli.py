@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import io
 import re
@@ -34,6 +35,19 @@ def test_count_trees_wheel(capsys):
 def test_count_forests(capsys):
     code, out, _ = run_cli(capsys, "count", "forests", "--graph", "wheel:4", "--separate", "1,2")
     assert (code, out) == (0, "24\n")
+
+
+def test_a_pair_across_the_rim_seam_is_at_cycle_distance_one(capsys):
+    # rim vertices 1 and 8 of wheel:8 are joined by the edge that closes the
+    # rim, so every route answers as for 1,2; their index gap of 7 would not
+    for query, seam, formula in (
+        (("count", "forests", "--separate"), "1,8", "formula: 1218\n"),
+        (("resist", "--pair"), "8,1", "formula: 58/105\n"),
+    ):
+        args = ("--graph", "wheel:8", "--method", "all")
+        code, out, err = run_cli(capsys, *query, seam, *args)
+        assert (code, out, err) == run_cli(capsys, *query, "1,2", *args)
+        assert (code, err) == (0, "") and out.startswith(formula)
 
 
 def test_count_method_all(capsys):
@@ -589,6 +603,15 @@ def test_verify_unknown_suite(capsys):
     assert "unknown suite" in err
 
 
+@pytest.mark.parametrize("suite", ["trees", "forests", "resistance", "bijection", "tau"])
+def test_verify_refuses_max_n_below_one(capsys, suite):
+    assert run_cli(capsys, "verify", "--suite", suite, "--max-n", "0") == (
+        2,
+        "",
+        "error: max_n must be at least 1\n",
+    )
+
+
 @pytest.mark.parametrize(
     "suite, predicted",
     [
@@ -925,3 +948,22 @@ def test_readme_examples_reproduce(capsys, command, shown):
         assert _shown_matches(shown, out + err), out + err
     else:
         assert code == 0, err
+
+
+def test_readme_library_block_reproduces():
+    # the python block under "## Library use": each expression line ends in
+    # "# repr" of its value; other statements run and carry no such comment
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    namespace, shown = {}, 0
+    for node in ast.parse(block).body:
+        code = ast.get_source_segment(block, node)
+        comment = lines[node.end_lineno - 1][node.end_col_offset :].strip().removeprefix("# ")
+        if isinstance(node, ast.Expr):
+            assert repr(eval(code, namespace)) == comment, code
+            shown += 1
+        else:
+            assert not comment, code
+            exec(code, namespace)
+    assert shown >= 8

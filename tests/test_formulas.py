@@ -1,9 +1,11 @@
+import io
+from contextlib import redirect_stderr
 from fractions import Fraction
 
 import pytest
 
+from wheelfan.cli import main
 from wheelfan.formulas import (
-    RimPair,
     forests_sep_adjacent,
     forests_sep_center,
     forests_sep_dist2,
@@ -14,6 +16,7 @@ from wheelfan.formulas import (
     trees_wheel,
 )
 from wheelfan.sequences import fib, lucas
+from wheelfan.verify import CLOSED_FORMS
 
 
 def test_wheel_tree_values():
@@ -36,35 +39,56 @@ def test_domain_errors():
 
 
 def test_rim_pair_distance():
-    assert RimPair(8, 1, 3).k == 2
-    assert RimPair(8, 1, 8).k == 1  # wraps around the cycle
-    assert RimPair(8, 2, 6).k == 4
-    assert RimPair(7, 1, 5).k == 3
-    assert RimPair(5, 2, 2).k == 0
+    # the wheel-rim closed forms read a vertex pair at its cycle distance
+    forests = CLOSED_FORMS[("wheel", "forests", False)]
+    resist = CLOSED_FORMS[("wheel", "resist", False)]
+    for n, pair, k in (
+        (8, (1, 3), 2),
+        (8, (1, 8), 1),  # wraps around the cycle
+        (8, (8, 1), 1),
+        (8, (2, 6), 4),
+        (7, (1, 5), 3),
+    ):
+        assert forests(n, pair) == forests_separating(n, k)
+        assert resist(n, pair) == resistance_rim(n, k)
+    assert resist(5, (2, 2)) == 0
 
 
 def test_rim_pair_validation():
-    with pytest.raises(ValueError, match="out of range"):
-        RimPair(5, 0, 2)
-    with pytest.raises(ValueError, match="out of range"):
-        RimPair(5, 1, 6)
-    with pytest.raises(ValueError):
-        RimPair(2, 1, 2)
+    for argv, message in (
+        (["count", "forests", "--graph", "wheel:5", "--separate", "1,6"], "vertex 6 out of range"),
+        (["resist", "--graph", "wheel:5", "--pair=-1,2"], "vertex -1 out of range"),
+        (["count", "forests", "--graph", "wheel:5", "--separate", "2,2"], "must be distinct"),
+    ):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            assert main(argv) == 2
+        assert message in err.getvalue()
+    with pytest.raises(ValueError, match=r"cycle distance must lie in 1\.\.2"):
+        CLOSED_FORMS[("wheel", "forests", False)](5, (2, 2))
+    with pytest.raises(ValueError, match="at least 3 rim vertices"):
+        forests_separating(2, 1)
 
 
 def test_separation_values():
-    assert forests_separating(RimPair(3, 1, 2)) == 8
-    assert forests_separating(RimPair(4, 1, 2)) == 24
-    assert forests_separating(RimPair(4, 1, 3)) == 30
-    with pytest.raises(ValueError, match="distinct"):
-        forests_separating(RimPair(4, 2, 2))
+    assert forests_separating(3, 1) == 8
+    assert forests_separating(4, 1) == 24
+    assert forests_separating(4, 2) == 30
+
+
+def test_separation_refuses_a_distance_outside_one_to_half_the_rim():
+    for n, k in ((4, 0), (5, 0), (4, 3), (5, 3), (8, 7)):
+        with pytest.raises(ValueError, match=f"cycle distance must lie in 1..{n // 2}"):
+            forests_separating(n, k)
+    with pytest.raises(ValueError, match="at least 3 rim vertices"):
+        forests_separating(2, 1)
 
 
 def test_special_cases_match_general_formula():
     for n in range(3, 13):
-        assert forests_sep_adjacent(n) == forests_separating(RimPair(n, 1, 2))
+        assert forests_sep_adjacent(n) == forests_separating(n, 1)
         if n >= 4:
-            assert forests_sep_dist2(n) == forests_separating(RimPair(n, 1, 3))
+            assert forests_sep_dist2(n) == forests_separating(n, 2)
 
 
 def test_special_case_closed_forms():
@@ -85,9 +109,7 @@ def test_tree_count_difference_form():
     for n in range(3, 16):
         for k in range(1, n // 2 + 1):
             literal = lucas(2 * k) - 2
-            assert forests_separating(RimPair(n, 1, 1 + k)) == fib(2 * k) * trees_wheel(n) - fib(
-                2 * n
-            ) * literal
+            assert forests_separating(n, k) == fib(2 * k) * trees_wheel(n) - fib(2 * n) * literal
 
 
 def test_rim_resistance_values():
@@ -118,4 +140,4 @@ def test_center_resistance_simplifies_to_fib_over_trees():
 def test_resistance_times_trees_is_the_separation_count():
     for n in range(3, 16):
         for k in range(1, n // 2 + 1):
-            assert resistance_rim(n, k) * trees_wheel(n) == forests_separating(RimPair(n, 1, 1 + k))
+            assert resistance_rim(n, k) * trees_wheel(n) == forests_separating(n, k)

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from wheelfan.sequences import check_identities, fib, lucas
+from wheelfan.sequences import fib, lucas
+from wheelfan.verify import run_suites, suite_identities
 
 
 def naive_fib(i):
@@ -55,15 +56,15 @@ def test_recurrences(i):
 
 
 def test_identity_sweep_to_500():
-    checks = check_identities(500)
+    checks = suite_identities(500)
     assert len(checks) == 4 * 500
     bad = [c for c in checks if not c.ok]
     assert bad == []
 
 
 def test_identity_sweep_rejects_bad_bound():
-    with pytest.raises(ValueError):
-        check_identities(0)
+    with pytest.raises(ValueError, match="max_n must be at least 1"):
+        run_suites(["identities"], 0)
 
 
 def test_lucas_minus_five_fib_needs_the_coefficient():

@@ -29,3 +29,22 @@ def test_every_runtime_import_is_wheelfan_or_the_standard_library():
         if mods - {"wheelfan"} - sys.stdlib_module_names
     }
     assert outside == {}
+
+
+def _names_from_report(path: Path) -> set[str]:
+    # what a module imports from wheelfan.report; the module itself counts as "report"
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("report"):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update("report" for alias in node.names if alias.name.rpartition(".")[2] == "report")
+    return names
+
+
+def test_the_math_layers_build_no_report_rows():
+    # report rows are built in verify; the math layers return plain values
+    for name in ("sequences.py", "formulas.py", "graphs.py", "kirchhoff.py"):
+        assert _names_from_report(SRC / name) == set(), name
+    assert _names_from_report(SRC / "enumeration.py") == {"format_int"}
+    assert "Check" in _names_from_report(SRC / "verify.py")
