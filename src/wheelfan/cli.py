@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from pathlib import Path
 
@@ -39,10 +40,14 @@ def _parse_graph(spec: str) -> tuple[str, int, LabeledGraph]:
 
 
 def _parse_int(text: str, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"bad {what} {text!r}") from None
+    # ASCII digits after an optional minus; int() alone would also take
+    # spaces, underscores, a plus sign and other scripts' digits
+    if re.fullmatch("-?[0-9]+", text):
+        try:
+            return int(text)  # it keeps its limit on the number of digits
+        except ValueError:
+            pass
+    raise ValueError(f"bad {what} {text!r}")
 
 
 def _parse_pair(text: str, g: LabeledGraph) -> tuple[int, int]:

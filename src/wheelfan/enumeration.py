@@ -13,9 +13,10 @@ count and refuses with EnumerationCapExceeded, naming that count, above
 ENUM_BUDGET.  Trees and separating two-forests are sized by the Laplacian
 minor, the arc forests of a wheel by n*f(2n-1).  The count only sizes the
 run; every emitted subset is still found by the walk.  The walk recurses
-once per chosen edge, so a graph with more vertices than half of Python's
-recursion limit is refused too.  The size_* functions make those checks
-alone, so a caller can refuse a whole run before any walk starts.
+once per chosen edge but the last, which it closes in the loop that finds
+it, so a graph with more vertices than half of Python's recursion limit is
+refused too.  The size_* functions make those checks alone, so a caller can
+refuse a whole run before any walk starts.
 
 WheelForest, the two-component spanning forest of a wheel with its rim arc
 located, lives here because enum_arc_forests emits it; the bijection module
@@ -51,8 +52,8 @@ def _checked_size(vertex_count: int, cap: int, count, what: str) -> int:
         raise EnumerationCapExceeded(
             f"graph has {format_int(size)} {what}, enumeration budget is {ENUM_BUDGET}"
         )
-    # the walk recurses once per chosen edge, up to V-1 deep; half the
-    # recursion limit leaves room for the frames of its callers
+    # the walk recurses once per chosen edge but the last, up to V-1 frames
+    # for a tree; half the recursion limit leaves room for its callers' frames
     depth = sys.getrecursionlimit() // 2
     if vertex_count > depth:
         raise EnumerationCapExceeded(f"graph has {vertex_count} vertices, enumeration depth limit is {depth}")
@@ -63,37 +64,47 @@ def _acyclic_subsets(
     g: LabeledGraph, size: int, apart: tuple[int, int] | None = None
 ) -> list[tuple[Edge, ...]]:
     # backtracking over the sorted edge list; an edge is skipped at once if it
-    # closes a cycle or, when apart = (u, v) is given, joins u's part to v's
+    # closes a cycle or, when apart = (u, v) is given, joins u's part to v's.
+    # The last edge of a subset is closed in the loop that finds it: it needs
+    # no union, no rollback and no deeper call, so the walk recurses once per
+    # chosen edge but the last.
+    if size == 0:
+        return [()]  # a 1-vertex tree, or a 2-vertex separating forest
     edges = g.edges
     total = len(edges)
     parent = list(range(g.vertex_count))
     rank = [1] * g.vertex_count
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
     chosen: list[Edge] = []
     out: list[tuple[Edge, ...]] = []
 
     def walk(start: int, need: int):
-        if need == 0:
-            out.append(tuple(chosen))
-            return
         ru = rv = -1  # roots are never negative: without a pair no edge matches
         if apart is not None:
-            ru, rv = find(apart[0]), find(apart[1])
+            ru, rv = apart
+            while parent[ru] != ru:
+                ru = parent[ru]
+            while parent[rv] != rv:
+                rv = parent[rv]
+        last = need == 1
+        if last:
+            prefix = tuple(chosen)
         for idx in range(start, total - need + 1):
-            a, b = edges[idx]
-            ra, rb = find(a), find(b)
+            edge = edges[idx]
+            ra, rb = edge
+            while parent[ra] != ra:
+                ra = parent[ra]
+            while parent[rb] != rb:
+                rb = parent[rb]
             if ra == rb or (ra == ru and rb == rv) or (ra == rv and rb == ru):
+                continue
+            if last:
+                out.append(prefix + (edge,))
                 continue
             if rank[ra] < rank[rb]:
                 ra, rb = rb, ra
             parent[rb] = ra
             rank[ra] += rank[rb]
-            chosen.append(edges[idx])
+            chosen.append(edge)
             walk(idx + 1, need - 1)
             chosen.pop()
             rank[ra] -= rank[rb]

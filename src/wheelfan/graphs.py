@@ -146,9 +146,7 @@ def rotate_rim_labels(edges: Iterable[Edge], shift: int, n: int) -> tuple[Edge, 
 
 
 def format_edge_list(vertex_count: int, edges: Iterable[Edge]) -> str:
-    lines = [f"V {vertex_count}"]
-    lines.extend(f"{a} {b}" for a, b in sorted(edges))
-    return "\n".join(lines) + "\n"
+    return f"V {vertex_count}\n" + "".join([f"{a} {b}\n" for a, b in sorted(edges)])
 
 
 def parse_edge_list(text: str) -> LabeledGraph:

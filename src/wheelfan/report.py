@@ -4,7 +4,7 @@ one line per check, a closing count line, and integers and rationals in full."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
 from typing import Optional
 
@@ -32,10 +32,43 @@ class Check:
         return " ".join(bits)
 
 
+# bit length up to which Decimal(n) converts at once; its cost is quadratic
+# in the digits, so longer integers are split, and from about 2**14 bits the
+# split wins
+_SPLIT_BITS = 2**13
+
+
 def format_int(n: int) -> str:
     """An exact integer in full decimal.  str() refuses more digits than
-    sys.get_int_max_str_digits(), a limit kept so int() bounds typed sizes."""
-    return str(Decimal(n))
+    sys.get_int_max_str_digits(), a limit kept so int() bounds typed sizes.
+
+    Above _SPLIT_BITS the integer is split at half its bit length, each half
+    converted alone and joined as lo + hi * 2**half in exact decimal
+    arithmetic, whose multiplication is subquadratic: the method of
+    CPython 3.12's _pylong.int_to_decimal.
+    """
+    if n.bit_length() <= _SPLIT_BITS:
+        return str(Decimal(n))
+    powers: dict[int, Decimal] = {}
+
+    def power(w: int) -> Decimal:  # 2**w, each w built once
+        if w not in powers:
+            powers[w] = Decimal(1 << w) if w <= _SPLIT_BITS else power(w >> 1) * power(w - (w >> 1))
+        return powers[w]
+
+    def convert(m: int, w: int) -> Decimal:  # 0 <= m < 2**w
+        if w <= _SPLIT_BITS:
+            return Decimal(m)
+        half = w >> 1
+        hi = m >> half
+        return convert(m - (hi << half), half) + convert(hi, w - half) * power(half)
+
+    with localcontext() as ctx:
+        # every digit kept, and a rounding would raise rather than pass
+        ctx.prec, ctx.Emax = MAX_PREC, MAX_EMAX
+        ctx.traps[Inexact] = True
+        digits = convert(abs(n), n.bit_length())
+    return ("-" if n < 0 else "") + str(digits)
 
 
 def format_fraction(r: Fraction) -> str:

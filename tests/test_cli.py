@@ -285,6 +285,22 @@ def test_bad_graph_spec(capsys):
     assert run_cli(capsys, "count", "trees", "--graph", "wheel:x")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("count", "trees", "--graph", "wheel:5_0"), "bad rim size '5_0'"),
+        (("count", "trees", "--graph", "wheel: 5"), "bad rim size ' 5'"),
+        (("count", "trees", "--graph", "wheel:\u0665"), "bad rim size '\u0665'"),
+        (("resist", "--graph", "wheel:5", "--pair", "1,+2"), "bad vertex '+2'"),
+        (("bijection", "forward", "--n", "4", "--edges", "1-2_0"), "bad vertex '2_0'"),
+    ],
+    ids=["underscore", "space", "arabic-indic-digit", "plus-sign", "edge-underscore"],
+)
+def test_integer_fields_take_ascii_digits_only(capsys, args, message):
+    # int() takes each of these; wheel:N, A,B and A-B mean ASCII digits
+    assert run_cli(capsys, *args) == (2, "", f"error: {message}\n")
+
+
 def test_count_mismatch_flips_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(wheelfan.formulas, "trees_fan", lambda m: 9999)
     code, out, _ = run_cli(capsys, "count", "trees", "--graph", "fan:3", "--method", "all")
@@ -546,10 +562,15 @@ ENUMERATE_DIGESTS = [
         "98eb9de89f6de7a2bafc5460a5a24ff32d1a5a7ee70d093cf83f005bab13db75",
         4802,
     ),
+    (
+        ("tau", "--graph", "wheel:7"),
+        "1b4e1ff4510a85728ac5fc1856927ada9fd8781450dcd12f5ef9fabf0232c63c",
+        1631,
+    ),
 ]
 
 
-@pytest.mark.parametrize("args, digest, blocks", ENUMERATE_DIGESTS, ids=["wheel7-forests", "wheel6-trees", "k7-forests"])
+@pytest.mark.parametrize("args, digest, blocks", ENUMERATE_DIGESTS, ids=["wheel7-forests", "wheel6-trees", "k7-forests", "wheel7-tau"])
 def test_enumerate_outputs_match_pinned_digests(tmp_path, capsys, args, digest, blocks):
     k7 = tmp_path / "k7.txt"
     k7.write_text(format_edge_list(7, combinations(range(7), 2)))

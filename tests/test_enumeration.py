@@ -15,7 +15,7 @@ from wheelfan.enumeration import (
     rim_arc_of,
     rotation_class_representative,
 )
-from wheelfan.graphs import canonical_edge, components, is_acyclic, make_fan, make_graph, make_wheel, rotate_rim_labels
+from wheelfan.graphs import canonical_edge, components, is_acyclic, is_spanning_tree, make_fan, make_graph, make_wheel, rotate_rim_labels
 from wheelfan.kirchhoff import count_spanning_trees, count_two_forests
 from wheelfan.sequences import fib
 from strategies import connected_graphs
@@ -120,6 +120,15 @@ def _separating_forests_by_definition(g):
 def test_pruned_walk_matches_the_unpruned_definition(g):
     for (u, v), expected in _separating_forests_by_definition(g).items():
         assert enum_two_forests(g, u, v) == expected
+
+
+@settings(deadline=None)
+@given(g=connected_graphs(max_vertices=7))
+def test_tree_walk_matches_the_unpruned_definition(g):
+    # 1 and 2 vertices reach the walk's edge cases: no edge to choose, and
+    # a first edge that is already the last
+    expected = [sub for sub in combinations(g.edges, g.vertex_count - 1) if is_spanning_tree(g, sub)]
+    assert enum_spanning_trees(g) == expected
 
 
 def test_arc_forests_basic_membership():

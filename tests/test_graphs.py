@@ -181,6 +181,13 @@ def test_edge_list_round_trip():
     assert back == g
 
 
+def test_edge_list_exact_bytes():
+    assert format_edge_list(1, []) == "V 1\n"
+    edges = [(2, 3), (0, 2), (0, 1)]
+    assert format_edge_list(4, edges) == "V 4\n0 1\n0 2\n2 3\n"
+    assert format_edge_list(4, (e for e in edges)) == format_edge_list(4, edges)
+
+
 @pytest.mark.parametrize(
     "text,needle",
     [

@@ -16,7 +16,8 @@ from pathlib import Path
 import pytest
 
 from wheelfan import cli
-from wheelfan.graphs import format_edge_list
+from wheelfan.graphs import format_edge_list, make_graph
+from wheelfan.kirchhoff import count_two_forests
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -62,7 +63,8 @@ def test_traced_verify_sweep_keys_classes_and_builds_images_once():
 
 
 # in-process argvs, a few per workload, that between them reach every
-# function the workload's run lists in COVERED; FILE is a small connected graph
+# function the workload's run lists in COVERED; FILE is FILE_GRAPH's edge list
+FILE_GRAPH = make_graph(6, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4), (2, 5), (4, 5)])
 QUERY_ARGVS = {
     "minor-sparse": [
         ["count", "trees", "--graph", "wheel:6", "--method", "all"],
@@ -87,13 +89,11 @@ QUERY_ARGVS = {
 }
 
 
-@pytest.mark.parametrize("workload", list(QUERY_ARGVS))
-def test_every_traced_query_workload_function_records_calls(tmp_path, workload):
-    # the closed forms too: a table entry that bound its formula at import
-    # would bypass the tracer's wrapper and leave that formula at zero calls
-    run, spans = _load("run"), _load("spans")
+def _trace_queries(tmp_path, workload):
+    """Run the workload's argvs under the benchmark's tracer; its stats per traced name."""
+    spans = _load("spans")
     path = tmp_path / "g.txt"
-    path.write_text(format_edge_list(6, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4), (2, 5), (4, 5)]))
+    path.write_text(format_edge_list(FILE_GRAPH.vertex_count, FILE_GRAPH.edges))
     argvs = [[f"file:{path}" if arg == "FILE" else arg for arg in argv] for argv in QUERY_ARGVS[workload]]
     tracer = spans.Tracer()
     tracer.install()
@@ -103,5 +103,22 @@ def test_every_traced_query_workload_function_records_calls(tmp_path, workload):
     finally:
         tracer.uninstall()
     assert codes == [0] * len(argvs)
-    calls = {name: stats["calls"] for name, stats in tracer.aggregate().items()}
+    return tracer.aggregate()
+
+
+@pytest.mark.parametrize("workload", list(QUERY_ARGVS))
+def test_every_traced_query_workload_function_records_calls(tmp_path, workload):
+    # the closed forms too: a table entry that bound its formula at import
+    # would bypass the tracer's wrapper and leave that formula at zero calls
+    run = _load("run")
+    stats = _trace_queries(tmp_path, workload)
+    calls = {name: entry["calls"] for name, entry in stats.items()}
     assert [name for name in run.COVERED[workload] if not calls.get(name)] == []
+
+
+def test_enum_oracle_partitions_only_under_the_forest_enumerator(tmp_path):
+    # run.py computes enum_two_forests.yield as the forests emitted over the
+    # components calls made directly under enum_two_forests, one per forest
+    stats = _trace_queries(tmp_path, "enum-oracle")
+    forests = 2 * count_two_forests(FILE_GRAPH, 0, 4)  # count --method all and enumerate each emit them once
+    assert stats["graphs.components"]["under"] == {"enumeration.enum_two_forests": forests}

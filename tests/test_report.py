@@ -1,8 +1,11 @@
+import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+from wheelfan import report
 from wheelfan.report import equality_check, format_fraction, format_int
 
 
@@ -24,6 +27,24 @@ def test_format_int_prints_every_digit():
     assert [format_int(n) for n in (0, 7, -12, 10**30)] == ["0", "7", "-12", str(10**30)]
     assert format_int(BIG) == full_decimal(BIG)
     assert format_int(-BIG) == "-" + full_decimal(BIG)
+
+
+def _split_point_values():
+    # bit lengths around the threshold w and around the widths a split makes
+    # of a longer integer, odd ones too; each as 2**k, 2**k - 1, a random
+    # k-bit value, and one whose low half is all ones
+    w = report._SPLIT_BITS
+    rng = random.Random(19)
+    for k in (w - 1, w, w + 1, 2 * w - 1, 2 * w, 2 * w + 1, 3 * w + 7, 4 * w, 4 * w + 1, 9 * w + 3):
+        low_ones = (1 << (k >> 1)) - 1
+        yield from (2**k, 2**k - 1, rng.getrandbits(k) | (1 << (k - 1)), (1 << (k - 1)) | low_ones)
+    yield from (rng.getrandbits(rng.randrange(1, 6 * w)) for _ in range(40))
+
+
+def test_split_conversion_matches_the_direct_one():
+    values = [0, 1, -1, *_split_point_values()]
+    for n in values + [-n for n in values]:
+        assert format_int(n) == str(Decimal(n))
 
 
 def test_every_printed_integer_goes_through_the_formatter():
