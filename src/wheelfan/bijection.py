@@ -37,7 +37,9 @@ The collapse map is measured, not assumed: there are f(2n-1) rotation
 classes but only f(2n-2) spanning trees of its target fan, so it cannot be
 injective; fiber_report quantifies exactly how the classes collapse.  It is
 the one pass over the arc forests: each labeled forest goes through forward
-once, and the verify suite reads its checks off the report.
+once, and the verify suite reads its checks off the report.  forward rotates
+and collapses in one relabeling of the forest's own edges, and the report
+keys classes by normalize, so the two rotations check each other.
 
 Validation happens once per input forest, where it enters the module:
 WheelForest.from_edges, the one checked entry, analyses the edge set (one
@@ -99,9 +101,12 @@ def normalize(f: WheelForest) -> WheelForest:
 def forward(f: WheelForest) -> FanTree:
     """Image of the forest in the fan with n-1 path vertices.
 
-    Reads the image off the normalized forest, so rotation-equivalent
-    forests share one image.  The collapse never merges two edges: the arc
-    1..k has no spoke and no edge to the cut vertex k+1.
+    Relabels the forest's own edges once: rim vertex v goes to its place
+    r = (v - arc_start) mod n + 1 on the rotated rim, whose arc is 1..k,
+    and the cut vertex k+1 collapses onto k, so r > k becomes r - 1.  The
+    image depends only on where each vertex sits relative to the arc, so
+    rotation-equivalent forests share one image.  The collapse never merges
+    two edges: the arc 1..k has no spoke and no edge to the cut vertex k+1.
     """
     n, k = f.n, f.arc_len
     if k == n:
@@ -109,13 +114,11 @@ def forward(f: WheelForest) -> FanTree:
         image = [(i, i + 1) for i in range(1, n - 1)]
         image.append((0, 1))
     else:
-
-        def collapse(v: int) -> int:
-            if v <= k:
-                return v
-            return k if v == k + 1 else v - 1
-
-        image = [canonical_edge(collapse(a), collapse(b)) for a, b in normalize(f).edges]
+        label = [0]  # the center stays the hub
+        for v in range(1, n + 1):
+            r = (v - f.arc_start) % n + 1
+            label.append(r if r <= k else r - 1)
+        image = [canonical_edge(label[a], label[b]) for a, b in f.edges]
     return FanTree(n - 1, tuple(sorted(image)))
 
 
@@ -250,10 +253,11 @@ def fiber_report(n: int, cap: int = DEFAULT_ENUM_CAP) -> FiberReport:
     """Fold the arc forests of the wheel with n rim vertices through forward.
 
     One pass: every labeled forest goes through forward once, and the
-    labeled histogram counts those images.  A forest's class is keyed by
-    rotation_class_representative; its representative is the member with
-    arc_start 1, whose image stands for the class and is inverted for the
-    round trip.
+    labeled histogram counts those images.  A forest's class is keyed by the
+    edges of normalize(f); its representative is the member with arc_start
+    1, whose image stands for the class and is inverted for the round trip.
+    forward rotates each forest by itself, not through normalize, so
+    rotation_stable compares two independent rotations.
     """
     records = enum_arc_forests(n, cap=cap)
     labeled_per_image: Counter = Counter()
@@ -261,7 +265,7 @@ def fiber_report(n: int, cap: int = DEFAULT_ENUM_CAP) -> FiberReport:
     rep_images: dict[tuple[Edge, ...], tuple[Edge, ...]] = {}  # class -> its representative's image
     class_count = roundtrip_ok = spoke_only_total = spoke_only_ok = 0
     for f in records:
-        key = rotation_class_representative(f)
+        key = normalize(f).edges
         try:
             image = forward(f)
         except ValueError:

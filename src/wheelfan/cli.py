@@ -25,7 +25,8 @@ from .report import format_int, summary_line
 
 def _parse_graph(spec: str) -> tuple[str, int, LabeledGraph]:
     kind, sep, rest = spec.partition(":")
-    if not sep:
+    # an empty path would read the working directory
+    if not sep or (kind == "file" and not rest):
         raise ValueError(f"bad graph spec {spec!r}; expected wheel:N, fan:M or file:PATH")
     if kind == "wheel":
         n = _parse_int(rest, "rim size")

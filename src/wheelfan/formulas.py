@@ -62,7 +62,9 @@ def forests_sep_center(n: int) -> int:
 def resistance_rim(n: int, k: int) -> Fraction:
     """Resistance between rim vertices at cycle distance k on the wheel.
 
-    f(2n)^2/(f(4n)-2f(2n)) * (2 - f(4k)/f(2k)) + f(2k), exactly.
+    f(2n)^2/(f(4n)-2f(2n)) * (2 - f(4k)/f(2k)) + f(2k), exactly.  With
+    f(4i) = f(2i)*l(2i), that is the one fraction
+    (f(2n)(2 - l(2k)) + f(2k)(l(2n) - 2)) / (l(2n) - 2), reduced once.
     """
     if n < 3:
         raise ValueError("wheel requires at least 3 rim vertices")
@@ -70,18 +72,16 @@ def resistance_rim(n: int, k: int) -> Fraction:
         return Fraction(0)
     if not 0 < k <= n // 2:
         raise ValueError(f"cycle distance must lie in 0..{n // 2} for {n} rim vertices")
-    f2n, f2k = fib(2 * n), fib(2 * k)
-    scale = Fraction(f2n * f2n, fib(4 * n) - 2 * f2n)
-    return scale * (2 - Fraction(fib(4 * k), f2k)) + f2k
+    trees = lucas(2 * n) - 2
+    return Fraction(fib(2 * n) * (2 - lucas(2 * k)) + fib(2 * k) * trees, trees)
 
 
 def resistance_center(n: int) -> Fraction:
     """Resistance between any rim vertex and the center.
 
     f(2n)^2/(f(4n)-2f(2n)); the denominator factors as f(2n)*(l(2n)-2), so
-    this is also f(2n) over the wheel's spanning-tree count.
+    this is f(2n)/(l(2n)-2), f(2n) over the wheel's spanning-tree count.
     """
     if n < 3:
         raise ValueError("wheel requires at least 3 rim vertices")
-    f2n = fib(2 * n)
-    return Fraction(f2n * f2n, fib(4 * n) - 2 * f2n)
+    return Fraction(fib(2 * n), lucas(2 * n) - 2)

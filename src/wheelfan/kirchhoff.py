@@ -21,7 +21,12 @@ minor is symmetric, so a row keeps only its upper triangle, as a dict from
 column to entry, and det_exact eliminates it with one symmetric Bareiss pass
 (George & Liu 1981): the lead of row i at step k is entry i of pivot row k,
 a row the pivot row does not reach is rescaled only when it is next used,
-and the pivot row is dropped once used.  A Laplacian minor is positive
+and the pivot row is dropped once used.  Once a pivot row reaches every
+later row, each later row is fresh and holds every later column, so the
+rest of the minor is dense: on dense graphs the order leaves a trailing
+clique.  The pass then copies those rows' upper triangle, entries the dicts
+already held, into lists and finishes over them, one list comprehension per
+row and step, with no rescaling left to do.  A Laplacian minor is positive
 semidefinite, so a zero pivot means the minor is singular.
 """
 
@@ -125,8 +130,27 @@ def _det_minor(rows: LaplacianMinor) -> int:
                 new[j] = a * pivot // old
             rows[i] = new
         prevs.append(pivot)
-    rows.leading = prevs[n - 1]
-    return rows[n - 1][n - 1] * prevs[n - 1] // prevs[stamp[n - 1]]
+        if len(cols) == n - k - 1:
+            break
+    else:
+        rows.leading = prevs[n - 1]
+        return rows[n - 1][n - 1] * prevs[n - 1] // prevs[stamp[n - 1]]
+    # the pivot row reached every later row, so each is fresh and full: the
+    # rest is a dense upper triangle, row i holding columns i..n-1
+    tail = [[rows[i][j] for j in range(i, n)] for i in range(k + 1, n)]
+    prev = pivot
+    for t in range(len(tail) - 1):
+        rk = tail[t]
+        pivot = rk[0]
+        if pivot == 0:
+            rows.leading = 0
+            return 0
+        for i in range(1, len(rk)):
+            lead = rk[i]
+            tail[t + i] = [(pivot * a - lead * b) // prev for a, b in zip(tail[t + i], rk[i:])]
+        prev = pivot
+    rows.leading = prev
+    return tail[-1][0]
 
 
 def det_exact(matrix: Sequence[Sequence[int]]) -> int:

@@ -19,7 +19,7 @@ from wheelfan.bijection import (
 )
 from wheelfan.cli import main
 from wheelfan.enumeration import enum_arc_forests
-from wheelfan.graphs import is_spanning_tree, make_fan, rotate_rim_labels
+from wheelfan.graphs import canonical_edge, is_spanning_tree, make_fan, rotate_rim_labels
 
 
 def wf(n, edges):
@@ -216,6 +216,18 @@ def test_forward_ignores_rotation(n, pick, shift):
     edges = records[pick % len(records)].edges
     rotated = rotate_rim_labels(edges, shift, n)
     assert forward(wf(n, rotated)).edges == forward(wf(n, edges)).edges
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_forward_collapses_the_normalized_forest(n):
+    # forward relabels each forest's own edges once; rotating through
+    # normalize first and collapsing the cut vertex k+1 onto k is the oracle
+    for f in _records(n):
+        k = f.arc_len
+        if k == n:
+            continue  # the isolated-center image is built, not relabeled
+        moved = [tuple(v if v <= k else v - 1 for v in e) for e in normalize(f).edges]
+        assert forward(f).edges == tuple(sorted(canonical_edge(a, b) for a, b in moved))
 
 
 def test_two_labeled_forests_share_an_image():

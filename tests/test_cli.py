@@ -285,6 +285,13 @@ def test_bad_graph_spec(capsys):
     assert run_cli(capsys, "count", "trees", "--graph", "wheel:x")[0] == 2
 
 
+def test_a_file_spec_without_a_path_is_refused_as_a_spec(capsys):
+    # Path("") is the working directory, which would be read as a file
+    code, out, err = run_cli(capsys, "count", "trees", "--graph", "file:")
+    assert (code, out) == (2, "")
+    assert err == "error: bad graph spec 'file:'; expected wheel:N, fan:M or file:PATH\n"
+
+
 @pytest.mark.parametrize(
     "args, message",
     [

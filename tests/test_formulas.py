@@ -141,3 +141,14 @@ def test_resistance_times_trees_is_the_separation_count():
     for n in range(3, 16):
         for k in range(1, n // 2 + 1):
             assert resistance_rim(n, k) * trees_wheel(n) == forests_separating(n, k)
+
+
+def test_one_fraction_forms_equal_the_five_fraction_expressions():
+    # the forms as first written, before f(4i) = f(2i)*l(2i) folded them
+    for n in range(3, 60):
+        f2n = fib(2 * n)
+        scale = Fraction(f2n * f2n, fib(4 * n) - 2 * f2n)
+        assert resistance_center(n) == scale
+        for k in range(1, n // 2 + 1):
+            f2k = fib(2 * k)
+            assert resistance_rim(n, k) == scale * (2 - Fraction(fib(4 * k), f2k)) + f2k

@@ -176,6 +176,63 @@ def test_resistance_takes_one_elimination_per_pass(monkeypatch, g, u, v, passes)
     assert calls == {"laplacian": passes, "det_exact": passes, "count_spanning_trees": 0, "count_two_forests": 0}
 
 
+def _clique(m, first=0):
+    return [(a, b) for a, b in combinations(range(first, first + m), 2)]
+
+
+@pytest.mark.parametrize("m", range(1, 31))
+def test_complete_graphs_run_the_dense_tail_from_the_first_step(m):
+    # the first pivot row of a K_m minor reaches every later row, so all but
+    # that step is dense; the resistance reads the tail's last divisor
+    g = make_graph(m, _clique(m))
+    assert count_spanning_trees(g) == (m ** m // m ** 2 if m > 1 else 1)
+    if m > 1:
+        assert count_two_forests(g, 0, m - 1) == 2 * m ** m // m ** 3
+        assert effective_resistance(g, m - 1, 0) == Fraction(2, m)
+
+
+@st.composite
+def dense_graphs(draw):
+    """A random graph on 12..24 vertices, each edge kept with probability 0.3..1."""
+    vertices = draw(st.integers(12, 24))
+    percent = draw(st.integers(30, 100))
+    rng = draw(st.randoms(use_true_random=False))
+    return make_graph(vertices, [e for e in _clique(vertices) if rng.randrange(100) < percent])
+
+
+@settings(deadline=None, max_examples=40)
+@given(g=dense_graphs(), data=st.data())
+def test_dense_minors_match_natural_order_minors(g, data):
+    # minimum-degree order leaves a dense graph a trailing clique, which the
+    # pass finishes over list rows; the dense branch in vertex order is the oracle
+    n = g.vertex_count
+    u = data.draw(st.integers(0, n - 1))
+    v = data.draw(st.integers(0, n - 1).filter(lambda w: w != u))
+    L = laplacian(g)
+    assert count_spanning_trees(g) == det_exact(L.minor({u}))
+    assert count_two_forests(g, u, v) == det_exact(L.minor({u, v}))
+    # with v last, the last divisor is the minor without both ends, even when
+    # a zero pivot ends the pass early
+    minor = kirchhoff._ordered_minor(L, {u}, last=v)
+    assert det_exact(minor) == det_exact(L.minor({u}))
+    assert minor.leading == det_exact(L.minor({u, v}))
+
+
+@pytest.mark.parametrize("a, b", [(4, 7), (7, 4), (5, 5)])
+def test_two_disjoint_cliques(a, b):
+    # the tree minor drops vertex 0 of K_a and leaves K_b's block singular:
+    # the pass ends at a zero pivot when the smaller K_b goes first, and at a
+    # zero last entry of the dense tail when K_b goes last; a resistance
+    # inside either clique then comes from the pass over its component
+    g = make_graph(a + b, _clique(a) + _clique(b, first=a))
+    assert count_spanning_trees(g) == 0
+    assert count_two_forests(g, 0, a) == a ** (a - 2) * b ** (b - 2)
+    assert effective_resistance(g, 1, a - 1) == Fraction(2, a)
+    assert effective_resistance(g, a + b - 1, a) == Fraction(2, b)
+    with pytest.raises(ValueError, match="infinite resistance"):
+        effective_resistance(g, 0, a)
+
+
 @settings(deadline=None)
 @given(g=connected_graphs())
 def test_minor_route_counts_trees_like_enumeration(g):
