@@ -42,16 +42,17 @@ and collapses in one relabeling of the forest's own edges, and the report
 keys classes by normalize, so the two rotations check each other.
 
 Validation happens once per input forest, where it enters the module:
-WheelForest.from_edges, the one checked entry, analyses the edge set (one
-union-find pass over the wheel) and locates the arc, and enum_arc_forests
-locates the arc of each subset its walk finds.  WheelForest lives in the
-enumeration module, which emits it; bijection.WheelForest is the same
-class.  A forest is its sorted edge tuple and its arc, nothing else, and
-its four-field constructor trusts them, so every derived forest is built
-directly: normalize rotates the whole edge tuple with
-rotation_class_representative (a rim rotation is an automorphism of the
-wheel, so the result is again a valid forest), moves arc_start to 1 and
-keeps arc_len.  Fan trees are different: FanTree checks every tree with
+WheelForest.from_edges, the one checked entry, checks the edge set (one
+union-find pass over the wheel, which must leave two parts) and locates
+the arc.  enum_arc_forests trusts its walk, which only finds forests, and
+locates each arc by the same rule, enumeration.rim_arc_of, without a
+union-find pass.  WheelForest lives in the enumeration module, which emits
+it; bijection.WheelForest is the same class.  A forest is its sorted edge
+tuple and its arc, nothing else, and its four-field constructor trusts
+them, so every derived forest is built directly: normalize rotates the
+whole edge tuple with rotation_class_representative (a rim rotation is an
+automorphism of the wheel, so the result is again a valid forest), moves
+arc_start to 1 and keeps arc_len.  Fan trees are different: FanTree checks every tree with
 is_spanning_tree, images included, because that check is what the audit
 reports.  FanTree.from_edges is the entry point for outside edges and makes
 them canonical; forward already holds canonical edges and builds its
@@ -69,7 +70,7 @@ from .enumeration import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FanTree:
     m: int
     edges: tuple[Edge, ...]

@@ -20,8 +20,13 @@ refuse a whole run before any walk starts.
 
 WheelForest, the two-component spanning forest of a wheel with its rim arc
 located, lives here because enum_arc_forests emits it; the bijection module
-maps it to fan trees.  This module returns edges and counts only: the verify
-suites build every report row, the arc-forest census included.
+maps it to fan trees.  rim_arc_of is the one rule for the arc: the arc is the
+run of rim edges that no spoke reaches, read off the forest's edges in one
+linear pass.  The walk already guarantees a forest, so enum_arc_forests
+applies the rule alone; WheelForest.from_edges first checks outside edges
+with one union-find pass over the wheel.  This module returns edges and
+counts only: the verify suites build every report row, the arc-forest
+census included.
 """
 
 from __future__ import annotations
@@ -126,7 +131,7 @@ def enum_spanning_trees(g: LabeledGraph, cap: int = DEFAULT_ENUM_CAP) -> list[tu
     return _acyclic_subsets(g, g.vertex_count - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForestRecord:
     edges: tuple[Edge, ...]
     parts: tuple[tuple[int, ...], ...]
@@ -150,17 +155,39 @@ def enum_two_forests(g: LabeledGraph, u: int, v: int, cap: int = DEFAULT_ENUM_CA
     ]
 
 
-def rim_arc_of(n: int, rim_part: tuple[int, ...], edges) -> tuple[int, int]:
+def rim_arc_of(n: int, edges) -> tuple[int, int]:
     """(start, length) of the arc that the center-free part of a wheel forest spans.
 
-    edges are the forest's edges.  The part is joined by rim edges alone, so
-    it is an arc, and it starts at its one vertex whose rim edge from the
-    previous vertex is absent: that edge leaves the arc, or is the one
-    missing cycle edge when the arc is the whole rim.
+    edges are the forest's canonical edges.  A run is a maximal path of
+    present rim edges.  Every run but the arc meets the center by exactly one
+    spoke (two would close a cycle), so the arc is the one run that no spoke
+    reaches.  With no spoke the one run is the whole rim, and it starts after
+    the one missing rim edge.  One pass marks the spokes and the rim edges
+    v -> v % n + 1; then each run is walked from its start, a vertex whose
+    rim edge from the previous vertex is absent, until a spoke meets it.
+    Every rim vertex is visited at most twice.
     """
-    present = set(edges)
-    (start,) = [v for v in rim_part if canonical_edge((v - 2) % n + 1, v) not in present]
-    return start, len(rim_part)
+    spoke = [False] * (n + 1)
+    rim = [False] * (n + 1)  # rim[v]: the rim edge v -> v % n + 1 is present
+    for a, b in edges:
+        if a == 0:
+            spoke[b] = True
+        elif b == a + 1:
+            rim[a] = True
+        else:  # the closing edge {1, n}
+            rim[n] = True
+    rim[0] = rim[n]  # so rim[v - 1] is the edge into v, for v = 1 too
+    for start in range(1, n + 1):
+        if rim[start - 1] or spoke[start]:
+            continue  # not a run start, or a run the center reaches
+        end = start
+        while rim[end]:
+            end = end % n + 1
+            if spoke[end]:
+                break
+        else:
+            return start, (end - start) % n + 1
+    raise ValueError("edge set has no center-free rim arc")
 
 
 def _analyze_forest(n: int, edges) -> tuple[tuple[Edge, ...], int, int]:
@@ -173,13 +200,13 @@ def _analyze_forest(n: int, edges) -> tuple[tuple[Edge, ...], int, int]:
     # counted before the wheel is built, so a huge n with few edges costs nothing
     if len(edges) != n - 1:
         raise ValueError(f"forest on the wheel with {n} rim vertices needs {n - 1} edges, got {len(edges)}")
-    parts = components(make_wheel(n), edges)  # also validates edges against the wheel
-    if len(parts) != 2:
+    # also validates edges against the wheel
+    if len(components(make_wheel(n), edges)) != 2:
         raise ValueError("edge set is not a two-component spanning forest (it contains a cycle)")
-    return (edges, *rim_arc_of(n, parts[1], edges))  # parts are ordered by minimum vertex, 0 first
+    return (edges, *rim_arc_of(n, edges))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WheelForest:
     """Two-component spanning forest of a wheel, its rim arc located.
 
@@ -219,14 +246,11 @@ def enum_arc_forests(n: int, cap: int = DEFAULT_ENUM_CAP) -> list[WheelForest]:
     By definition one part holds vertex 0 and the other only rim vertices.
     Every two-component spanning forest of a wheel has that shape, so no
     filter is needed: n-1 acyclic edges on n+1 vertices always leave two
-    parts.  rim_arc_of locates the arc of each subset the walk finds.
+    parts.  rim_arc_of reads the arc of each subset the walk finds off its
+    rim runs, so no subset is partitioned again.
     """
     size_arc_forests(n, cap)
-    g = make_wheel(n)
-    return [
-        WheelForest(n, sub, *rim_arc_of(n, components(g, sub)[1], sub))
-        for sub in _acyclic_subsets(g, n - 1)
-    ]
+    return [WheelForest(n, sub, *rim_arc_of(n, sub)) for sub in _acyclic_subsets(make_wheel(n), n - 1)]
 
 
 def rotation_class_representative(f: WheelForest) -> tuple[Edge, ...]:

@@ -64,7 +64,11 @@ def resistance_rim(n: int, k: int) -> Fraction:
 
     f(2n)^2/(f(4n)-2f(2n)) * (2 - f(4k)/f(2k)) + f(2k), exactly.  With
     f(4i) = f(2i)*l(2i), that is the one fraction
-    (f(2n)(2 - l(2k)) + f(2k)(l(2n) - 2)) / (l(2n) - 2), reduced once.
+    (f(2n)(2 - l(2k)) + f(2k)(l(2n) - 2)) / (l(2n) - 2).  Since
+    f(2n) = f(n)l(n), and l(2n) - 2 is 5f(n)^2 for even n and l(n)^2 for
+    odd n, a common factor f(n) or l(n) cancels before the reduction:
+    (l(n)(2 - l(2k)) + 5f(n)f(2k)) / (5f(n)) for even n and
+    (f(n)(2 - l(2k)) + f(2k)l(n)) / l(n) for odd n, on half-size numbers.
     """
     if n < 3:
         raise ValueError("wheel requires at least 3 rim vertices")
@@ -72,8 +76,10 @@ def resistance_rim(n: int, k: int) -> Fraction:
         return Fraction(0)
     if not 0 < k <= n // 2:
         raise ValueError(f"cycle distance must lie in 0..{n // 2} for {n} rim vertices")
-    trees = lucas(2 * n) - 2
-    return Fraction(fib(2 * n) * (2 - lucas(2 * k)) + fib(2 * k) * trees, trees)
+    fn, ln, rest = fib(n), lucas(n), 2 - lucas(2 * k)
+    if n % 2 == 0:
+        return Fraction(ln * rest + 5 * fn * fib(2 * k), 5 * fn)
+    return Fraction(fn * rest + fib(2 * k) * ln, ln)
 
 
 def resistance_center(n: int) -> Fraction:
@@ -81,7 +87,11 @@ def resistance_center(n: int) -> Fraction:
 
     f(2n)^2/(f(4n)-2f(2n)); the denominator factors as f(2n)*(l(2n)-2), so
     this is f(2n)/(l(2n)-2), f(2n) over the wheel's spanning-tree count.
+    With f(2n) = f(n)l(n) and the factorisations of l(2n) - 2 above, it is
+    l(n)/(5f(n)) for even n and f(n)/l(n) for odd n, whose gcd is at most 2.
     """
     if n < 3:
         raise ValueError("wheel requires at least 3 rim vertices")
-    return Fraction(fib(2 * n), lucas(2 * n) - 2)
+    if n % 2 == 0:
+        return Fraction(lucas(n), 5 * fib(n))
+    return Fraction(fib(n), lucas(n))

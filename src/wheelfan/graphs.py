@@ -129,15 +129,18 @@ def rotate_rim_labels(edges: Iterable[Edge], shift: int, n: int) -> tuple[Edge, 
     Vertex 0 stays fixed; rim vertex v goes to ((v-1+shift) mod n)+1.  Used
     for rotation normalization and for the rotation-class quotient.
     """
-
-    def move(v: int) -> int:
-        if v == 0:
-            return 0
-        if not 1 <= v <= n:
-            raise ValueError(f"vertex {v} is not a rim vertex of a wheel with {n} rim vertices")
-        return (v - 1 + shift) % n + 1
-
-    return tuple(sorted(canonical_edge(move(a), move(b)) for a, b in edges))
+    # a dict, not a list: a negative endpoint must miss the table, not wrap
+    label = {v: (v - 1 + shift) % n + 1 for v in range(1, n + 1)}
+    label[0] = 0
+    moved = []
+    for a, b in edges:
+        try:
+            x, y = label[a], label[b]
+        except KeyError as missing:
+            raise ValueError(f"vertex {missing.args[0]} is not a rim vertex of a wheel with {n} rim vertices") from None
+        # canonical_edge only where it has work: a swap, or a loop to refuse
+        moved.append((x, y) if x < y else canonical_edge(x, y))
+    return tuple(sorted(moved))
 
 
 # --- edge-list text format ---------------------------------------------------

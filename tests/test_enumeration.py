@@ -186,9 +186,34 @@ def test_arc_forests_below_three_rim_vertices_are_refused_before_the_count(n):
 
 
 def test_full_rim_arc_start_follows_missing_edge():
-    assert rim_arc_of(4, (1, 2, 3, 4), [(1, 2), (2, 3), (3, 4)]) == (1, 4)
-    assert rim_arc_of(4, (1, 2, 3, 4), [(2, 3), (3, 4), (1, 4)]) == (2, 4)
-    assert rim_arc_of(4, (1, 2, 3, 4), [(1, 2), (3, 4), (1, 4)]) == (3, 4)
+    assert rim_arc_of(4, [(1, 2), (2, 3), (3, 4)]) == (1, 4)
+    assert rim_arc_of(4, [(2, 3), (3, 4), (1, 4)]) == (2, 4)
+    assert rim_arc_of(4, [(1, 2), (3, 4), (1, 4)]) == (3, 4)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_arc_rule_matches_the_center_free_part(n):
+    # the two-component forests come from all (n-1)-subsets and a union-find,
+    # not from the walk; the arc is read off the center-free part's vertex set
+    g = make_wheel(n)
+    rim_edges = {canonical_edge(v, v % n + 1) for v in range(1, n + 1)}
+    forests = 0
+    for sub in combinations(g.edges, n - 1):
+        parts = components(g, sub)
+        if len(parts) != 2:
+            continue
+        forests += 1
+        rim_part = set(parts[1])  # parts are ordered by minimum vertex, the center's first
+        k = len(rim_part)
+        arcs = [
+            (s, k)
+            for s in range(1, n + 1)
+            if {(s - 1 + t) % n + 1 for t in range(k)} == rim_part
+            # a whole-rim arc starts where the one absent rim edge runs in
+            and (k < n or rim_edges - set(sub) == {canonical_edge((s - 2) % n + 1, s)})
+        ]
+        assert rim_arc_of(n, sub) == arcs[0] and len(arcs) == 1
+    assert forests == n * fib(2 * n - 1)
 
 
 def test_rotation_representative_is_rotation_invariant():

@@ -144,8 +144,9 @@ def test_resistance_times_trees_is_the_separation_count():
 
 
 def test_one_fraction_forms_equal_the_five_fraction_expressions():
-    # the forms as first written, before f(4i) = f(2i)*l(2i) folded them
-    for n in range(3, 60):
+    # the forms as first written, before f(4i) = f(2i)*l(2i) folded them and
+    # the factor f(n) or l(n) was cancelled; both parities, every k
+    for n in range(3, 301):
         f2n = fib(2 * n)
         scale = Fraction(f2n * f2n, fib(4 * n) - 2 * f2n)
         assert resistance_center(n) == scale

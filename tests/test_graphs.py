@@ -162,6 +162,9 @@ def test_rotation_shifts_rim_only():
     assert rotate_rim_labels(((4, 5),), 1, 5) == ((1, 5),)  # wraps around
     with pytest.raises(ValueError, match="not a rim vertex"):
         rotate_rim_labels(((1, 7),), 1, 5)
+    # a negative endpoint is refused too, not read from the end of a table
+    with pytest.raises(ValueError, match="^vertex -1 is not a rim vertex of a wheel with 5 rim vertices$"):
+        rotate_rim_labels(((-1, 2),), 1, 5)
 
 
 @given(n=st.integers(3, 7), s=st.integers(-10, 10), t=st.integers(-10, 10))

@@ -29,23 +29,8 @@ def _load(name: str):
     return module
 
 
-def test_every_traced_verify_sweep_function_records_calls():
-    run, spans = _load("run"), _load("spans")
-    tracer = spans.Tracer()
-    tracer.install()
-    try:
-        with redirect_stdout(io.StringIO()):
-            code = cli.main(["verify", "--suite", "all", "--max-n", "6", "--enum-cap", "7"])
-    finally:
-        tracer.uninstall()
-    assert code == 0
-    calls = {name: stats["calls"] for name, stats in tracer.aggregate().items()}
-    assert [name for name in run.COVERED["verify-sweep"] if not calls.get(name)] == []
-
-
-def test_traced_verify_sweep_keys_classes_and_builds_images_once():
-    # classes are keyed only where the report folds them, and forward builds
-    # its image tree directly rather than through the outside-input entry point
+def _trace_sweep():
+    """A small verify sweep under the benchmark's tracer; its stats per traced name."""
     spans = _load("spans")
     tracer = spans.Tracer()
     tracer.install()
@@ -55,11 +40,31 @@ def test_traced_verify_sweep_keys_classes_and_builds_images_once():
     finally:
         tracer.uninstall()
     assert code == 0
-    stats = tracer.aggregate()
+    return tracer.aggregate()
+
+
+def test_every_traced_verify_sweep_function_records_calls():
+    run = _load("run")
+    calls = {name: stats["calls"] for name, stats in _trace_sweep().items()}
+    assert [name for name in run.COVERED["verify-sweep"] if not calls.get(name)] == []
+
+
+def test_traced_verify_sweep_keys_classes_and_builds_images_once():
+    # classes are keyed only where the report folds them, and forward builds
+    # its image tree directly rather than through the outside-input entry point
+    stats = _trace_sweep()
     keyed_under = stats["enumeration.rotation_class_representative"]["under"]
     assert keyed_under and set(keyed_under) <= {"bijection.fiber_report", "bijection.normalize"}
     assert stats["bijection.forward"]["calls"]
     assert "bijection.forward" not in stats["bijection.FanTree.from_edges"]["under"]
+
+
+def test_traced_verify_sweep_partitions_no_arc_forest():
+    # enum_arc_forests reads each forest's arc off its rim runs; components
+    # still runs elsewhere in the sweep, so the tracer still finds it
+    partitions = _trace_sweep()["graphs.components"]
+    assert partitions["calls"]
+    assert "enumeration.enum_arc_forests" not in partitions["under"]
 
 
 # in-process argvs, a few per workload, that between them reach every
