@@ -140,15 +140,13 @@ def inverse(tree: FanTree, n: int) -> WheelForest:
     """
     if n != tree.m + 1:
         raise ValueError("rim size must be one more than the fan path size")
-    m = tree.m
-    k = _initial_run(tree)
     hub = [e for e in tree.edges if e[0] == 0]
-    path_edges = {e for e in tree.edges if e[0] != 0}
-    full_path = {(i, i + 1) for i in range(1, m)}
-    if k == m and path_edges == full_path and hub == [(0, 1)]:
-        # hub attached only at vertex 1 on the full path: the isolated-center forest
+    if hub == [(0, 1)]:
+        # one spoke means the whole path: the isolated-center forest
         return WheelForest.from_edges(n, [(i, i + 1) for i in range(1, n)])
-    if path_edges != {(i, i + 1) for i in range(1, k)}:
+    k = _initial_run(tree)
+    # the run 1..k holds k - 1 path edges, so any more lie off the run
+    if len(tree.edges) - len(hub) != k - 1:
         raise ValueError("not in the image convention: path edges must form one initial run")
     for _, i in hub:
         if i < k:

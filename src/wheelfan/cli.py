@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import re
 import sys
 from pathlib import Path
 
 from . import bijection, formulas, verify
 from .enumeration import DEFAULT_ENUM_CAP, enum_arc_forests, enum_spanning_trees, enum_two_forests
-from .graphs import LabeledGraph, format_edge_list, make_fan, make_wheel, parse_edge_list
+from .graphs import LabeledGraph, _parse_int, format_edge_list, make_fan, make_wheel, parse_edge_list
 from .report import format_int, summary_line
 
 
@@ -38,17 +37,6 @@ def _parse_graph(spec: str) -> tuple[str, int, LabeledGraph]:
         g = parse_edge_list(Path(rest).read_text())
         return "file", g.vertex_count, g
     raise ValueError(f"unknown graph kind {kind!r}; expected wheel, fan or file")
-
-
-def _parse_int(text: str, what: str) -> int:
-    # ASCII digits after an optional minus; int() alone would also take
-    # spaces, underscores, a plus sign and other scripts' digits
-    if re.fullmatch("-?[0-9]+", text):
-        try:
-            return int(text)  # it keeps its limit on the number of digits
-        except ValueError:
-            pass
-    raise ValueError(f"bad {what} {text!r}")
 
 
 def _parse_pair(text: str, g: LabeledGraph) -> tuple[int, int]:
@@ -216,6 +204,14 @@ def cmd_oeis(args) -> int:
     return 0
 
 
+def _int_option(text: str) -> int:
+    return _parse_int(text, "integer")
+
+
+# argparse names the type by __name__ when it refuses a value: "invalid int value: 'x'"
+_int_option.__name__ = "int"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wheelfan",
@@ -228,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True, help="wheel:N, fan:M or file:PATH")
     p.add_argument("--separate", help="vertex pair A,B for forests")
     p.add_argument("--method", choices=["formula", "minor", "enum", "all"], default="minor")
-    p.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
+    p.add_argument("--enum-cap", type=_int_option, default=DEFAULT_ENUM_CAP)
 
     p = sub.add_parser("resist", help="exact effective resistance between two vertices")
     p.add_argument("--graph", required=True)
@@ -239,27 +235,27 @@ def build_parser() -> argparse.ArgumentParser:
     dirs = p.add_subparsers(dest="direction", required=True)
     for name in ("forward", "inverse"):
         q = dirs.add_parser(name)
-        q.add_argument("--n", type=int, help="rim size of the wheel")
+        q.add_argument("--n", type=_int_option, help="rim size of the wheel")
         q.add_argument("--edges", help="inline edges A-B,C-D,...")
         q.add_argument("--file", help="edge-list file")
     q = dirs.add_parser("audit")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
+    q.add_argument("--n", type=_int_option, required=True)
+    q.add_argument("--enum-cap", type=_int_option, default=DEFAULT_ENUM_CAP)
 
     p = sub.add_parser("enumerate", help="list trees, forests or the arc-forest family")
     p.add_argument("object", choices=["trees", "forests", "tau"])
     p.add_argument("--graph", required=True)
     p.add_argument("--separate")
-    p.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
+    p.add_argument("--enum-cap", type=_int_option, default=DEFAULT_ENUM_CAP)
 
     p = sub.add_parser("verify", help="run the cross-validation suites")
     p.add_argument("--suite", default="all", help="identities, trees, forests, resistance, bijection, tau or all")
-    p.add_argument("--max-n", type=int, default=10)
-    p.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
+    p.add_argument("--max-n", type=_int_option, default=10)
+    p.add_argument("--enum-cap", type=_int_option, default=DEFAULT_ENUM_CAP)
 
     p = sub.add_parser("oeis", help="emit b-file rows for the counting sequences")
     p.add_argument("--sequence", required=True, choices=sorted(SEQUENCES))
-    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--max-n", type=_int_option, required=True)
     p.add_argument("--bfile", action="store_true", help="rows only, no comment header")
     return parser
 

@@ -37,7 +37,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Sequence
 
-from .graphs import LabeledGraph, make_graph
+from .graphs import LabeledGraph
 
 
 @dataclass(frozen=True)
@@ -283,7 +283,8 @@ def _component_holding(g: LabeledGraph, u: int, v: int) -> tuple[LabeledGraph, i
     if v not in seen:
         raise ValueError("infinite resistance: graph is disconnected")
     index = {w: i for i, w in enumerate(sorted(seen))}
-    h = make_graph(len(index), ((index[a], index[b]) for a, b in g.edges if a in index))
+    # an increasing relabelling keeps g's edges canonical and in sorted order
+    h = LabeledGraph(len(index), tuple((index[a], index[b]) for a, b in g.edges if a in index))
     return h, index[u], index[v]
 
 

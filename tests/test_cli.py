@@ -308,6 +308,46 @@ def test_integer_fields_take_ascii_digits_only(capsys, args, message):
     assert run_cli(capsys, *args) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "args, file_text, message",
+    [
+        (("verify", "--suite", "identities", "--max-n", "1_2"), None, "argument --max-n: invalid int value: '1_2'"),
+        (("bijection", "audit", "--n", "\u0665"), None, "argument --n: invalid int value: '\u0665'"),
+        (
+            ("count", "trees", "--graph", "wheel:6", "--method", "all", "--enum-cap", " +1_0"),
+            None,
+            "argument --enum-cap: invalid int value: ' +1_0'",
+        ),
+        (("oeis", "--sequence", "fan-trees", "--max-n", "+3"), None, "argument --max-n: invalid int value: '+3'"),
+        (("count", "trees"), "V \u0663\n0 +1\n1 2\n", "bad vertex count line: 'V \u0663'"),
+        (("count", "trees"), "V 1_0\n0 1\n", "bad vertex count line: 'V 1_0'"),
+        (("count", "trees"), "V 3\n0 +1\n1 2\n", "bad edge line: '0 +1'"),
+    ],
+    ids=["option-underscore", "option-arabic-indic-digit", "option-space-plus", "option-plus", "file-count-digit",
+         "file-count-underscore", "file-edge-plus"],
+)
+def test_options_and_edge_list_fields_take_ascii_digits_only(tmp_path, capsys, args, file_text, message):
+    # int() takes each of these; they follow the rule of wheel:N, A,B and A-B
+    if file_text is not None:
+        path = tmp_path / "g.txt"
+        path.write_text(file_text, encoding="utf-8")
+        args += ("--graph", f"file:{path}")
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: {message}\n")
+
+
+def test_a_refused_integer_option_keeps_argparses_int_message(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(capsys, "verify", "--max-n", "x") == (
+        2,
+        "",
+        "usage: wheelfan verify [-h] [--suite SUITE] [--max-n MAX_N]\n"
+        "                       [--enum-cap ENUM_CAP]\n"
+        "wheelfan verify: error: argument --max-n: invalid int value: 'x'\n",
+    )
+
+
 def test_count_mismatch_flips_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(wheelfan.formulas, "trees_fan", lambda m: 9999)
     code, out, _ = run_cli(capsys, "count", "trees", "--graph", "fan:3", "--method", "all")

@@ -75,6 +75,47 @@ def test_graph_validation():
         make_graph(2, [(0, 0)])
 
 
+def test_wheel_and_fan_emit_the_textbook_edge_lists_in_sorted_order():
+    # both constructors hand their edges to LabeledGraph without sorting them
+    for n in range(3, 301):
+        spokes = [(0, i) for i in range(1, n + 1)]
+        rim = [(i, i % n + 1) for i in range(1, n + 1)]
+        assert make_wheel(n) == make_graph(n + 1, spokes + rim)
+    for m in range(1, 301):
+        hub = [(0, i) for i in range(1, m + 1)]
+        path = [(i, i + 1) for i in range(1, m)]
+        assert make_fan(m) == make_graph(m + 1, hub + path)
+
+
+@given(
+    vertex_count=st.integers(1, 5),
+    picks=st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=6),
+    mutation=st.sampled_from(["none", "swap", "duplicate", "reverse", "negative", "past the end"]),
+    where=st.integers(0, 5),
+)
+def test_labeled_graph_accepts_exactly_canonical_strictly_increasing_edges(vertex_count, picks, mutation, where):
+    # a valid edge tuple with at most one fault put in
+    edges = sorted((a, b) for a, b in picks if a < b < vertex_count)
+    if edges:
+        i = where % len(edges)
+        if mutation == "swap" and i + 1 < len(edges):
+            edges[i], edges[i + 1] = edges[i + 1], edges[i]
+        elif mutation == "duplicate":
+            edges.insert(i, edges[i])
+        elif mutation == "reverse":
+            edges[i] = edges[i][::-1]
+        elif mutation == "negative":
+            edges[i] = (-1, edges[i][1])
+        elif mutation == "past the end":
+            edges[i] = (edges[i][0], vertex_count)
+    valid = all(0 <= a < b < vertex_count for a, b in edges) and all(e < f for e, f in zip(edges, edges[1:]))
+    if valid:
+        assert LabeledGraph(vertex_count, tuple(edges)).edges == tuple(edges)
+    else:
+        with pytest.raises(ValueError):
+            LabeledGraph(vertex_count, tuple(edges))
+
+
 def test_components_examples():
     assert components(make_wheel(3), [(1, 2)]) == [(0,), (1, 2), (3,)]
     assert components(make_wheel(3), []) == [(0,), (1,), (2,), (3,)]
@@ -201,11 +242,16 @@ def test_edge_list_exact_bytes():
         ("V 3\n0 5\n", "out of range"),
         ("V 3\n0 1 2\n", "bad edge line"),
         ("V 3\n0 x\n", "bad edge line"),
+        ("V 3\n0 \u0661\n", "bad edge line"),
     ],
 )
 def test_edge_list_rejects(text, needle):
     with pytest.raises(ValueError, match=needle):
         parse_edge_list(text)
+
+
+def test_edge_list_fields_may_be_spaced_freely():
+    assert parse_edge_list("V   3\n0 \t 1\n  1  2  \n") == make_graph(3, [(0, 1), (1, 2)])
 
 
 def test_edge_list_skips_comment_lines():

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from wheelfan import cli
-from wheelfan.graphs import format_edge_list, make_graph
+from wheelfan.graphs import format_edge_list, make_fan, make_graph, make_wheel
 from wheelfan.kirchhoff import count_two_forests
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -65,6 +65,18 @@ def test_traced_verify_sweep_partitions_no_arc_forest():
     partitions = _trace_sweep()["graphs.components"]
     assert partitions["calls"]
     assert "enumeration.enum_arc_forests" not in partitions["under"]
+
+
+def test_both_graph_constructors_keep_the_cache_the_worker_clears_and_reads():
+    # worker.run_pass calls cache_clear() on both before every op and
+    # cache_info() after it, outside its try block: a constructor without
+    # its cache would crash every benchmark run
+    for constructor in (make_wheel, make_fan):
+        constructor.cache_clear()
+        constructor(4)
+        constructor(4)
+        info = constructor.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
 
 
 # in-process argvs, a few per workload, that between them reach every
