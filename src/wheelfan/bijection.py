@@ -52,11 +52,13 @@ tuple and its arc, nothing else, and its four-field constructor trusts
 them, so every derived forest is built directly: normalize rotates the
 whole edge tuple with rotation_class_representative (a rim rotation is an
 automorphism of the wheel, so the result is again a valid forest), moves
-arc_start to 1 and keeps arc_len.  Fan trees are different: FanTree checks every tree with
-is_spanning_tree, images included, because that check is what the audit
-reports.  FanTree.from_edges is the entry point for outside edges and makes
-them canonical; forward already holds canonical edges and builds its
-FanTree directly.
+arc_start to 1 and keeps arc_len.  Fan trees are different: FanTree
+checks every tree with is_spanning_tree, images included.  The audit
+reports that check, and its coverage row rests on it: the distinct images,
+all fan spanning trees, cover the target fan exactly when they are as many
+as its Laplacian minor counts.  FanTree.from_edges is the entry point for
+outside edges and makes them canonical; forward already holds canonical
+edges and builds its FanTree directly.
 """
 
 from __future__ import annotations
@@ -65,9 +67,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .graphs import Edge, canonical_edge, is_spanning_tree, make_fan, rotate_rim_labels
-from .enumeration import (
-    DEFAULT_ENUM_CAP, WheelForest, enum_arc_forests, enum_spanning_trees, rotation_class_representative
-)
+from .enumeration import DEFAULT_ENUM_CAP, WheelForest, enum_arc_forests, rotation_class_representative
+from .kirchhoff import count_spanning_trees
 
 
 @dataclass(frozen=True, slots=True)
@@ -289,18 +290,18 @@ def fiber_report(n: int, cap: int = DEFAULT_ENUM_CAP) -> FiberReport:
         spoke_only_ok += back and spoke_only
 
     classes_per_image = Counter(rep_images.values())
-    fan_trees = {tuple(t) for t in enum_spanning_trees(make_fan(n - 1), cap=cap)}
+    fan_tree_count = count_spanning_trees(make_fan(n - 1))
     to_hist = lambda c: tuple(sorted(Counter(c.values()).items()))
     return FiberReport(
         n=n,
         labeled_count=len(records),
         class_count=class_count,
         image_count=len(classes_per_image),
-        fan_tree_count=len(fan_trees),
+        fan_tree_count=fan_tree_count,
         labeled_fibers=to_hist(labeled_per_image),
         normalized_fibers=to_hist(classes_per_image),
         all_images_valid=len(rep_images) == class_count,
-        covers_target_fan=set(classes_per_image) == fan_trees,
+        covers_target_fan=len(classes_per_image) == fan_tree_count,
         roundtrip_ok=roundtrip_ok,
         rotation_stable=sum(per_class_image[item] for item in rep_images.items()),
         spoke_only_total=spoke_only_total,

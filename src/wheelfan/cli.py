@@ -64,7 +64,7 @@ def _parse_inline_edges(text: str) -> list[tuple[int, int]]:
 
 
 def _render_edges(edges) -> str:
-    return " ".join(f"{a}-{b}" for a, b in sorted(edges))
+    return " ".join(f"{a}-{b}" for a, b in edges)
 
 
 def _separated_pair(args, g: LabeledGraph) -> tuple[int, int]:

@@ -52,7 +52,7 @@ def make_graph(vertex_count: int, edges: Iterable[tuple[int, int]]) -> LabeledGr
 
 
 # cached: the canonical sweep makes 153 hits and 10 misses on make_wheel, and
-# 7,307 hits and 12 misses on make_fan, from FanTree checking each forward image
+# 7,301 hits and 12 misses on make_fan, from FanTree checking each forward image
 @lru_cache(maxsize=None)
 def make_wheel(n: int) -> LabeledGraph:
     """Wheel with rim vertices 1..n and center 0.  2n edges, in sorted order."""

@@ -262,8 +262,6 @@ def _size_enumerations(name: str, max_n: int, enum_cap: int):
     elif name in ("bijection", "tau"):
         for n in range(3, top + 1):
             enumeration.size_arc_forests(n, enum_cap)
-            if name == "bijection":  # fiber_report also lists the smaller fan's trees
-                enumeration.size_spanning_trees(make_fan(n - 1), enum_cap)
 
 
 def run_suites(names, max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> list[Check]:

@@ -271,6 +271,21 @@ def test_fiber_report_frozen_numbers(n):
     assert sum(size * count for size, count in rep.labeled_fibers) == labeled
 
 
+@pytest.mark.parametrize("n", range(3, 8))
+def test_fiber_report_walks_only_the_arc_forests(monkeypatch, n):
+    # the target fan is counted by its Laplacian minor, not walked
+    walked = []
+    original = wheelfan.enumeration._acyclic_subsets
+
+    def counting(g, size, apart=None):
+        walked.append(g.vertex_count)
+        return original(g, size, apart)
+
+    monkeypatch.setattr(wheelfan.enumeration, "_acyclic_subsets", counting)
+    assert fiber_report(n).covers_target_fan
+    assert walked == [n + 1]
+
+
 def test_fiber_report_histograms_n3():
     rep = fiber_report(3)
     assert rep.normalized_fibers == ((1, 1), (2, 2))

@@ -6,6 +6,7 @@ import resource
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import combinations
@@ -545,6 +546,31 @@ def test_bijection_input_errors(capsys):
     assert code == 2 and "not in the image convention" in err
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("bijection", "inverse", "--n", "1", "--edges", "0-1"), "fan requires at least 1 path vertex"),
+        (("bijection", "forward", "--n", "4", "--edges", "1-2,3"), "bad edge '3'; expected A-B"),
+        (("bijection", "forward", "--n", "4"), "supply exactly one of --edges or --file"),
+        (
+            ("bijection", "forward", "--n", "4", "--edges", "1-2", "--file", "FILE"),
+            "supply exactly one of --edges or --file",
+        ),
+        (("bijection", "forward", "--n", "3", "--edges", "0-1,1-0"), "duplicate edge in forest"),
+        (("count", "trees", "--graph", "file:FILE"), "graph needs at least one vertex"),
+        (("resist", "--graph", "file:FILE", "--pair", "0,1"), "graph needs at least one vertex"),
+    ],
+    ids=["fan-below-one", "edge-without-dash", "no-input", "two-inputs", "duplicate-edge", "count-no-vertex",
+         "resist-no-vertex"],
+)
+def test_refusals_print_one_error_line(tmp_path, capsys, args, message):
+    # FILE is an edge list with no vertices
+    path = tmp_path / "empty.txt"
+    path.write_text("V 0\n")
+    args = [arg.replace("FILE", str(path)) for arg in args]
+    assert run_cli(capsys, *args) == (2, "", f"error: {message}\n")
+
+
 def test_bijection_audit(capsys):
     code, out, _ = run_cli(capsys, "bijection", "audit", "--n", "4")
     assert code == 0
@@ -774,6 +800,29 @@ def test_verify_bijection_detects_a_forward_that_is_not_rotation_invariant(capsy
     code, out, _ = run_cli(capsys, "verify", "--suite", "bijection", "--max-n", "6")
     assert code == 1
     assert _fail_lines(out) == ["FAIL forward map is rotation invariant [n=6] expected=534 actual=533"]
+
+
+def test_verify_bijection_detects_images_that_miss_a_fan_tree(capsys, monkeypatch):
+    # every member of one class whose image has a fiber of 1 is sent onto
+    # another class's image: each image is still a fan spanning tree and each
+    # class keeps one image, but one fan tree is reached no more.  The class
+    # did not round-trip before, so no round-trip row moves either
+    real = bijection.forward
+    reps = [f for f in enumeration.enum_arc_forests(6) if f.arc_start == 1]
+    fiber = Counter(real(f) for f in reps)
+
+    def round_trips(f):
+        try:
+            return bijection.inverse(real(f), 6) == f
+        except ValueError:
+            return False
+
+    lost = next(real(f) for f in reps if fiber[real(f)] == 1 and not round_trips(f))
+    other = next(image for image in fiber if image != lost)
+    monkeypatch.setattr(bijection, "forward", lambda f: other if (image := real(f)) == lost else image)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "bijection", "--max-n", "6")
+    assert code == 1
+    assert _fail_lines(out) == ["FAIL images cover the target fan [n=6] expected=True actual=False"]
 
 
 def test_verify_bijection_detects_an_inverse_refusing_a_spoke_only_forest(capsys, monkeypatch):

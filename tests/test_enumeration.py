@@ -95,6 +95,12 @@ def test_two_forests_reject_vertices_out_of_range(u, v):
         enum_two_forests(make_wheel(4), u, v)
 
 
+def test_two_forests_refuse_one_vertex_twice():
+    for call in (enumeration.size_two_forests, enum_two_forests):
+        with pytest.raises(ValueError, match="^the two vertices must be distinct$"):
+            call(make_wheel(4), 1, 1)
+
+
 def _separating_forests_by_definition(g):
     # every (V-2)-edge acyclic subset in lexicographic order, no pruning;
     # a single vertex has no pair to separate

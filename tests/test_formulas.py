@@ -36,6 +36,9 @@ def test_domain_errors():
         forests_sep_dist2(3)
     with pytest.raises(ValueError):
         forests_sep_adjacent(2)
+    for closed in (forests_sep_center, resistance_center):
+        with pytest.raises(ValueError, match="^wheel requires at least 3 rim vertices$"):
+            closed(2)
 
 
 def test_rim_pair_distance():

@@ -298,6 +298,46 @@ def test_adding_an_edge_never_raises_a_resistance(g):
         assert after[e] < before[e]
 
 
+def _labeled_graphs(max_vertices):
+    # every labeled simple graph on 1..max_vertices vertices, its edge subsets
+    # in bitmask order: 1 + 2 + 8 + 64 + 1024 = 1099 graphs up to 5 vertices
+    for n in range(1, max_vertices + 1):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            yield make_graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+
+
+def test_every_graph_on_at_most_five_vertices_agrees_across_routes():
+    # bounded-exhaustive: the minors against the enumerators on every labeled
+    # graph and every vertex pair.  A pair split over two parts has infinite
+    # resistance; a pair within one part of a disconnected graph has the
+    # resistance of that part, relabeled in order, which came earlier as a
+    # connected graph on fewer vertices
+    ratios = {}  # connected graph -> {pair: F(u|v) / tau}, both enumerated
+    for g in _labeled_graphs(5):
+        trees = len(enum_spanning_trees(g))
+        assert count_spanning_trees(g) == trees, g
+        parts = components(g, g.edges)
+        where = {w: part for part in parts for w in part}
+        found = ratios[g] = {} if len(parts) == 1 else None
+        for u, v in combinations(range(g.vertex_count), 2):
+            forests = len(enum_two_forests(g, u, v))
+            assert count_two_forests(g, u, v) == forests, (g, u, v)
+            part = where[u]
+            if found is not None:
+                ratio = found[u, v] = Fraction(forests, trees)
+            elif part is where[v]:
+                index = {w: i for i, w in enumerate(part)}
+                h = make_graph(len(part), [(index[a], index[b]) for a, b in g.edges if a in index])
+                ratio = ratios[h][index[u], index[v]]
+            else:
+                with pytest.raises(ValueError, match="^infinite resistance"):
+                    effective_resistance(g, u, v)
+                continue
+            assert effective_resistance(g, u, v) == ratio, (g, u, v)
+    assert len(ratios) == 1099
+
+
 def test_tree_counts():
     assert count_spanning_trees(make_wheel(3)) == 16
     assert count_spanning_trees(make_wheel(4)) == 45
