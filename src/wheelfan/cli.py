@@ -153,9 +153,13 @@ def cmd_enumerate(args) -> int:
         if kind != "wheel":
             raise ValueError("enumerate tau requires --graph wheel:N")
         blocks = (rec.edges for rec in enum_arc_forests(size, cap=args.enum_cap))
+    # each block is a subsequence of g.edges in order, so its text is the
+    # header and its edges' lines of g's own edge list, formatted once here
+    header, *lines = format_edge_list(g.vertex_count, g.edges).splitlines(keepends=True)
+    line = dict(zip(g.edges, lines))
     # block by block: one joined string of every block can exhaust memory
     for i, b in enumerate(blocks):
-        sys.stdout.write(("\n" if i else "") + format_edge_list(g.vertex_count, b))
+        sys.stdout.write(("\n" if i else "") + header + "".join(map(line.__getitem__, b)))
     return 0
 
 

@@ -12,11 +12,13 @@ depth.  Before it walks, an enumerator takes its exact output size from a
 count and refuses with EnumerationCapExceeded, naming that count, above
 ENUM_BUDGET.  Trees and separating two-forests are sized by the Laplacian
 minor, the arc forests of a wheel by n*f(2n-1).  The count only sizes the
-run; every emitted subset is still found by the walk.  The walk recurses
-once per chosen edge but the last, which it closes in the loop that finds
-it, so a graph with more vertices than half of Python's recursion limit is
-refused too.  The size_* functions make those checks alone, so a caller can
-refuse a whole run before any walk starts.
+run; every emitted subset is still found by the walk.  A count of 0 skips
+the walk only when the graph's own partition, one components pass over all
+its edges, confirms that no tree or separating forest exists.  The walk
+recurses once per chosen edge but the last, which it closes in the loop
+that finds it, so a graph with more vertices than half of Python's
+recursion limit is refused too.  The size_* functions make those checks
+alone, so a caller can refuse a whole run before any walk starts.
 
 WheelForest, the two-component spanning forest of a wheel with its rim arc
 located, lives here because enum_arc_forests emits it; the bijection module
@@ -126,7 +128,10 @@ def size_spanning_trees(g: LabeledGraph, cap: int = DEFAULT_ENUM_CAP) -> int:
 
 def enum_spanning_trees(g: LabeledGraph, cap: int = DEFAULT_ENUM_CAP) -> list[tuple[Edge, ...]]:
     """All spanning trees as canonical edge tuples, lexicographically ordered."""
-    size_spanning_trees(g, cap)
+    # a zero count is trusted only when g itself is disconnected, so this
+    # route stays independent of the minor that sized it
+    if size_spanning_trees(g, cap) == 0 and len(components(g, g.edges)) > 1:
+        return []
     # V-1 acyclic edges on V vertices are automatically connected
     return _acyclic_subsets(g, g.vertex_count - 1)
 
@@ -147,7 +152,12 @@ def size_two_forests(g: LabeledGraph, u: int, v: int, cap: int = DEFAULT_ENUM_CA
 
 def enum_two_forests(g: LabeledGraph, u: int, v: int, cap: int = DEFAULT_ENUM_CAP) -> list[ForestRecord]:
     """All two-component spanning forests with u and v in different parts."""
-    size_two_forests(g, u, v, cap)
+    if size_two_forests(g, u, v, cap) == 0:
+        # as for trees: the zero stands only if g has over two parts, or two
+        # with u and v in the same one
+        parts = components(g, g.edges)
+        if len(parts) > 2 or (len(parts) == 2 and (u in parts[0]) == (v in parts[0])):
+            return []
     # V-2 acyclic edges leave exactly two parts, and the walk keeps u and v apart
     return [
         ForestRecord(sub, tuple(components(g, sub)))

@@ -16,10 +16,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wheelfan.formulas
-from wheelfan import bijection, cli, enumeration, verify
+from wheelfan import bijection, cli, enumeration, kirchhoff, verify
 from wheelfan.cli import main
+from wheelfan.enumeration import enum_arc_forests, enum_spanning_trees, enum_two_forests
 from wheelfan.graphs import format_edge_list, make_wheel
 from wheelfan.sequences import fib
+from strategies import graphs
 from test_report import full_decimal
 
 
@@ -349,6 +351,29 @@ def test_a_refused_integer_option_keeps_argparses_int_message(capsys, monkeypatc
     )
 
 
+def test_a_zero_the_graph_confirms_is_answered_without_a_walk(tmp_path, capsys, monkeypatch):
+    # K9 and an isolated vertex: the walk would take seconds to find nothing
+    def walk(*args):
+        raise AssertionError("walked a graph with no spanning tree")
+
+    monkeypatch.setattr(enumeration, "_acyclic_subsets", walk)
+    path = tmp_path / "k9-and-one.txt"
+    path.write_text(format_edge_list(10, combinations(range(9), 2)))
+    code, out, _ = run_cli(capsys, "count", "trees", "--graph", f"file:{path}", "--method", "all")
+    assert (code, out) == (0, "minor: 0\nenum: 0\n")
+
+
+def test_a_zero_minor_on_a_connected_graph_is_caught_by_the_walk(tmp_path, capsys, monkeypatch):
+    # fault injection: the minor route and the enumerator's sizing both read 0;
+    # the walk still runs, so the two routes disagree
+    for module in (kirchhoff, enumeration):
+        monkeypatch.setattr(module, "count_spanning_trees", lambda g: 0)
+    path = tmp_path / "g.txt"
+    path.write_text(format_edge_list(4, [(0, 1), (0, 2), (1, 2), (2, 3)]))
+    code, out, _ = run_cli(capsys, "count", "trees", "--graph", f"file:{path}", "--method", "all")
+    assert (code, out) == (1, "minor: 0\nenum: 3\nMISMATCH: methods disagree\n")
+
+
 def test_count_mismatch_flips_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(wheelfan.formulas, "trees_fan", lambda m: 9999)
     code, out, _ = run_cli(capsys, "count", "trees", "--graph", "fan:3", "--method", "all")
@@ -673,6 +698,46 @@ def test_enumerate_tau(capsys):
     assert out.count("V 5\n") == 52
     code, _, err = run_cli(capsys, "enumerate", "tau", "--graph", "fan:4")
     assert code == 2 and "wheel" in err
+
+
+def _formatted_block_by_block(vertex_count, blocks):
+    # the output of formatting each block on its own, as enumerate once did
+    return "\n".join(format_edge_list(vertex_count, b) for b in blocks)
+
+
+@settings(deadline=None)
+@given(g=graphs(max_vertices=7), data=st.data())
+def test_enumerate_writes_the_blocks_as_formatted_one_by_one(tmp_path_factory, g, data):
+    path = tmp_path_factory.getbasetemp() / "drawn.txt"
+    path.write_text(format_edge_list(g.vertex_count, g.edges))
+    graph = f"--graph=file:{path}"
+    expected = _formatted_block_by_block(g.vertex_count, enum_spanning_trees(g))
+    assert run_quiet("enumerate", "trees", graph) == (0, expected, "")
+    if g.vertex_count >= 2:
+        u, v = data.draw(st.lists(st.integers(0, g.vertex_count - 1), min_size=2, max_size=2, unique=True))
+        expected = _formatted_block_by_block(g.vertex_count, (rec.edges for rec in enum_two_forests(g, u, v)))
+        assert run_quiet("enumerate", "forests", graph, f"--separate={u},{v}") == (0, expected, "")
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_enumerate_tau_writes_the_blocks_as_formatted_one_by_one(capsys, n):
+    expected = _formatted_block_by_block(n + 1, (rec.edges for rec in enum_arc_forests(n)))
+    assert run_cli(capsys, "enumerate", "tau", "--graph", f"wheel:{n}") == (0, expected, "")
+
+
+@pytest.mark.parametrize(
+    "file_text, args, out",
+    [
+        ("V 1\n", ("trees",), "V 1\n"),
+        ("V 2\n", ("forests", "--separate", "0,1"), "V 2\n"),
+        ("V 4\n0 1\n2 3\n", ("trees",), ""),
+    ],
+    ids=["one-vertex", "two-isolated-vertices", "disconnected"],
+)
+def test_enumerate_edge_cases(tmp_path, capsys, file_text, args, out):
+    path = tmp_path / "g.txt"
+    path.write_text(file_text)
+    assert run_cli(capsys, "enumerate", args[0], "--graph", f"file:{path}", *args[1:]) == (0, out, "")
 
 
 def test_enumerate_cap_exceeded(capsys):

@@ -18,7 +18,7 @@ from wheelfan.enumeration import (
 from wheelfan.graphs import canonical_edge, components, is_acyclic, is_spanning_tree, make_fan, make_graph, make_wheel, rotate_rim_labels
 from wheelfan.kirchhoff import count_spanning_trees, count_two_forests
 from wheelfan.sequences import fib
-from strategies import connected_graphs
+from strategies import connected_graphs, graphs
 
 
 def test_triangle_has_three_trees():
@@ -44,6 +44,57 @@ def test_enumeration_order_is_lexicographic_and_duplicate_free():
     assert len(set(trees)) == len(trees)
     # every entry is itself canonically sorted
     assert all(list(t) == sorted(t) for t in trees)
+
+
+def _assert_increasing_subsequences(g, blocks):
+    # cli.cmd_enumerate writes each block from g's own edge-list lines, in order
+    index = {e: i for i, e in enumerate(g.edges)}
+    for block in blocks:
+        positions = [index[e] for e in block]
+        assert all(a < b for a, b in zip(positions, positions[1:])), block
+
+
+@settings(deadline=None)
+@given(g=graphs(max_vertices=7))
+def test_every_tree_and_forest_is_an_increasing_subsequence_of_the_edge_list(g):
+    _assert_increasing_subsequences(g, enum_spanning_trees(g))
+    for u, v in combinations(range(g.vertex_count), 2):
+        _assert_increasing_subsequences(g, (rec.edges for rec in enum_two_forests(g, u, v)))
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_every_arc_forest_is_an_increasing_subsequence_of_the_edge_list(n):
+    _assert_increasing_subsequences(make_wheel(n), (rec.edges for rec in enum_arc_forests(n)))
+
+
+def test_a_zero_the_partition_confirms_is_answered_without_a_walk(monkeypatch):
+    def walk(*args):
+        raise AssertionError("walked although the graph's own partition rules every subset out")
+
+    monkeypatch.setattr(enumeration, "_acyclic_subsets", walk)
+    k8 = list(combinations(range(8), 2))
+    assert enum_spanning_trees(make_graph(9, k8), cap=9) == []
+    # two isolated vertices: three parts, so no pair is separated by V-2 edges
+    assert enum_two_forests(make_graph(10, k8), 0, 8) == []
+    assert enum_two_forests(make_graph(10, k8), 8, 9) == []
+    # two parts with the pair in one of them
+    assert enum_two_forests(make_graph(4, [(0, 1), (2, 3)]), 0, 1) == []
+
+
+def test_a_pair_split_across_two_parts_is_still_walked():
+    # two triangles: each separating forest is a tree of each triangle
+    g = make_graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+    recs = enum_two_forests(g, 0, 3)
+    assert len(recs) == count_two_forests(g, 0, 3) == 9
+    assert all(rec.parts == ((0, 1, 2), (3, 4, 5)) for rec in recs)
+
+
+def test_a_zero_count_on_a_connected_graph_does_not_stop_the_walk(monkeypatch):
+    # the sizing minor is faulted; the walk is the independent route and still runs
+    monkeypatch.setattr(enumeration, "count_spanning_trees", lambda g: 0)
+    monkeypatch.setattr(enumeration, "count_two_forests", lambda g, u, v: 0)
+    assert len(enum_spanning_trees(make_wheel(4))) == 45
+    assert len(enum_two_forests(make_wheel(4), 1, 2)) == 24
 
 
 def test_two_forest_enumeration():

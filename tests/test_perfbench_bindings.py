@@ -139,3 +139,12 @@ def test_enum_oracle_partitions_only_under_the_forest_enumerator(tmp_path):
     stats = _trace_queries(tmp_path, "enum-oracle")
     forests = 2 * count_two_forests(FILE_GRAPH, 0, 4)  # count --method all and enumerate each emit them once
     assert stats["graphs.components"]["under"] == {"enumeration.enum_two_forests": forests}
+
+
+def test_enum_oracle_formats_each_graph_once_per_enumerate(tmp_path):
+    # cmd_enumerate writes every block from one edge list of the graph; a
+    # call per block would bring back the formatting cost and its guard
+    # would still pass, so the count is pinned here
+    stats = _trace_queries(tmp_path, "enum-oracle")
+    enumerates = sum(argv[0] == "enumerate" for argv in QUERY_ARGVS["enum-oracle"])
+    assert stats["graphs.format_edge_list"]["calls"] == enumerates
