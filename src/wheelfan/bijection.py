@@ -36,10 +36,12 @@ a hub edge inside it, are not images of this construction and are rejected.
 The collapse map is measured, not assumed: there are f(2n-1) rotation
 classes but only f(2n-2) spanning trees of its target fan, so it cannot be
 injective; fiber_report quantifies exactly how the classes collapse.  It is
-the one pass over the arc forests: each labeled forest goes through forward
-once, and the verify suite reads its checks off the report.  forward rotates
-and collapses in one relabeling of the forest's own edges, and the report
-keys classes by normalize, so the two rotations check each other.
+the one pass over the arc forests: each labeled forest is relabeled into
+its image once, and the verify suite reads its checks off the report.
+forward rotates and collapses in one relabeling of the forest's own edges,
+and the report keys classes by normalize, so the two rotations check each
+other.  Rotation-equivalent forests share an image, so the report checks
+and inverts each distinct image once.
 
 Validation happens once per input forest, where it enters the module:
 WheelForest.from_edges, the one checked entry, checks the edge set (one
@@ -53,12 +55,12 @@ them, so every derived forest is built directly: normalize rotates the
 whole edge tuple with rotation_class_representative (a rim rotation is an
 automorphism of the wheel, so the result is again a valid forest), moves
 arc_start to 1 and keeps arc_len.  Fan trees are different: FanTree
-checks every tree with is_spanning_tree, images included.  The audit
-reports that check, and its coverage row rests on it: the distinct images,
-all fan spanning trees, cover the target fan exactly when they are as many
-as its Laplacian minor counts.  FanTree.from_edges is the entry point for
-outside edges and makes them canonical; forward already holds canonical
-edges and builds its FanTree directly.
+checks every tree with is_spanning_tree, each distinct image included.
+The audit reports that check, and its coverage row rests on it: the
+distinct images, all fan spanning trees, cover the target fan exactly when
+they are as many as its Laplacian minor counts.  FanTree.from_edges is the
+entry point for outside edges and makes them canonical; forward and the
+audit already hold canonical edges and build their FanTree directly.
 """
 
 from __future__ import annotations
@@ -110,6 +112,11 @@ def forward(f: WheelForest) -> FanTree:
     rotation-equivalent forests share one image.  The collapse never merges
     two edges: the arc 1..k has no spoke and no edge to the cut vertex k+1.
     """
+    return FanTree(f.n - 1, _image_edges(f))
+
+
+def _image_edges(f: WheelForest) -> tuple[Edge, ...]:
+    """The sorted edges of forward(f), not yet checked as a fan spanning tree."""
     n, k = f.n, f.arc_len
     if k == n:
         # isolated center: keep the path on 1..n-1, hang the hub on vertex 1
@@ -121,7 +128,7 @@ def forward(f: WheelForest) -> FanTree:
             r = (v - f.arc_start) % n + 1
             label.append(r if r <= k else r - 1)
         image = [canonical_edge(label[a], label[b]) for a, b in f.edges]
-    return FanTree(n - 1, tuple(sorted(image)))
+    return tuple(sorted(image))
 
 
 def _initial_run(tree: FanTree) -> int:
@@ -252,27 +259,29 @@ class FiberReport:
 def fiber_report(n: int, cap: int = DEFAULT_ENUM_CAP) -> FiberReport:
     """Fold the arc forests of the wheel with n rim vertices through forward.
 
-    One pass: every labeled forest goes through forward once, and the
-    labeled histogram counts those images.  A forest's class is keyed by the
-    edges of normalize(f); its representative is the member with arc_start
-    1, whose image stands for the class and is inverted for the round trip.
-    forward rotates each forest by itself, not through normalize, so
-    rotation_stable compares two independent rotations.
+    One pass: every labeled forest is relabeled into its image once, and
+    the labeled histogram counts those images.  Rotation-equivalent forests
+    share an image, so the FanTree check and the inverse round trip run once
+    per distinct image, held for this report only.  A forest's class is
+    keyed by the edges of normalize(f); its representative is the member
+    with arc_start 1, whose image stands for the class and is inverted for
+    the round trip.  The relabeling rotates each forest by itself, not
+    through normalize, so rotation_stable compares two independent rotations.
     """
     records = enum_arc_forests(n, cap=cap)
+    trees: dict[tuple[Edge, ...], FanTree | None] = {}  # image edges -> its checked tree
+    preimages: dict[tuple[Edge, ...], WheelForest | None] = {}  # image edges -> inverse of its tree
     labeled_per_image: Counter = Counter()
     per_class_image: Counter = Counter()  # (class, image) -> labeled forests
     rep_images: dict[tuple[Edge, ...], tuple[Edge, ...]] = {}  # class -> its representative's image
     class_count = roundtrip_ok = spoke_only_total = spoke_only_ok = 0
     for f in records:
         key = normalize(f).edges
-        try:
-            image = forward(f)
-        except ValueError:
-            image = None
-        else:
-            labeled_per_image[image.edges] += 1
-            per_class_image[key, image.edges] += 1
+        edges = _image_edges(f)
+        image = _once(trees, edges, FanTree, n - 1, edges)
+        if image is not None:
+            labeled_per_image[edges] += 1
+            per_class_image[key, edges] += 1
         if f.arc_start != 1:
             continue
         class_count += 1
@@ -281,11 +290,9 @@ def fiber_report(n: int, cap: int = DEFAULT_ENUM_CAP) -> FiberReport:
         spoke_only_total += spoke_only
         if image is None:
             continue
-        rep_images[key] = image.edges
-        try:
-            back = inverse(image, n).edges == key
-        except ValueError:
-            back = False
+        rep_images[key] = edges
+        preimage = _once(preimages, edges, inverse, image, n)
+        back = preimage is not None and preimage.edges == key
         roundtrip_ok += back
         spoke_only_ok += back and spoke_only
 
@@ -307,3 +314,13 @@ def fiber_report(n: int, cap: int = DEFAULT_ENUM_CAP) -> FiberReport:
         spoke_only_total=spoke_only_total,
         spoke_only_ok=spoke_only_ok,
     )
+
+
+def _once(table: dict, edges: tuple[Edge, ...], build, *args):
+    """table[edges], filled by build(*args) on first sight; None if that raised ValueError."""
+    if edges not in table:
+        try:
+            table[edges] = build(*args)
+        except ValueError:
+            table[edges] = None
+    return table[edges]

@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import fields
 from functools import lru_cache
 
@@ -20,6 +21,7 @@ from wheelfan.bijection import (
 from wheelfan.cli import main
 from wheelfan.enumeration import enum_arc_forests
 from wheelfan.graphs import canonical_edge, is_spanning_tree, make_fan, rotate_rim_labels
+from wheelfan.kirchhoff import count_spanning_trees
 
 
 def wf(n, edges):
@@ -285,6 +287,89 @@ def test_fiber_report_walks_only_the_arc_forests(monkeypatch, n):
     assert fiber_report(n).covers_target_fan
     assert walked == [n + 1]
 
+
+
+@pytest.mark.parametrize("n", sorted(FROZEN_REPORTS))
+def test_fiber_report_checks_and_inverts_each_image_once(monkeypatch, n):
+    # rotated forests share an image: the tree check and the round trip run
+    # once per distinct image, not once per labeled forest or class
+    checked, inverted = [], []
+    original_inverse = wheelfan.bijection.inverse
+
+    def checking(g, sub):
+        checked.append(sub)
+        return is_spanning_tree(g, sub)
+
+    def inverting(tree, rim):
+        inverted.append(tree.edges)
+        return original_inverse(tree, rim)
+
+    monkeypatch.setattr(wheelfan.bijection, "is_spanning_tree", checking)
+    monkeypatch.setattr(wheelfan.bijection, "inverse", inverting)
+    rep = fiber_report(n)
+    assert len(checked) == len(inverted) == rep.image_count == FROZEN_REPORTS[n][2]
+    assert len(set(checked)) == len(checked) and len(set(inverted)) == len(inverted)
+
+
+def _per_forest_report(n):
+    """The fiber report recomputed with forward and inverse on every forest."""
+    records = enum_arc_forests(n)
+    trees = []
+    for f in records:
+        try:
+            trees.append(forward(f))
+        except ValueError:
+            trees.append(None)
+    reps = [(f, tree) for f, tree in zip(records, trees) if f.arc_start == 1]
+    class_image = {f.edges: tree.edges for f, tree in reps if tree is not None}
+
+    def round_trips(f, tree):
+        try:
+            return inverse(tree, n).edges == f.edges
+        except ValueError:
+            return False
+
+    trips = [tree is not None and round_trips(f, tree) for f, tree in reps]
+    spoke_only = [sum(a == 0 for a, _ in f.edges) == n - f.arc_len for f, _ in reps]
+    labeled = Counter(tree.edges for tree in trees if tree is not None)
+    classes = Counter(class_image.values())
+    hist = lambda c: tuple(sorted(Counter(c.values()).items()))
+    fan_trees = count_spanning_trees(make_fan(n - 1))
+    return FiberReport(
+        n=n,
+        labeled_count=len(records),
+        class_count=len(reps),
+        image_count=len(classes),
+        fan_tree_count=fan_trees,
+        labeled_fibers=hist(labeled),
+        normalized_fibers=hist(classes),
+        all_images_valid=len(class_image) == len(reps),
+        covers_target_fan=len(classes) == fan_trees,
+        roundtrip_ok=sum(trips),
+        rotation_stable=sum(
+            tree is not None and class_image.get(normalize(f).edges) == tree.edges for f, tree in zip(records, trees)
+        ),
+        spoke_only_total=sum(spoke_only),
+        spoke_only_ok=sum(t and s for t, s in zip(trips, spoke_only)),
+    )
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_fiber_report_matches_the_per_forest_report(n):
+    assert fiber_report(n) == _per_forest_report(n)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_fiber_report_matches_the_per_forest_report_with_one_image_refused(monkeypatch, n):
+    # every image in turn fails the tree check; each forest mapping onto it
+    # must drop out of the report exactly as when checked one by one
+    images = sorted({forward(f).edges for f in enum_arc_forests(n)})
+    for refused in images:
+        refusing = lambda g, sub, refused=refused: sub != refused and is_spanning_tree(g, sub)
+        monkeypatch.setattr(wheelfan.bijection, "is_spanning_tree", refusing)
+        rep = fiber_report(n)
+        assert (rep.image_count, rep.all_images_valid) == (len(images) - 1, False)
+        assert rep == _per_forest_report(n)
 
 def test_fiber_report_histograms_n3():
     rep = fiber_report(3)

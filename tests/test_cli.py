@@ -855,13 +855,14 @@ def test_one_route_table_reaches_both_front_ends(capsys, monkeypatch):
 
 
 def test_verify_bijection_detects_a_forward_that_is_not_rotation_invariant(capsys, monkeypatch):
-    # one labeled forest off its class representative is sent to another class's image
-    real = bijection.forward
+    # one labeled forest off its class representative is sent to another
+    # class's image; the audit relabels forests through _image_edges
+    real = bijection._image_edges
     records = enumeration.enum_arc_forests(6)
     moved = next(f for f in records if f.arc_start != 1)
-    home = real(moved).edges
-    wrong = next(image for f in records if (image := real(f)).edges != home)
-    monkeypatch.setattr(bijection, "forward", lambda f: wrong if f == moved else real(f))
+    home = real(moved)
+    wrong = next(image for f in records if (image := real(f)) != home)
+    monkeypatch.setattr(bijection, "_image_edges", lambda f: wrong if f == moved else real(f))
     code, out, _ = run_cli(capsys, "verify", "--suite", "bijection", "--max-n", "6")
     assert code == 1
     assert _fail_lines(out) == ["FAIL forward map is rotation invariant [n=6] expected=534 actual=533"]
@@ -871,20 +872,21 @@ def test_verify_bijection_detects_images_that_miss_a_fan_tree(capsys, monkeypatc
     # every member of one class whose image has a fiber of 1 is sent onto
     # another class's image: each image is still a fan spanning tree and each
     # class keeps one image, but one fan tree is reached no more.  The class
-    # did not round-trip before, so no round-trip row moves either
-    real = bijection.forward
+    # did not round-trip before, so no round-trip row moves either.  The
+    # audit relabels forests through _image_edges
+    real = bijection._image_edges
     reps = [f for f in enumeration.enum_arc_forests(6) if f.arc_start == 1]
     fiber = Counter(real(f) for f in reps)
 
     def round_trips(f):
         try:
-            return bijection.inverse(real(f), 6) == f
+            return bijection.inverse(bijection.forward(f), 6) == f
         except ValueError:
             return False
 
     lost = next(real(f) for f in reps if fiber[real(f)] == 1 and not round_trips(f))
     other = next(image for image in fiber if image != lost)
-    monkeypatch.setattr(bijection, "forward", lambda f: other if (image := real(f)) == lost else image)
+    monkeypatch.setattr(bijection, "_image_edges", lambda f: other if (image := real(f)) == lost else image)
     code, out, _ = run_cli(capsys, "verify", "--suite", "bijection", "--max-n", "6")
     assert code == 1
     assert _fail_lines(out) == ["FAIL images cover the target fan [n=6] expected=True actual=False"]

@@ -59,6 +59,17 @@ def test_traced_verify_sweep_keys_classes_and_builds_images_once():
     assert "bijection.forward" not in stats["bijection.FanTree.from_edges"]["under"]
 
 
+def test_traced_fiber_report_checks_and_inverts_each_image_once():
+    # the audit checks and inverts each distinct image, f(2n - 2) of them for
+    # n = 3..6; a check per labeled forest would still pass the zero-call
+    # guard, so the count is pinned here
+    stats = _trace_sweep()
+    images = 3 + 8 + 21 + 55
+    for name in ("graphs.is_spanning_tree", "bijection.inverse"):
+        assert stats[name]["under"].get("bijection.fiber_report") == images
+    assert "bijection.fiber_report" not in stats["bijection.forward"]["under"]
+
+
 def test_traced_verify_sweep_partitions_no_arc_forest():
     # enum_arc_forests reads each forest's arc off its rim runs; components
     # still runs elsewhere in the sweep, so the tracer still finds it
