@@ -3,9 +3,9 @@
 Subcommands: count, resist, bijection {forward,inverse,audit}, enumerate,
 verify, oeis.  Exit codes: 0 success, 1 verification mismatch, 2 usage or
 domain error.  Integers print in full decimal, however long; rationals as p/q.
-count and resist answer from verify.routes, the route table the verify
-suites check; this module only parses the query, picks --method and prints.
-oeis prints the closed forms row by row, looked up in formulas when it runs.
+count and resist answer from verify.routes, and oeis from the rows of
+verify.CLOSED_FORMS, the one table of closed forms the verify suites check;
+this module only parses the query, picks --method and prints.
 It is the one front end: a b-file is `wheelfan oeis ... --bfile > FILE`.
 """
 
@@ -16,7 +16,7 @@ import functools
 import sys
 from pathlib import Path
 
-from . import bijection, formulas, verify
+from . import bijection, verify
 from .enumeration import DEFAULT_ENUM_CAP, enum_arc_forests, enum_spanning_trees, enum_two_forests
 from .graphs import LabeledGraph, _parse_int, format_edge_list, make_fan, make_wheel, parse_edge_list
 from .report import format_int, summary_line
@@ -172,39 +172,15 @@ def cmd_verify(args) -> int:
     return 1 if any(check.ok is False for check in checks) else 0
 
 
-# name -> (offset, per-index function of formulas, description); the function
-# is looked up by name when oeis runs, as the verify suites look theirs up
-SEQUENCES = {
-    "wheel-trees": (3, "trees_wheel", "spanning trees of the wheel, l(2n)-2"),
-    "fan-trees": (1, "trees_fan", "spanning trees of the fan, f(2n)"),
-    "sep-adjacent": (
-        3,
-        "forests_sep_adjacent",
-        "wheel forests separating two adjacent rim vertices, 2(f(2n-1)-1)",
-    ),
-    "sep-dist2": (
-        4,
-        "forests_sep_dist2",
-        "wheel forests separating rim vertices at cycle distance 2, 2(l(2n-2)-3)",
-    ),
-    "sep-center": (
-        3,
-        "forests_sep_center",
-        "wheel forests separating a rim vertex from the center, f(2n)",
-    ),
-}
-
-
 def cmd_oeis(args) -> int:
-    offset, closed, description = SEQUENCES[args.sequence]
-    if args.max_n < offset:
-        raise ValueError(f"--max-n must be at least the offset {offset} for {args.sequence}")
-    value_at = getattr(formulas, closed)
+    form = next(form for form in verify.CLOSED_FORMS if form.sequence == args.sequence)
+    if args.max_n < form.low:
+        raise ValueError(f"--max-n must be at least the offset {form.low} for {args.sequence}")
     if not args.bfile:
-        sys.stdout.write(f"# {args.sequence}: {description}; offset {offset}\n")
+        sys.stdout.write(f"# {args.sequence}: {form.description}; offset {form.low}\n")
     # row by row: a long b-file never sits in memory whole
-    for i in range(offset, args.max_n + 1):
-        sys.stdout.write(f"{i} {format_int(value_at(i))}\n")
+    for i in range(form.low, args.max_n + 1):
+        sys.stdout.write(f"{i} {format_int(form(i))}\n")
     return 0
 
 
@@ -253,12 +229,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--enum-cap", type=_int_option, default=DEFAULT_ENUM_CAP)
 
     p = sub.add_parser("verify", help="run the cross-validation suites")
-    p.add_argument("--suite", default="all", help="identities, trees, forests, resistance, bijection, tau or all")
+    p.add_argument("--suite", default="all", help=", ".join(verify.SUITES) + " or all")
     p.add_argument("--max-n", type=_int_option, default=10)
     p.add_argument("--enum-cap", type=_int_option, default=DEFAULT_ENUM_CAP)
 
     p = sub.add_parser("oeis", help="emit b-file rows for the counting sequences")
-    p.add_argument("--sequence", required=True, choices=sorted(SEQUENCES))
+    sequences = sorted(form.sequence for form in verify.CLOSED_FORMS if form.sequence)
+    p.add_argument("--sequence", required=True, choices=sequences)
     p.add_argument("--max-n", type=_int_option, required=True)
     p.add_argument("--bfile", action="store_true", help="rows only, no comment header")
     return parser

@@ -1,20 +1,23 @@
-"""Verification suites, and the route table the CLI answers from.
+"""Verification suites, and the one table of closed forms the CLI answers from.
 
-routes() maps a query (trees, separating forests or a resistance) to its
-exact routes: a closed form where CLOSED_FORMS has one, the Laplacian minor,
-and enumeration for counts.  count and resist answer from it, and the trees,
-forests and resistance suites check every route against the minor.  Table
-entries and suites call the formula layer through its module object on
-purpose, so a test build can corrupt one function and watch both fail.  The
-bijection suite takes every per-n check from one bijection.fiber_report, the
-single pass over that wheel's arc forests.  The tau suite emits
-informational rows only: its census is a finding, not an assertion.  Every
-report.Check row is built here, as the math layers return plain integers,
-fractions and edges.  Each suite returns its rows in the order verify prints
-them; run_suites joins them.
+CLOSED_FORMS has one row per function of formulas.  routes() maps a query
+(trees, separating forests or a resistance) to its exact routes: the closed
+form of the row that matches it, the Laplacian minor, and enumeration for
+counts.  count and resist answer from it, and the trees, forests and resistance
+suites check every route against the minor; the forests suite also checks the
+labeled rows, and oeis prints the rows with a sequence.  Rows look their
+function up in formulas when they run, so a test build can corrupt one and
+watch every reader fail.  The bijection suite takes every per-n check from one
+bijection.fiber_report, the single pass over that wheel's arc forests.  The tau
+suite emits informational rows only: its census is a finding, not an
+assertion.  Every report.Check row is built here, as the math layers return
+plain integers, fractions and edges.  Each suite returns its rows in the order
+verify prints them; run_suites joins them.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from . import bijection, enumeration, formulas, kirchhoff
 from .enumeration import DEFAULT_ENUM_CAP
@@ -46,29 +49,62 @@ def suite_identities(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> list[Check
     return checks
 
 
-def _cycle_distance(n: int, pair) -> int:
-    # pairs arrive checked: by cli._parse_pair, or built by a suite as (1, 1+k)
-    d = abs(pair[0] - pair[1])
-    return min(d, n - d)
+class ClosedForm(NamedTuple):
+    # one function of formulas, by name: pair is None for trees, "center" for a
+    # pair holding the center, "rim" for a rim pair at any cycle distance k, or k
+    # for rim vertex 1 against 1+k; low is the smallest index and oeis offset
+    family: str
+    quantity: str
+    pair: object
+    low: int
+    function: str
+    label: str | None = None  # the forests suite's named check
+    sequence: str | None = None  # oeis name and description
+    description: str | None = None
+
+    def __call__(self, n: int, pair=None):
+        # looked up when it runs, so a patched formulas function is the one called
+        form = getattr(formulas, self.function)
+        if self.pair != "rim":
+            return form(n)
+        d = abs(pair[0] - pair[1])  # checked by cli._parse_pair, or built by a suite as (1, 1+k)
+        return form(n, min(d, n - d))
 
 
-# (graph kind, quantity, pair holds vertex 0) -> closed form of (size, pair);
-# the formula route exists exactly where this table has an entry
-CLOSED_FORMS = {
-    ("wheel", "trees", False): lambda n, pair: formulas.trees_wheel(n),
-    ("fan", "trees", False): lambda m, pair: formulas.trees_fan(m),
-    ("wheel", "forests", True): lambda n, pair: formulas.forests_sep_center(n),
-    ("wheel", "forests", False): lambda n, pair: formulas.forests_separating(n, _cycle_distance(n, pair)),
-    ("wheel", "resist", True): lambda n, pair: formulas.resistance_center(n),
-    ("wheel", "resist", False): lambda n, pair: formulas.resistance_rim(n, _cycle_distance(n, pair)),
-}
+# a query has a formula route exactly where a row has its family, quantity and
+# pair class; the labeled rows are the forests suite's named checks, in order
+CLOSED_FORMS = (
+    ClosedForm("wheel", "trees", None, 3, "trees_wheel", None, "wheel-trees", "spanning trees of the wheel, l(2n)-2"),
+    ClosedForm("fan", "trees", None, 1, "trees_fan", None, "fan-trees", "spanning trees of the fan, f(2n)"),
+    ClosedForm("wheel", "forests", "rim", 3, "forests_separating"),
+    ClosedForm(
+        "wheel", "forests", 1, 3, "forests_sep_adjacent", "adjacent-pair", "sep-adjacent",
+        "wheel forests separating two adjacent rim vertices, 2(f(2n-1)-1)",
+    ),
+    ClosedForm(
+        "wheel", "forests", 2, 4, "forests_sep_dist2", "distance-2", "sep-dist2",
+        "wheel forests separating rim vertices at cycle distance 2, 2(l(2n-2)-3)",
+    ),
+    ClosedForm(
+        "wheel", "forests", "center", 3, "forests_sep_center", "center-pair", "sep-center",
+        "wheel forests separating a rim vertex from the center, f(2n)",
+    ),
+    ClosedForm("wheel", "resist", "rim", 3, "resistance_rim"),
+    ClosedForm("wheel", "resist", "center", 3, "resistance_center"),
+)
+
+
+def closed_form(kind: str, quantity: str, pair=None) -> ClosedForm | None:
+    """The row answering quantity on a graph of this kind for this pair, if any."""
+    where = None if pair is None else "center" if 0 in pair else "rim"
+    return next((form for form in CLOSED_FORMS if form[:3] == (kind, quantity, where)), None)
 
 
 def routes(kind: str, size: int, g: LabeledGraph, quantity: str, pair=None, enum_cap: int = DEFAULT_ENUM_CAP):
     """The routes answering trees, forests or resist on g, as thunks in order:
     formula where a closed form exists, minor, and enum for counts only.
     Each thunk returns its answer as printed: p/q for resist, else in full."""
-    form = CLOSED_FORMS.get((kind, quantity, pair is not None and 0 in pair))
+    form = closed_form(kind, quantity, pair)
     found = {} if form is None else {"formula": lambda: form(size, pair)}
     if quantity == "trees":
         found["minor"] = lambda: kirchhoff.count_spanning_trees(g)
@@ -113,14 +149,6 @@ def suite_trees(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> list[Check]:
     return checks
 
 
-# label, the vertex rim vertex 1 is separated from, smallest n, closed form
-_NAMED_FOREST_FORMS = (
-    ("adjacent-pair", 2, 3, "forests_sep_adjacent"),
-    ("distance-2", 3, 4, "forests_sep_dist2"),
-    ("center-pair", 0, 3, "forests_sep_center"),
-)
-
-
 def suite_forests(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> list[Check]:
     checks = []
     for n in range(3, max_n + 1):
@@ -128,16 +156,10 @@ def suite_forests(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> list[Check]:
         for k in range(1, n // 2 + 1):
             params = f"n={n} k={k}"
             checks += _route_checks("separating forests", params, enum_cap, "wheel", n, g, "forests", (1, 1 + k))
-        for label, v, low, closed in _NAMED_FOREST_FORMS:
-            if n >= low:
-                checks.append(
-                    equality_check(
-                        f"{label} closed form vs minor",
-                        f"n={n}",
-                        getattr(formulas, closed)(n),
-                        kirchhoff.count_two_forests(g, 1, v),
-                    )
-                )
+        for form in CLOSED_FORMS:
+            if form.label and n >= form.low:
+                minor = kirchhoff.count_two_forests(g, 1, 0 if form.pair == "center" else 1 + form.pair)
+                checks.append(equality_check(f"{form.label} closed form vs minor", f"n={n}", form(n), minor))
     return checks
 
 

@@ -840,9 +840,12 @@ def _fail_lines(out: str) -> list[str]:
 
 
 def test_one_route_table_reaches_both_front_ends(capsys, monkeypatch):
-    # one corrupt entry of verify.CLOSED_FORMS fails the verify checks of that
-    # entry alone, and the CLI query answered from it
-    monkeypatch.setitem(verify.CLOSED_FORMS, ("wheel", "resist", False), lambda n, pair: Fraction(7))
+    # one corrupt row of verify.CLOSED_FORMS fails the verify checks of that
+    # row alone, and the CLI query answered from it
+    rim = verify.closed_form("wheel", "resist", (1, 2))
+    monkeypatch.setattr(wheelfan.formulas, "resistance_seven", lambda n, k: Fraction(7), raising=False)
+    corrupt = tuple(rim._replace(function="resistance_seven") if form is rim else form for form in verify.CLOSED_FORMS)
+    monkeypatch.setattr(verify, "CLOSED_FORMS", corrupt)
     code, out, _ = run_cli(capsys, "verify", "--suite", "resistance", "--max-n", "6")
     assert code == 1
     # n = 3..6 has 1 + 2 + 2 + 3 rim pairs, and no other check may fail
@@ -852,6 +855,25 @@ def test_one_route_table_reaches_both_front_ends(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "resist", "--graph", "wheel:6", "--pair", "1,3", "--method", "all")
     assert code == 1
     assert out == "formula: 7/1\nminor: 3/4\nMISMATCH: methods disagree\n"
+
+
+def test_each_function_of_formulas_has_one_row():
+    functions = [
+        name
+        for name, obj in vars(wheelfan.formulas).items()
+        if callable(obj) and getattr(obj, "__module__", None) == wheelfan.formulas.__name__
+    ]
+    assert sorted(form.function for form in verify.CLOSED_FORMS) == sorted(functions)
+
+
+@pytest.mark.parametrize("form", verify.CLOSED_FORMS, ids=lambda form: form.function)
+def test_verify_fails_on_any_corrupt_row(capsys, monkeypatch, form):
+    # off by one at every index, so whichever suite reads the row must fail
+    real = getattr(wheelfan.formulas, form.function)
+    monkeypatch.setattr(wheelfan.formulas, form.function, lambda *args: real(*args) + 1)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--max-n", "6", "--enum-cap", "7")
+    assert code == 1
+    assert _fail_lines(out)
 
 
 def test_verify_bijection_detects_a_forward_that_is_not_rotation_invariant(capsys, monkeypatch):
@@ -910,7 +932,9 @@ def test_verify_bijection_detects_an_inverse_refusing_a_spoke_only_forest(capsys
     ]
 
 
-def test_verify_bijection_sends_each_arc_forest_through_forward_once(capsys, monkeypatch):
+def test_verify_bijection_calls_forward_only_on_the_pinned_vectors(capsys, monkeypatch):
+    # the audit relabels arc forests through bijection._image_edges, so forward
+    # runs once per pinned forward vector and never per forest
     calls = 0
     real = bijection.forward
 
@@ -922,9 +946,8 @@ def test_verify_bijection_sends_each_arc_forest_through_forward_once(capsys, mon
     monkeypatch.setattr(bijection, "forward", counting)
     code, out, _ = run_cli(capsys, "verify", "--suite", "bijection", "--max-n", "6")
     assert (code, out.splitlines()[-1]) == (0, "passed=21 failed=0 info=4")
-    labeled = sum(enumeration.size_arc_forests(n) for n in range(3, 7))
     pinned = sum(direction == "forward" for direction, _, _ in verify._PINNED)
-    assert calls <= labeled + pinned
+    assert calls == pinned
 
 
 def test_oeis_bfile_bytes(capsys):
@@ -943,6 +966,19 @@ def test_oeis_offsets(capsys):
     assert (code, out) == (0, "4 30\n5 88\n")
     code, _, _ = run_cli(capsys, "oeis", "--sequence", "sep-dist2", "--max-n", "3")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "form", [form for form in verify.CLOSED_FORMS if form.sequence], ids=lambda form: form.sequence
+)
+def test_oeis_offset_is_the_smallest_index_its_formula_accepts(capsys, form):
+    formula = getattr(wheelfan.formulas, form.function)
+    formula(form.low)
+    with pytest.raises(ValueError):
+        formula(form.low - 1)
+    code, out, err = run_cli(capsys, "oeis", "--sequence", form.sequence, "--max-n", str(form.low - 1))
+    assert (code, out) == (2, "")
+    assert f"at least the offset {form.low} for {form.sequence}" in err
 
 
 def test_oeis_header_comment(capsys):

@@ -16,7 +16,7 @@ from wheelfan.formulas import (
     trees_wheel,
 )
 from wheelfan.sequences import fib, lucas
-from wheelfan.verify import CLOSED_FORMS
+from wheelfan.verify import closed_form
 
 
 def test_wheel_tree_values():
@@ -43,8 +43,9 @@ def test_domain_errors():
 
 def test_rim_pair_distance():
     # the wheel-rim closed forms read a vertex pair at its cycle distance
-    forests = CLOSED_FORMS[("wheel", "forests", False)]
-    resist = CLOSED_FORMS[("wheel", "resist", False)]
+    forests = closed_form("wheel", "forests", (1, 2))
+    resist = closed_form("wheel", "resist", (1, 2))
+    assert (forests.function, resist.function) == ("forests_separating", "resistance_rim")
     for n, pair, k in (
         (8, (1, 3), 2),
         (8, (1, 8), 1),  # wraps around the cycle
@@ -68,7 +69,7 @@ def test_rim_pair_validation():
             assert main(argv) == 2
         assert message in err.getvalue()
     with pytest.raises(ValueError, match=r"cycle distance must lie in 1\.\.2"):
-        CLOSED_FORMS[("wheel", "forests", False)](5, (2, 2))
+        closed_form("wheel", "forests", (1, 2))(5, (2, 2))
     with pytest.raises(ValueError, match="at least 3 rim vertices"):
         forests_separating(2, 1)
 
