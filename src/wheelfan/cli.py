@@ -148,7 +148,7 @@ def cmd_enumerate(args) -> int:
         blocks = enum_spanning_trees(g, cap=args.enum_cap)
     elif args.object == "forests":
         u, v = _separated_pair(args, g)
-        blocks = (rec.edges for rec in enum_two_forests(g, u, v, cap=args.enum_cap))
+        blocks = enum_two_forests(g, u, v, cap=args.enum_cap)
     else:
         if kind != "wheel":
             raise ValueError("enumerate tau requires --graph wheel:N")

@@ -12,9 +12,9 @@ depth.  Before it walks, an enumerator takes its exact output size from a
 count and refuses with EnumerationCapExceeded, naming that count, above
 ENUM_BUDGET.  Trees and separating two-forests are sized by the Laplacian
 minor, the arc forests of a wheel by n*f(2n-1).  The count only sizes the
-run; every emitted subset is still found by the walk.  A count of 0 skips
-the walk only when the graph's own partition, one components pass over all
-its edges, confirms that no tree or separating forest exists.  The walk
+run; every emitted subset is still found by the walk.  The walk is skipped
+only when the graph's own partition, one components pass over all its edges,
+rules out every tree or separating forest, whatever the count says.  The walk
 recurses once per chosen edge but the last, which it closes in the loop
 that finds it, so a graph with more vertices than half of Python's
 recursion limit is refused too.  The size_* functions make those checks
@@ -128,18 +128,13 @@ def size_spanning_trees(g: LabeledGraph, cap: int = DEFAULT_ENUM_CAP) -> int:
 
 def enum_spanning_trees(g: LabeledGraph, cap: int = DEFAULT_ENUM_CAP) -> list[tuple[Edge, ...]]:
     """All spanning trees as canonical edge tuples, lexicographically ordered."""
-    # a zero count is trusted only when g itself is disconnected, so this
-    # route stays independent of the minor that sized it
-    if size_spanning_trees(g, cap) == 0 and len(components(g, g.edges)) > 1:
+    size_spanning_trees(g, cap)
+    # g's own partition, not the minor that sized the run, rules the walk
+    # out, so this route stays independent of that minor
+    if len(components(g, g.edges)) > 1:
         return []
     # V-1 acyclic edges on V vertices are automatically connected
     return _acyclic_subsets(g, g.vertex_count - 1)
-
-
-@dataclass(frozen=True, slots=True)
-class ForestRecord:
-    edges: tuple[Edge, ...]
-    parts: tuple[tuple[int, ...], ...]
 
 
 def size_two_forests(g: LabeledGraph, u: int, v: int, cap: int = DEFAULT_ENUM_CAP) -> int:
@@ -150,19 +145,16 @@ def size_two_forests(g: LabeledGraph, u: int, v: int, cap: int = DEFAULT_ENUM_CA
     return _checked_size(g.vertex_count, cap, lambda: count_two_forests(g, u, v), "separating two-forests")
 
 
-def enum_two_forests(g: LabeledGraph, u: int, v: int, cap: int = DEFAULT_ENUM_CAP) -> list[ForestRecord]:
-    """All two-component spanning forests with u and v in different parts."""
-    if size_two_forests(g, u, v, cap) == 0:
-        # as for trees: the zero stands only if g has over two parts, or two
-        # with u and v in the same one
-        parts = components(g, g.edges)
-        if len(parts) > 2 or (len(parts) == 2 and (u in parts[0]) == (v in parts[0])):
-            return []
+def enum_two_forests(g: LabeledGraph, u: int, v: int, cap: int = DEFAULT_ENUM_CAP) -> list[tuple[Edge, ...]]:
+    """Two-part spanning forests with u and v apart, as canonical edge tuples, lexicographically ordered."""
+    size_two_forests(g, u, v, cap)
+    # as for trees: none exists if g has over two parts, or two with u and v
+    # in the same one
+    parts = components(g, g.edges)
+    if len(parts) > 2 or (len(parts) == 2 and (u in parts[0]) == (v in parts[0])):
+        return []
     # V-2 acyclic edges leave exactly two parts, and the walk keeps u and v apart
-    return [
-        ForestRecord(sub, tuple(components(g, sub)))
-        for sub in _acyclic_subsets(g, g.vertex_count - 2, (u, v))
-    ]
+    return _acyclic_subsets(g, g.vertex_count - 2, (u, v))
 
 
 def rim_arc_of(n: int, edges) -> tuple[int, int]:

@@ -170,7 +170,7 @@ def test_criterion_08a_round_trip_on_every_normalized_forest():
     t0 = time.perf_counter()
     good = total = 0
     for n in range(3, 9):
-        family = [WheelForest.from_edges(n, r.edges) for r in enum_two_forests(make_wheel(n), 0, 1)]
+        family = [WheelForest.from_edges(n, r) for r in enum_two_forests(make_wheel(n), 0, 1)]
         fan_trees = {tuple(t) for t in enum_spanning_trees(make_fan(n))}
         # equal sizes: f(2n) conditioned forests, f(2n) trees of F_n
         assert len(family) == fib(2 * n) == len(fan_trees)

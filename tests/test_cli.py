@@ -715,7 +715,7 @@ def test_enumerate_writes_the_blocks_as_formatted_one_by_one(tmp_path_factory, g
     assert run_quiet("enumerate", "trees", graph) == (0, expected, "")
     if g.vertex_count >= 2:
         u, v = data.draw(st.lists(st.integers(0, g.vertex_count - 1), min_size=2, max_size=2, unique=True))
-        expected = _formatted_block_by_block(g.vertex_count, (rec.edges for rec in enum_two_forests(g, u, v)))
+        expected = _formatted_block_by_block(g.vertex_count, enum_two_forests(g, u, v))
         assert run_quiet("enumerate", "forests", graph, f"--separate={u},{v}") == (0, expected, "")
 
 

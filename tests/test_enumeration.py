@@ -7,7 +7,6 @@ from wheelfan import enumeration, verify
 from wheelfan.bijection import normalize
 from wheelfan.enumeration import (
     EnumerationCapExceeded,
-    ForestRecord,
     WheelForest,
     enum_arc_forests,
     enum_spanning_trees,
@@ -59,7 +58,7 @@ def _assert_increasing_subsequences(g, blocks):
 def test_every_tree_and_forest_is_an_increasing_subsequence_of_the_edge_list(g):
     _assert_increasing_subsequences(g, enum_spanning_trees(g))
     for u, v in combinations(range(g.vertex_count), 2):
-        _assert_increasing_subsequences(g, (rec.edges for rec in enum_two_forests(g, u, v)))
+        _assert_increasing_subsequences(g, enum_two_forests(g, u, v))
 
 
 @pytest.mark.parametrize("n", range(3, 7))
@@ -67,11 +66,16 @@ def test_every_arc_forest_is_an_increasing_subsequence_of_the_edge_list(n):
     _assert_increasing_subsequences(make_wheel(n), (rec.edges for rec in enum_arc_forests(n)))
 
 
-def test_a_zero_the_partition_confirms_is_answered_without_a_walk(monkeypatch):
+@pytest.mark.parametrize("sizing", ["minor", 0, 1])
+def test_a_partition_that_rules_everything_out_is_answered_without_a_walk(monkeypatch, sizing):
+    # the graph's own partition alone skips the walk, whatever count sized the run
     def walk(*args):
         raise AssertionError("walked although the graph's own partition rules every subset out")
 
     monkeypatch.setattr(enumeration, "_acyclic_subsets", walk)
+    if sizing != "minor":
+        monkeypatch.setattr(enumeration, "count_spanning_trees", lambda g: sizing)
+        monkeypatch.setattr(enumeration, "count_two_forests", lambda g, u, v: sizing)
     k8 = list(combinations(range(8), 2))
     assert enum_spanning_trees(make_graph(9, k8), cap=9) == []
     # two isolated vertices: three parts, so no pair is separated by V-2 edges
@@ -84,9 +88,9 @@ def test_a_zero_the_partition_confirms_is_answered_without_a_walk(monkeypatch):
 def test_a_pair_split_across_two_parts_is_still_walked():
     # two triangles: each separating forest is a tree of each triangle
     g = make_graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
-    recs = enum_two_forests(g, 0, 3)
-    assert len(recs) == count_two_forests(g, 0, 3) == 9
-    assert all(rec.parts == ((0, 1, 2), (3, 4, 5)) for rec in recs)
+    forests = enum_two_forests(g, 0, 3)
+    assert len(forests) == count_two_forests(g, 0, 3) == 9
+    assert all(components(g, sub) == [(0, 1, 2), (3, 4, 5)] for sub in forests)
 
 
 def test_a_zero_count_on_a_connected_graph_does_not_stop_the_walk(monkeypatch):
@@ -99,12 +103,13 @@ def test_a_zero_count_on_a_connected_graph_does_not_stop_the_walk(monkeypatch):
 
 def test_two_forest_enumeration():
     k4 = make_wheel(3)
-    recs = enum_two_forests(k4, 1, 2)
-    assert len(recs) == 8 == count_two_forests(k4, 1, 2)
+    forests = enum_two_forests(k4, 1, 2)
+    assert len(forests) == 8 == count_two_forests(k4, 1, 2)
     assert len(enum_two_forests(k4, 1, 0)) == 8
-    for rec in recs:
-        assert rec.parts == tuple(components(k4, rec.edges))
-        assert len(rec.parts) == 2
+    for sub in forests:
+        parts = components(k4, sub)
+        assert len(parts) == 2
+        assert (1 in parts[0]) != (2 in parts[0])
 
 
 def test_two_forests_on_a_path():
@@ -158,16 +163,12 @@ def _separating_forests_by_definition(g):
     if g.vertex_count < 2:
         return {}
     forests = [
-        (sub, tuple(components(g, sub)))
+        (sub, components(g, sub))
         for sub in combinations(g.edges, g.vertex_count - 2)
         if is_acyclic(g, sub)
     ]
     return {
-        (u, v): [
-            ForestRecord(sub, parts)
-            for sub, parts in forests
-            if v not in next(p for p in parts if u in p)
-        ]
+        (u, v): [sub for sub, parts in forests if v not in next(p for p in parts if u in p)]
         for u, v in combinations(range(g.vertex_count), 2)
     }
 

@@ -17,7 +17,6 @@ import pytest
 
 from wheelfan import cli
 from wheelfan.graphs import format_edge_list, make_fan, make_graph, make_wheel
-from wheelfan.kirchhoff import count_two_forests
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -144,12 +143,14 @@ def test_every_traced_query_workload_function_records_calls(tmp_path, workload):
     assert [name for name in run.COVERED[workload] if not calls.get(name)] == []
 
 
-def test_enum_oracle_partitions_only_under_the_forest_enumerator(tmp_path):
-    # run.py computes enum_two_forests.yield as the forests emitted over the
-    # components calls made directly under enum_two_forests, one per forest
+def test_enum_oracle_partitions_once_per_enumeration(tmp_path):
+    # each enumerator takes the graph's own partition once, to rule its walk
+    # in or out; a partition per emitted forest would multiply the count
     stats = _trace_queries(tmp_path, "enum-oracle")
-    forests = 2 * count_two_forests(FILE_GRAPH, 0, 4)  # count --method all and enumerate each emit them once
-    assert stats["graphs.components"]["under"] == {"enumeration.enum_two_forests": forests}
+    assert stats["graphs.components"]["under"] == {
+        "enumeration.enum_spanning_trees": 2,  # count --method all and enumerate each call it once
+        "enumeration.enum_two_forests": 2,
+    }
 
 
 def test_enum_oracle_formats_each_graph_once_per_enumerate(tmp_path):
