@@ -5,7 +5,12 @@ fast.  The recursion prunes cycles early with a rollback union-find, and the
 output order is the lexicographic order of the chosen edge subsets, so runs
 are deterministic and duplicate-free.  For separating two-forests the same
 union-find also skips every edge that would join u's part to v's, so each
-subset the walk reaches is one the caller keeps.
+subset the walk reaches is one the caller keeps.  A spanning tree leaves no
+vertex alone, and a separating forest none but u or v, so the walk for
+those returns from a call once it is past some such vertex's last edge with
+that vertex still a singleton: no later edge can reach it.  The walk for
+the arc forests of a wheel may leave the center or a rim vertex alone and
+is not pruned that way.  The prune changes neither the output nor its order.
 
 Three limits keep a run finite: the vertex cap, a work budget and the walk's
 depth.  Before it walks, an enumerator takes its exact output size from a
@@ -74,7 +79,9 @@ def _acyclic_subsets(
     # closes a cycle or, when apart = (u, v) is given, joins u's part to v's.
     # The last edge of a subset is closed in the loop that finds it: it needs
     # no union, no rollback and no deeper call, so the walk recurses once per
-    # chosen edge but the last.
+    # chosen edge but the last.  A call returns once it is past the last edge
+    # of a vertex that must not be alone and that vertex is still a
+    # singleton: no later sibling can reach it.
     if size == 0:
         return [()]  # a 1-vertex tree, or a 2-vertex separating forest
     edges = g.edges
@@ -83,6 +90,15 @@ def _acyclic_subsets(
     rank = [1] * g.vertex_count
     chosen: list[Edge] = []
     out: list[tuple[Edge, ...]] = []
+    # closing[idx]: the vertices that must not be alone and whose last edge is idx
+    closing: list[tuple[int, ...]] = [()] * total
+    if size == g.vertex_count - 1 or apart is not None:
+        final = {}
+        for idx, (a, b) in enumerate(edges):
+            final[a] = final[b] = idx
+        for w, idx in final.items():
+            if apart is None or w not in apart:
+                closing[idx] += (w,)
 
     def walk(start: int, need: int):
         ru = rv = -1  # roots are never negative: without a pair no edge matches
@@ -103,19 +119,22 @@ def _acyclic_subsets(
             while parent[rb] != rb:
                 rb = parent[rb]
             if ra == rb or (ra == ru and rb == rv) or (ra == rv and rb == ru):
-                continue
-            if last:
+                pass
+            elif last:
                 out.append(prefix + (edge,))
-                continue
-            if rank[ra] < rank[rb]:
-                ra, rb = rb, ra
-            parent[rb] = ra
-            rank[ra] += rank[rb]
-            chosen.append(edge)
-            walk(idx + 1, need - 1)
-            chosen.pop()
-            rank[ra] -= rank[rb]
-            parent[rb] = rb
+            else:
+                if rank[ra] < rank[rb]:
+                    ra, rb = rb, ra
+                parent[rb] = ra
+                rank[ra] += rank[rb]
+                chosen.append(edge)
+                walk(idx + 1, need - 1)
+                chosen.pop()
+                rank[ra] -= rank[rb]
+                parent[rb] = rb
+            for w in closing[idx]:
+                if parent[w] == w and rank[w] == 1:
+                    return
 
     walk(0, size)
     return out

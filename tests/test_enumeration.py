@@ -14,7 +14,7 @@ from wheelfan.enumeration import (
     rim_arc_of,
     rotation_class_representative,
 )
-from wheelfan.graphs import canonical_edge, components, is_acyclic, is_spanning_tree, make_fan, make_graph, make_wheel, rotate_rim_labels
+from wheelfan.graphs import LabeledGraph, canonical_edge, components, is_acyclic, is_spanning_tree, make_fan, make_graph, make_wheel, rotate_rim_labels
 from wheelfan.kirchhoff import count_spanning_trees, count_two_forests
 from wheelfan.sequences import fib
 from strategies import connected_graphs, graphs
@@ -187,6 +187,46 @@ def test_tree_walk_matches_the_unpruned_definition(g):
     # a first edge that is already the last
     expected = [sub for sub in combinations(g.edges, g.vertex_count - 1) if is_spanning_tree(g, sub)]
     assert enum_spanning_trees(g) == expected
+
+
+@settings(deadline=None)
+@given(g=graphs(max_vertices=7))
+def test_walk_matches_the_definition_on_any_graph(g):
+    # the walk itself, without the partition gate, in the three modes the
+    # enumerators use: trees, separating forests and the unpaired V-2 walk
+    # of the arc forests; isolated vertices and several parts included
+    V = g.vertex_count
+    for size in (V - 1, V - 2) if V >= 2 else (V - 1,):
+        expected = [sub for sub in combinations(g.edges, size) if is_acyclic(g, sub)]
+        assert enumeration._acyclic_subsets(g, size) == expected
+    for (u, v), expected in _separating_forests_by_definition(g).items():
+        assert enumeration._acyclic_subsets(g, V - 2, (u, v)) == expected
+
+
+class _CountingEdges(tuple):
+    reads = 0
+
+    def __getitem__(self, i):
+        _CountingEdges.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+@pytest.mark.parametrize(
+    "size, apart, found, reads",
+    [
+        (6, None, 1296, 3027),  # trees: 8268 reads without the prune
+        (5, (1, 2), 432, 927),  # separating forests: 2498 without it
+        (5, None, 2376, 5420),  # the arc-forest mode is not pruned
+    ],
+)
+def test_the_walk_stops_past_a_lone_vertexs_last_edge(monkeypatch, size, apart, found, reads):
+    # vertex 0 hangs on (0, 1), the first edge, over K6 on 1..6: every tree
+    # and separating forest holds (0, 1), so the walk ends once its top
+    # level moves past it
+    monkeypatch.setattr(_CountingEdges, "reads", 0)
+    g = LabeledGraph(7, _CountingEdges([(0, 1)] + list(combinations(range(1, 7), 2))))
+    assert len(enumeration._acyclic_subsets(g, size, apart)) == found
+    assert _CountingEdges.reads == reads
 
 
 def test_arc_forests_basic_membership():
