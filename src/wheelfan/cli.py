@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from itertools import islice
 from pathlib import Path
 
 from . import bijection, verify
@@ -142,6 +143,10 @@ def cmd_bijection(args) -> int:
     return 0
 
 
+# how many blocks enumerate joins into one write
+_WRITE_CHUNK = 512
+
+
 def cmd_enumerate(args) -> int:
     kind, size, g = _parse_graph(args.graph)
     if args.object == "trees":
@@ -157,9 +162,13 @@ def cmd_enumerate(args) -> int:
     # header and its edges' lines of g's own edge list, formatted once here
     header, *lines = format_edge_list(g.vertex_count, g.edges).splitlines(keepends=True)
     line = dict(zip(g.edges, lines))
-    # block by block: one joined string of every block can exhaust memory
-    for i, b in enumerate(blocks):
-        sys.stdout.write(("\n" if i else "") + header + "".join(map(line.__getitem__, b)))
+    # a chunk of blocks per write: one joined string of every block can
+    # exhaust memory, and one write per block costs more than the text
+    blocks = iter(blocks)
+    sep = "\n" + header
+    for i, chunk in enumerate(iter(lambda: list(islice(blocks, _WRITE_CHUNK)), [])):
+        text = sep.join(["".join(map(line.__getitem__, b)) for b in chunk])
+        sys.stdout.write(("\n" if i else "") + header + text)
     return 0
 
 

@@ -1,10 +1,13 @@
 """Brute-force ground truth for small graphs, and the wheel-forest type.
 
 Everything here enumerates explicitly and is meant to be audited, not to be
-fast.  The recursion prunes cycles early with a rollback union-find, and the
-output order is the lexicographic order of the chosen edge subsets, so runs
-are deterministic and duplicate-free.  For separating two-forests the same
-union-find also skips every edge that would join u's part to v's, so each
+fast.  The walk backtracks over the sorted edge list with a rollback
+union-find, and the output order is the lexicographic order of the chosen
+edge subsets, so runs are deterministic and duplicate-free.  Each part keeps
+an int bitmask of the edges with exactly one end in it, and the walk carries
+the mask of edges between two parts, so a call reads its candidate edges off
+the masks: it never tries an edge that would close a cycle nor, for
+separating two-forests, one that would join u's part to v's, and each
 subset the walk reaches is one the caller keeps.  A spanning tree leaves no
 vertex alone, and a separating forest none but u or v, so the walk for
 those returns from a call once it is past some such vertex's last edge with
@@ -20,10 +23,11 @@ minor, the arc forests of a wheel by n*f(2n-1).  The count only sizes the
 run; every emitted subset is still found by the walk.  The walk is skipped
 only when the graph's own partition, one components pass over all its edges,
 rules out every tree or separating forest, whatever the count says.  The walk
-recurses once per chosen edge but the last, which it closes in the loop
-that finds it, so a graph with more vertices than half of Python's
-recursion limit is refused too.  The size_* functions make those checks
-alone, so a caller can refuse a whole run before any walk starts.
+recurses once per chosen edge but the last two, which it reads off the
+masks in the loop that finds the first of them, so a graph with more
+vertices than half of Python's recursion limit is refused too.  The size_*
+functions make those checks alone, so a caller can refuse a whole run
+before any walk starts.
 
 WheelForest, the two-component spanning forest of a wheel with its rim arc
 located, lives here because enum_arc_forests emits it; the bijection module
@@ -64,8 +68,8 @@ def _checked_size(vertex_count: int, cap: int, count, what: str) -> int:
         raise EnumerationCapExceeded(
             f"graph has {format_int(size)} {what}, enumeration budget is {ENUM_BUDGET}"
         )
-    # the walk recurses once per chosen edge but the last, up to V-1 frames
-    # for a tree; half the recursion limit leaves room for its callers' frames
+    # the walk recurses once per chosen edge but the last two, up to V-2
+    # frames for a tree; half the recursion limit leaves room for its callers' frames
     depth = sys.getrecursionlimit() // 2
     if vertex_count > depth:
         raise EnumerationCapExceeded(f"graph has {vertex_count} vertices, enumeration depth limit is {depth}")
@@ -75,19 +79,36 @@ def _checked_size(vertex_count: int, cap: int, count, what: str) -> int:
 def _acyclic_subsets(
     g: LabeledGraph, size: int, apart: tuple[int, int] | None = None
 ) -> list[tuple[Edge, ...]]:
-    # backtracking over the sorted edge list; an edge is skipped at once if it
-    # closes a cycle or, when apart = (u, v) is given, joins u's part to v's.
-    # The last edge of a subset is closed in the loop that finds it: it needs
-    # no union, no rollback and no deeper call, so the walk recurses once per
-    # chosen edge but the last.  A call returns once it is past the last edge
-    # of a vertex that must not be alone and that vertex is still a
-    # singleton: no later sibling can reach it.
+    # backtracking over the sorted edge list, edge idx being bit idx of an
+    # int mask.  A rollback union-find keeps, at each root r, cut[r]: the
+    # edges with exactly one end in r's part.  The walk carries crossing, the
+    # edges between two parts; a union of parts a and b clears their common
+    # edges cut[a] & cut[b] from it and gives the joined part cut[a] ^ cut[b].
+    # A call's candidates are the crossing edges in [start, total - need],
+    # minus, when apart = (u, v) is given, those between u's part and v's,
+    # taken lowest bit first, so the order is lexicographic and no edge that
+    # closes a cycle or joins u to v is ever tried.  With two edges left the
+    # second is any candidate after the first once the first's ends are
+    # joined, read off the masks with no union and no deeper call, so the
+    # walk recurses once per chosen edge but the last two.  A call returns
+    # once it is past the last edge of a vertex that must not be alone and
+    # that vertex is still a singleton: no later sibling can reach it.  Every
+    # edge of such a singleton is a candidate, so checking after each
+    # candidate misses none.
     if size == 0:
         return [()]  # a 1-vertex tree, or a 2-vertex separating forest
     edges = g.edges
+    if size == 1:  # any one edge, but the one joining u to v
+        return [(e,) for e in edges if apart is None or e != canonical_edge(*apart)]
     total = len(edges)
+    if size > total:
+        return []
     parent = list(range(g.vertex_count))
     rank = [1] * g.vertex_count
+    cut = [0] * g.vertex_count
+    for idx, (a, b) in enumerate(edges):
+        cut[a] |= 1 << idx
+        cut[b] |= 1 << idx
     chosen: list[Edge] = []
     out: list[tuple[Edge, ...]] = []
     # closing[idx]: the vertices that must not be alone and whose last edge is idx
@@ -100,43 +121,63 @@ def _acyclic_subsets(
             if apart is None or w not in apart:
                 closing[idx] += (w,)
 
-    def walk(start: int, need: int):
-        ru = rv = -1  # roots are never negative: without a pair no edge matches
+    def walk(start: int, need: int, crossing: int):
+        ru = rv = -1  # roots are never negative: without a pair no part is kept apart
+        between = 0  # the edges between u's part and v's
         if apart is not None:
             ru, rv = apart
             while parent[ru] != ru:
                 ru = parent[ru]
             while parent[rv] != rv:
                 rv = parent[rv]
-        last = need == 1
-        if last:
+            between = cut[ru] & cut[rv]
+        candidates = crossing & ~between & ((2 << (total - need)) - (1 << start))
+        pair = need == 2
+        if pair:
             prefix = tuple(chosen)
-        for idx in range(start, total - need + 1):
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            idx = low.bit_length() - 1
             edge = edges[idx]
             ra, rb = edge
             while parent[ra] != ra:
                 ra = parent[ra]
             while parent[rb] != rb:
                 rb = parent[rb]
-            if ra == rb or (ra == ru and rb == rv) or (ra == rv and rb == ru):
-                pass
-            elif last:
-                out.append(prefix + (edge,))
+            ca = cut[ra]
+            cb = cut[rb]
+            if pair:
+                # the edges the union would leave between u's part and v's
+                if ru == ra or ru == rb:
+                    between_after = (ca ^ cb) & cut[rv]
+                elif rv == ra or rv == rb:
+                    between_after = cut[ru] & (ca ^ cb)
+                else:
+                    between_after = between
+                lasts = crossing & ~(ca & cb) & ~between_after & -(low << 1)
+                pre = prefix + (edge,)
+                while lasts:
+                    bit = lasts & -lasts
+                    lasts ^= bit
+                    out.append(pre + (edges[bit.bit_length() - 1],))
             else:
                 if rank[ra] < rank[rb]:
-                    ra, rb = rb, ra
+                    ra, rb, ca, cb = rb, ra, cb, ca
                 parent[rb] = ra
                 rank[ra] += rank[rb]
+                cut[ra] = ca ^ cb
                 chosen.append(edge)
-                walk(idx + 1, need - 1)
+                walk(idx + 1, need - 1, crossing & ~(ca & cb))
                 chosen.pop()
+                cut[ra] = ca
                 rank[ra] -= rank[rb]
                 parent[rb] = rb
             for w in closing[idx]:
                 if parent[w] == w and rank[w] == 1:
                     return
 
-    walk(0, size)
+    walk(0, size, (1 << total) - 1)
     return out
 
 

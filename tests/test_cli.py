@@ -19,7 +19,7 @@ import wheelfan.formulas
 from wheelfan import bijection, cli, enumeration, kirchhoff, verify
 from wheelfan.cli import main
 from wheelfan.enumeration import enum_arc_forests, enum_spanning_trees, enum_two_forests
-from wheelfan.graphs import format_edge_list, make_wheel
+from wheelfan.graphs import format_edge_list, make_graph, make_wheel
 from wheelfan.sequences import fib
 from strategies import graphs
 from test_report import full_decimal
@@ -66,6 +66,13 @@ def test_count_method_all_skips_enum_over_cap(capsys):
     )
     assert code == 0
     assert out == f"formula: {wheelfan.formulas.trees_wheel(12)}\nminor: {wheelfan.formulas.trees_wheel(12)}\n"
+
+
+def test_count_method_all_on_a_cycle_wider_than_a_machine_word(tmp_path, capsys):
+    path = tmp_path / "c80.txt"
+    path.write_text(format_edge_list(80, make_graph(80, [(i, (i + 1) % 80) for i in range(80)]).edges))
+    code, out, _ = run_cli(capsys, "count", "trees", "--graph", f"file:{path}", "--method", "all", "--enum-cap", "100")
+    assert (code, out) == (0, "minor: 80\nenum: 80\n")
 
 
 def test_count_forests_requires_separate(capsys):
@@ -717,6 +724,18 @@ def test_enumerate_writes_the_blocks_as_formatted_one_by_one(tmp_path_factory, g
         u, v = data.draw(st.lists(st.integers(0, g.vertex_count - 1), min_size=2, max_size=2, unique=True))
         expected = _formatted_block_by_block(g.vertex_count, enum_two_forests(g, u, v))
         assert run_quiet("enumerate", "forests", graph, f"--separate={u},{v}") == (0, expected, "")
+
+
+@pytest.mark.parametrize("n", [0, 1, 511, 512, 513, 1025])
+def test_enumerate_writes_every_block_across_chunk_boundaries(tmp_path, capsys, monkeypatch, n):
+    # enumerate writes its blocks 512 to a write; the first n trees of K7
+    # fill no chunk, part of one, exactly one, or whole chunks and one block more
+    path = tmp_path / "k7.txt"
+    path.write_text(format_edge_list(7, combinations(range(7), 2)))
+    blocks = enum_spanning_trees(make_graph(7, combinations(range(7), 2)))[:n]
+    monkeypatch.setattr(cli, "enum_spanning_trees", lambda g, cap: blocks)
+    expected = "\n".join(format_edge_list(7, b) for b in blocks)
+    assert run_cli(capsys, "enumerate", "trees", "--graph", f"file:{path}") == (0, expected, "")
 
 
 @pytest.mark.parametrize("n", range(3, 7))

@@ -214,19 +214,40 @@ class _CountingEdges(tuple):
 @pytest.mark.parametrize(
     "size, apart, found, reads",
     [
-        (6, None, 1296, 3027),  # trees: 8268 reads without the prune
-        (5, (1, 2), 432, 927),  # separating forests: 2498 without it
-        (5, None, 2376, 5420),  # the arc-forest mode is not pruned
+        (6, None, 1296, 2229),  # trees: 4139 reads without the prune
+        (5, (1, 2), 432, 698),  # separating forests: 1238 without it
+        (5, None, 2376, 3957),  # the arc-forest mode is not pruned
     ],
+    ids=["trees", "forests", "arc-forests"],  # not the pinned counts, which move with the walk
 )
 def test_the_walk_stops_past_a_lone_vertexs_last_edge(monkeypatch, size, apart, found, reads):
     # vertex 0 hangs on (0, 1), the first edge, over K6 on 1..6: every tree
     # and separating forest holds (0, 1), so the walk ends once its top
-    # level moves past it
+    # level moves past it.  The walk reads edges[idx] once per candidate and
+    # once per emitted leaf, so the reads measure its work
     monkeypatch.setattr(_CountingEdges, "reads", 0)
     g = LabeledGraph(7, _CountingEdges([(0, 1)] + list(combinations(range(1, 7), 2))))
     assert len(enumeration._acyclic_subsets(g, size, apart)) == found
     assert _CountingEdges.reads == reads
+
+
+# the cycle on 80 vertices: its masks run past one 64-bit machine word
+C80 = make_graph(80, [(i, (i + 1) % 80) for i in range(80)])
+
+
+def test_trees_of_a_cycle_wider_than_a_machine_word():
+    # dropping a later edge gives a smaller subset, so the last edge goes first
+    trees = [tuple(e for e in C80.edges if e != dropped) for dropped in reversed(C80.edges)]
+    assert enum_spanning_trees(C80, cap=100) == trees
+
+
+def test_forests_of_a_cycle_wider_than_a_machine_word():
+    # a separating forest drops one edge from each u-v arc
+    inner = [e for e in C80.edges if 3 <= e[0] and e[1] <= 50]
+    outer = [e for e in C80.edges if e not in inner]
+    forests = sorted(tuple(e for e in C80.edges if e not in (a, b)) for a in inner for b in outer)
+    assert len(forests) == 47 * 33
+    assert enum_two_forests(C80, 3, 50, cap=100) == forests
 
 
 def test_arc_forests_basic_membership():
