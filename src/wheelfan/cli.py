@@ -18,7 +18,7 @@ from itertools import islice
 from pathlib import Path
 
 from . import bijection, verify
-from .enumeration import DEFAULT_ENUM_CAP, enum_arc_forests, enum_spanning_trees, enum_two_forests
+from .enumeration import DEFAULT_ENUM_CAP, enum_arc_forest_edges, enum_spanning_trees, enum_two_forests
 from .graphs import LabeledGraph, _parse_int, format_edge_list, make_fan, make_wheel, parse_edge_list
 from .report import format_int, summary_line
 
@@ -157,7 +157,7 @@ def cmd_enumerate(args) -> int:
     else:
         if kind != "wheel":
             raise ValueError("enumerate tau requires --graph wheel:N")
-        blocks = (rec.edges for rec in enum_arc_forests(size, cap=args.enum_cap))
+        blocks = enum_arc_forest_edges(size, cap=args.enum_cap)
     # each block is a subsequence of g.edges in order, so its text is the
     # header and its edges' lines of g's own edge list, formatted once here
     header, *lines = format_edge_list(g.vertex_count, g.edges).splitlines(keepends=True)

@@ -33,11 +33,13 @@ WheelForest, the two-component spanning forest of a wheel with its rim arc
 located, lives here because enum_arc_forests emits it; the bijection module
 maps it to fan trees.  rim_arc_of is the one rule for the arc: the arc is the
 run of rim edges that no spoke reaches, read off the forest's edges in one
-linear pass.  The walk already guarantees a forest, so enum_arc_forests
-applies the rule alone; WheelForest.from_edges first checks outside edges
-with one union-find pass over the wheel.  This module returns edges and
-counts only: the verify suites build every report row, the arc-forest
-census included.
+linear pass.  enum_arc_forest_edges is the one walk over a wheel's arc
+forests and locates no arc, so a caller that needs only the edges pays for
+none.  The walk already guarantees a forest, so enum_arc_forests applies the
+rule alone to each of its tuples; WheelForest.from_edges first checks
+outside edges with one union-find pass over the wheel.  This module returns
+edges and counts only: the verify suites build every report row, the
+arc-forest census included.
 """
 
 from __future__ import annotations
@@ -302,17 +304,25 @@ def size_arc_forests(n: int, cap: int = DEFAULT_ENUM_CAP) -> int:
     return _checked_size(n + 1, cap, lambda: n * fib(2 * n - 1), "two-component forests")
 
 
-def enum_arc_forests(n: int, cap: int = DEFAULT_ENUM_CAP) -> list[WheelForest]:
-    """Two-component spanning forests of the wheel, center part vs rim-only part.
+def enum_arc_forest_edges(n: int, cap: int = DEFAULT_ENUM_CAP) -> list[tuple[Edge, ...]]:
+    """Two-component spanning forests of the wheel as canonical edge tuples, lexicographically ordered.
 
     By definition one part holds vertex 0 and the other only rim vertices.
     Every two-component spanning forest of a wheel has that shape, so no
     filter is needed: n-1 acyclic edges on n+1 vertices always leave two
-    parts.  rim_arc_of reads the arc of each subset the walk finds off its
-    rim runs, so no subset is partitioned again.
+    parts.  No arc is located: enum_arc_forests does that on these tuples.
     """
     size_arc_forests(n, cap)
-    return [WheelForest(n, sub, *rim_arc_of(n, sub)) for sub in _acyclic_subsets(make_wheel(n), n - 1)]
+    return _acyclic_subsets(make_wheel(n), n - 1)
+
+
+def enum_arc_forests(n: int, cap: int = DEFAULT_ENUM_CAP) -> list[WheelForest]:
+    """The forests of enum_arc_forest_edges, in its order, each with its rim arc located.
+
+    rim_arc_of reads the arc of each subset the walk finds off its rim runs,
+    so no subset is partitioned again.
+    """
+    return [WheelForest(n, sub, *rim_arc_of(n, sub)) for sub in enum_arc_forest_edges(n, cap)]
 
 
 def rotation_class_representative(f: WheelForest) -> tuple[Edge, ...]:

@@ -25,9 +25,12 @@ and the pivot row is dropped once used.  Once a pivot row reaches every
 later row, each later row is fresh and holds every later column, so the
 rest of the minor is dense: on dense graphs the order leaves a trailing
 clique.  The pass then copies those rows' upper triangle, entries the dicts
-already held, into lists and finishes over them, one list comprehension per
-row and step, with no rescaling left to do.  A Laplacian minor is positive
-semidefinite, so a zero pivot means the minor is singular.
+already held, into lists and finishes over them two steps at a time, by
+Bareiss's two-step form: one list comprehension per row and pair of steps,
+dividing by the square of the divisor before the pair, and one single step
+on the last row when the count of steps is odd.  No rescaling is left to do
+there.  A Laplacian minor is positive semidefinite, so a zero pivot means
+the minor is singular.
 """
 
 from __future__ import annotations
@@ -82,10 +85,11 @@ class LaplacianMinor(list):
     """A Laplacian minor as sparse upper-triangular rows.
 
     Row i is a dict from column j >= i to the entry, the diagonal always
-    present.  Only _ordered_minor builds one, so det_exact may rely on it
-    being symmetric positive semidefinite.  det_exact consumes its rows and
-    leaves in `leading` the determinant of the block without the last row
-    and column, the divisor of the last Bareiss step.
+    present.  _ordered_minor builds every one a route eliminates, so
+    det_exact may rely on it being symmetric positive semidefinite.
+    det_exact consumes its rows and leaves in `leading` the determinant of
+    the block without the last row and column, the divisor of the last
+    Bareiss step.
     """
 
     leading: int
@@ -138,17 +142,36 @@ def _det_minor(rows: LaplacianMinor) -> int:
     # the pivot row reached every later row, so each is fresh and full: the
     # rest is a dense upper triangle, row i holding columns i..n-1
     tail = [[rows[i][j] for j in range(i, n)] for i in range(k + 1, n)]
-    prev = pivot
-    for t in range(len(tail) - 1):
-        rk = tail[t]
-        pivot = rk[0]
-        if pivot == 0:
+    m, prev = len(tail), pivot
+    # two steps per pass (Bareiss 1968): pivot rows t and t+1 hold the block
+    # [[a, b], [b, c]], and entry j of a later row i becomes the 3x3 minor on
+    # rows t, t+1, i and columns t, t+1, j over prev^2 (Sylvester's identity),
+    # expanded along row i with u and v, its cofactors, shared by every row;
+    # the next divisor, the pivot step t+1 would have had, is d / prev
+    for t in range(0, m - 2, 2):
+        rt, rs = tail[t], tail[t + 1]
+        a, b, c = rt[0], rt[1], rs[0]
+        d = a * c - b * b
+        # the block is semidefinite, so a == 0 forces b == 0 and d == 0 too
+        if d == 0:
             rows.leading = 0
             return 0
-        for i in range(1, len(rk)):
-            lead = rk[i]
-            tail[t + i] = [(pivot * a - lead * b) // prev for a, b in zip(tail[t + i], rk[i:])]
-        prev = pivot
+        # column j >= t+2 of the two pivot rows, which by symmetry is also
+        # the pair's entries in row j
+        cols = list(zip(rt[2:], rs[1:]))
+        u = [a * y - b * x for x, y in cols]
+        v = [b * y - c * x for x, y in cols]
+        square = prev * prev
+        for p, (lt, ls) in enumerate(cols):
+            i = t + 2 + p
+            tail[i] = [(d * e - ls * uj + lt * vj) // square for e, uj, vj in zip(tail[i], u[p:], v[p:])]
+        prev = d // prev
+    if m % 2 == 0:
+        # an odd number of steps leaves one, on the 1x1 remainder; a zero
+        # pivot there has a zero lead, so the result is 0 as it must be
+        (pivot, lead), (last,) = tail[-2:]
+        rows.leading = pivot
+        return (pivot * last - lead * lead) // prev
     rows.leading = prev
     return tail[-1][0]
 

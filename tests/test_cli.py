@@ -744,6 +744,18 @@ def test_enumerate_tau_writes_the_blocks_as_formatted_one_by_one(capsys, n):
     assert run_cli(capsys, "enumerate", "tau", "--graph", f"wheel:{n}") == (0, expected, "")
 
 
+def test_enumerate_tau_locates_no_arc(capsys, monkeypatch):
+    # enumerate prints only each forest's edges, so it never asks for its arc
+    expected = run_cli(capsys, "enumerate", "tau", "--graph", "wheel:5")
+    assert expected[0] == 0 and expected[1].count("V 6\n") == 5 * fib(9)
+
+    def refuse(n, edges):
+        raise AssertionError("enumerate tau located a rim arc")
+
+    monkeypatch.setattr(enumeration, "rim_arc_of", refuse)
+    assert run_cli(capsys, "enumerate", "tau", "--graph", "wheel:5") == expected
+
+
 @pytest.mark.parametrize(
     "file_text, args, out",
     [

@@ -299,7 +299,7 @@ def test_arc_forest_budget_count_is_the_enumerated_count(n):
 @pytest.mark.parametrize("n", [2, 0, -5])
 def test_arc_forests_below_three_rim_vertices_are_refused_before_the_count(n):
     # n*f(2n-1) is not evaluated: below 1 it would ask fib for a negative index
-    for call in (enumeration.size_arc_forests, enum_arc_forests):
+    for call in (enumeration.size_arc_forests, enumeration.enum_arc_forest_edges, enum_arc_forests):
         with pytest.raises(ValueError, match="^wheel requires at least 3 rim vertices$"):
             call(n)
 

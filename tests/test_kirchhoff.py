@@ -233,6 +233,84 @@ def test_two_disjoint_cliques(a, b):
         effective_resistance(g, 0, a)
 
 
+def _assert_pass_matches_vertex_order(L, u, v):
+    # the minor without u, v last, against the dense branch in vertex order:
+    # its determinant, and the last divisor as the minor without both
+    minor = kirchhoff._ordered_minor(L, {u}, last=v)
+    assert det_exact(minor) == det_exact(L.minor({u}))
+    assert minor.leading == det_exact(L.minor({u, v}))
+
+
+@pytest.mark.parametrize(
+    "a, b, pendant",
+    [(3, 4, False), (2, 6, False), (4, 8, False), (3, 5, False), (5, 5, False)]
+    + [(4, 3, True), (5, 3, True), (7, 2, True)],
+)
+def test_singular_minors_of_two_cliques_match_vertex_order(a, b, pendant):
+    # K_a, with a pendant vertex on vertex 0 when asked, beside K_b.  A minor
+    # that keeps a whole component is singular.  Over every u and v the
+    # first zero falls at a dict-phase pivot or at the last entry of a tail
+    # left with an even number of steps (pairs only) or an odd one (pairs
+    # and the lone last step).  A tail pivot of a Laplacian minor is never
+    # zero: its rows all lie in one component that the tail completes only
+    # at its last row.
+    edges = _clique(a) + _clique(b, first=a + pendant) + ([(0, a)] if pendant else [])
+    L = laplacian(make_graph(a + pendant + b, edges))
+    for u, v in permutations(range(L.order), 2):
+        _assert_pass_matches_vertex_order(L, u, v)
+
+
+def _semidefinite_minor(vectors):
+    # the Gram matrix of integer vectors, symmetric positive semidefinite, as
+    # upper-triangle rows; the first vector meets every other, so its pivot
+    # row reaches every later row and all steps but the first are the tail
+    gram = [[sum(p * q for p, q in zip(x, y)) for y in vectors] for x in vectors]
+    minor = kirchhoff.LaplacianMinor()
+    for i, row in enumerate(gram):
+        minor.append({j: row[j] for j in range(i, len(row)) if j == i or row[j]})
+    return gram, minor
+
+
+@pytest.mark.parametrize(
+    "vectors",
+    [
+        # the first pivot of the first pair is zero, a second pair follows: x1 = 2 x0
+        [(1, 0, 0, 0), (2, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1), (1, 1, 1, 1)],
+        # the first pivot of the second pair: x3 = x1 + x2 - x0
+        [(1, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (1, 1, 1, 0), (1, 0, 0, 1), (1, 2, 3, 4)],
+        # the second pivot of the first pair, the lone step follows: x2 = 2 x1 - x0
+        [(1, 0, 0, 0), (1, 1, 0, 0), (1, 2, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1)],
+        # the second pivot of the second pair: x4 = x1 + x2 + x3 - 2 x0
+        [(1, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1), (1, 1, 1, 1), (3, 1, 2, 5)],
+        # the pivot of the lone last step, with no pair before it
+        [(1, 0, 0, 0), (2, 0, 0, 0), (1, 1, 0, 0)],
+        # the pivot of the lone last step, after a pair: x3 = x1 + x2 - x0
+        [(1, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (1, 1, 1, 0), (1, 0, 0, 1)],
+    ],
+    ids=["pair-first", "second-pair-first", "pair-second", "second-pair-second", "lone", "lone-after-pair"],
+)
+def test_zero_tail_pivots_end_the_pass(vectors):
+    # the zero pivot makes every larger leading block singular, the
+    # determinant and the last divisor among them; the textbook branch on
+    # the same matrix is the oracle
+    gram, minor = _semidefinite_minor(vectors)
+    assert det_exact(minor) == det_exact(gram) == 0
+    assert minor.leading == det_exact([row[:-1] for row in gram[:-1]]) == 0
+
+
+@pytest.mark.parametrize("m", range(2, 16))
+def test_every_tail_length_matches_vertex_order(m):
+    # a K_m minor without u is one dict step, then a tail of m - 2 rows, so
+    # the tail runs 0 to 12 steps: even counts by pairs alone, odd ones with
+    # the lone last step.  K_m less a matching, whose entries are not all
+    # alike, leaves a tail mostly one row shorter, of the other parity.
+    matching = {(a, a + 1) for a in range(0, m - 2, 2)}
+    for g in (make_graph(m, _clique(m)), make_graph(m, [e for e in _clique(m) if e not in matching])):
+        L = laplacian(g)
+        for u, v in {(0, m - 1), (m - 1, 0), (m // 2, 0)}:
+            _assert_pass_matches_vertex_order(L, u, v)
+
+
 @settings(deadline=None)
 @given(g=connected_graphs())
 def test_minor_route_counts_trees_like_enumeration(g):
