@@ -66,24 +66,37 @@ audit already hold canonical edges and build their FanTree directly.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import Edge, canonical_edge, is_spanning_tree, make_fan, rotate_rim_labels
 from .enumeration import DEFAULT_ENUM_CAP, WheelForest, enum_arc_forests, rotation_class_representative
 from .kirchhoff import count_spanning_trees
 
 
-@dataclass(frozen=True, slots=True)
-class FanTree:
+class _FanTreeFields(NamedTuple):
     m: int
     edges: tuple[Edge, ...]
 
-    def __post_init__(self):
-        if self.m < 1:
+
+class FanTree(_FanTreeFields):
+    """A spanning tree of the fan with m path vertices, checked when made.
+
+    _make, and so _replace, goes through the check too.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, m: int, edges: tuple[Edge, ...]):
+        if m < 1:
             raise ValueError("fan requires at least 1 path vertex")
         # counted before the fan is built, so a huge m with few edges costs nothing
-        if len(self.edges) != self.m or not is_spanning_tree(make_fan(self.m), self.edges):
-            raise ValueError(f"not a spanning tree of the fan with {self.m} path vertices")
+        if len(edges) != m or not is_spanning_tree(make_fan(m), edges):
+            raise ValueError(f"not a spanning tree of the fan with {m} path vertices")
+        return super().__new__(cls, m, edges)
+
+    @classmethod
+    def _make(cls, iterable) -> "FanTree":
+        return cls(*iterable)
 
     @classmethod
     def from_edges(cls, m: int, edges) -> "FanTree":
@@ -192,8 +205,7 @@ def conditioned_inverse(tree: FanTree) -> WheelForest:
     return WheelForest.from_edges(n, rotate_rim_labels(rest, (1 - j) % n, n))
 
 
-@dataclass(frozen=True)
-class FiberReport:
+class FiberReport(NamedTuple):
     """How the forward map folds the arc forests of one wheel onto fan trees.
 
     Fiber histograms pair a fiber size with how many images have it; the

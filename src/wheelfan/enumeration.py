@@ -45,7 +45,7 @@ arc-forest census included.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import Edge, LabeledGraph, canonical_edge, components, make_wheel, rotate_rim_labels
 from .kirchhoff import count_spanning_trees, count_two_forests
@@ -270,8 +270,7 @@ def _analyze_forest(n: int, edges) -> tuple[tuple[Edge, ...], int, int]:
     return (edges, *rim_arc_of(n, edges))
 
 
-@dataclass(frozen=True, slots=True)
-class WheelForest:
+class WheelForest(NamedTuple):
     """Two-component spanning forest of a wheel, its rim arc located.
 
     edges is the sorted tuple of canonical edges.  The component without the

@@ -3,16 +3,18 @@
 Vertex 0 is always the center (wheel) or hub (fan); rim and path vertices
 are 1..n.  Subgraphs are plain edge subsets against a parent graph so that
 vertex labels survive every operation.  A LabeledGraph checks in one linear
-scan that its edges are canonical (a < b) and strictly increasing; make_graph
-sorts arbitrary pairs into that form, and make_wheel and make_fan emit theirs
-in order.
+scan, when it is made, that its edges are canonical (a < b) and strictly
+increasing; make_graph sorts arbitrary pairs into that form, and make_wheel
+and make_fan emit theirs in order.  The check sits in __new__, which _make,
+and so _replace, goes through too.  A graph has no __dict__ and takes no new
+attribute, so the one graph make_wheel or make_fan caches for every caller
+cannot be changed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Iterable
+from functools import lru_cache
+from typing import Iterable, NamedTuple
 
 Edge = tuple[int, int]
 
@@ -23,24 +25,32 @@ def canonical_edge(a: int, b: int) -> Edge:
     return (a, b) if a < b else (b, a)
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
+class _GraphFields(NamedTuple):
     vertex_count: int
     edges: tuple[Edge, ...]
 
-    def __post_init__(self):
-        if self.vertex_count < 1:
+
+class LabeledGraph(_GraphFields):
+    __slots__ = ()
+
+    def __new__(cls, vertex_count: int, edges: tuple[Edge, ...]):
+        if vertex_count < 1:
             raise ValueError("graph needs at least one vertex")
         prev = (-1, -1)
-        for e in self.edges:
+        for e in edges:
             a, b = e
-            if not (0 <= a < b < self.vertex_count):
+            if not (0 <= a < b < vertex_count):
                 raise ValueError(f"edge {a}-{b} out of range or not canonical")
             if e <= prev:
                 raise ValueError(f"duplicate edge {a}-{b}" if e == prev else "edges must be in sorted order")
             prev = e
+        return super().__new__(cls, vertex_count, edges)
 
-    @cached_property
+    @classmethod
+    def _make(cls, iterable) -> "LabeledGraph":
+        return cls(*iterable)
+
+    @property
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
 

@@ -35,16 +35,14 @@ the minor is singular.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .graphs import LabeledGraph
 
 
-@dataclass(frozen=True)
-class LaplacianMatrix:
+class LaplacianMatrix(NamedTuple):
     """The Laplacian D - A of a simple graph, held as its neighbour lists.
 
     laplacian() is the one way to make one, from a validated graph, so the

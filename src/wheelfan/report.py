@@ -3,14 +3,12 @@ one line per check, a closing count line, and integers and rationals in full."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One comparison.  ok=None marks an informational row that never fails."""
 
     name: str

@@ -1,5 +1,4 @@
 from collections import Counter
-from dataclasses import fields
 from functools import lru_cache
 
 import pytest
@@ -30,7 +29,7 @@ def wf(n, edges):
 
 def test_forest_fields():
     f = wf(4, [(1, 2), (2, 3), (0, 4)])
-    assert [field.name for field in fields(f)] == ["n", "edges", "arc_start", "arc_len"]
+    assert list(WheelForest._fields) == ["n", "edges", "arc_start", "arc_len"]
     assert (f.arc_start, f.arc_len) == (1, 3)
     assert f.edges == ((0, 4), (1, 2), (2, 3))
 
@@ -50,6 +49,17 @@ def test_fan_tree_validation():
     FanTree.from_edges(3, [(1, 2), (2, 3), (0, 3)])
     with pytest.raises(ValueError, match="not a spanning tree"):
         FanTree.from_edges(3, [(0, 1), (0, 2), (1, 2)])
+
+
+def test_fan_tree_make_and_replace_check_the_tree_too():
+    # _replace builds through _make, and _make through the constructor
+    with pytest.raises(ValueError, match="not a spanning tree of the fan with 3 path vertices"):
+        FanTree._make((3, ((1, 2),)))
+    tree = FanTree.from_edges(3, [(1, 2), (2, 3), (0, 3)])
+    with pytest.raises(ValueError, match="not a spanning tree of the fan with 4 path vertices"):
+        tree._replace(m=4)
+    star = tree._replace(edges=((0, 1), (0, 2), (0, 3)))
+    assert type(star) is FanTree and star == FanTree.from_edges(3, [(0, 1), (0, 2), (0, 3)])
 
 
 def test_normalize_moves_arc_to_position_one():

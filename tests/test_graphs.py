@@ -75,6 +75,21 @@ def test_graph_validation():
         make_graph(2, [(0, 0)])
 
 
+def test_graph_make_and_replace_check_the_edges_too():
+    # _replace builds through _make, and _make through the constructor, so
+    # the wheel that make_wheel shares with every caller cannot be bent
+    g = make_wheel(4)
+    with pytest.raises(ValueError, match="edge 0-9 out of range or not canonical"):
+        g._replace(edges=((0, 9),))
+    with pytest.raises(ValueError, match="sorted"):
+        LabeledGraph._make((3, ((1, 2), (0, 1))))
+    with pytest.raises(ValueError, match="at least one vertex"):
+        g._replace(vertex_count=0)
+    bigger = g._replace(vertex_count=6)
+    assert type(bigger) is LabeledGraph and bigger == LabeledGraph(6, g.edges)
+    assert g == make_wheel(4) and g.vertex_count == 5
+
+
 def test_wheel_and_fan_emit_the_textbook_edge_lists_in_sorted_order():
     # both constructors hand their edges to LabeledGraph without sorting them
     for n in range(3, 301):

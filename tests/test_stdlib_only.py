@@ -1,6 +1,8 @@
 """The runtime depends on nothing outside the standard library."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -48,3 +50,13 @@ def test_the_math_layers_build_no_report_rows():
         assert _names_from_report(SRC / name) == set(), name
     assert _names_from_report(SRC / "enumeration.py") == {"format_int"}
     assert "Check" in _names_from_report(SRC / "verify.py")
+
+
+def test_starting_the_cli_loads_neither_dataclasses_nor_inspect():
+    # the benchmark's set-up statements in a fresh interpreter; -S leaves out
+    # site and its .pth files, which belong to the installation, not to wheelfan
+    code = "import sys, wheelfan.cli; wheelfan.cli.build_parser(); print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
