@@ -51,16 +51,23 @@ locates each arc by the same rule, enumeration.rim_arc_of, without a
 union-find pass.  WheelForest lives in the enumeration module, which emits
 it; bijection.WheelForest is the same class.  A forest is its sorted edge
 tuple and its arc, nothing else, and its four-field constructor trusts
-them, so every derived forest is built directly: normalize rotates the
-whole edge tuple with rotation_class_representative (a rim rotation is an
-automorphism of the wheel, so the result is again a valid forest), moves
-arc_start to 1 and keeps arc_len.  Fan trees are different: FanTree
-checks every tree with is_spanning_tree, each distinct image included.
-The audit reports that check, and its coverage row rests on it: the
-distinct images, all fan spanning trees, cover the target fan exactly when
-they are as many as its Laplacian minor counts.  FanTree.from_edges is the
-entry point for outside edges and makes them canonical; forward and the
-audit already hold canonical edges and build their FanTree directly.
+them, so every derived forest is built directly, its arc known from how it
+was made.  normalize rotates the whole edge tuple with
+rotation_class_representative (a rim rotation is an automorphism of the
+wheel, so the result is again a valid forest), moves arc_start to 1 and
+keeps arc_len.  inverse rebuilds the arc 1..k from the tree's initial path
+run and the spokes from its hub edges; conditioned_inverse drops the run's
+one spoke {0, j}, leaving the arc 1..k, and rotates j back to rim vertex 1,
+which moves the arc's start to where 1 went.  Both refuse a wheel with
+fewer than 3 rim vertices, as from_edges does.  The audit's round trip
+compares whole forests, arc included, so a wrong arc fails it.  Fan trees
+are different: FanTree checks every tree with is_spanning_tree, each
+distinct image included.  The audit reports that check, and its coverage
+row rests on it: the distinct images, all fan spanning trees, cover the
+target fan exactly when they are as many as its Laplacian minor counts.
+FanTree.from_edges is the entry point for outside edges and makes them
+canonical; forward and the audit already hold canonical edges and build
+their FanTree directly.
 """
 
 from __future__ import annotations
@@ -161,10 +168,12 @@ def inverse(tree: FanTree, n: int) -> WheelForest:
     """
     if n != tree.m + 1:
         raise ValueError("rim size must be one more than the fan path size")
+    if n < 3:
+        raise ValueError("wheel requires at least 3 rim vertices")
     hub = [e for e in tree.edges if e[0] == 0]
     if hub == [(0, 1)]:
-        # one spoke means the whole path: the isolated-center forest
-        return WheelForest.from_edges(n, [(i, i + 1) for i in range(1, n)])
+        # one spoke means the whole path: the isolated-center forest, its arc the whole rim
+        return WheelForest(n, tuple((i, i + 1) for i in range(1, n)), 1, n)
     k = _initial_run(tree)
     # the run 1..k holds k - 1 path edges, so any more lie off the run
     if len(tree.edges) - len(hub) != k - 1:
@@ -172,9 +181,9 @@ def inverse(tree: FanTree, n: int) -> WheelForest:
     for _, i in hub:
         if i < k:
             raise ValueError("not in the image convention: hub edge inside the initial path run")
-    rebuilt = [(i, i + 1) for i in range(1, k)]
-    rebuilt.extend((0, i + 1) for _, i in hub)
-    return WheelForest.from_edges(n, rebuilt)
+    # the spokes, in the tree's order, sort before the arc's rim path 1..k
+    rebuilt = tuple((0, i + 1) for _, i in hub) + tuple((i, i + 1) for i in range(1, k))
+    return WheelForest(n, rebuilt, 1, k)
 
 
 def conditioned_forward(f: WheelForest) -> FanTree:
@@ -198,11 +207,14 @@ def conditioned_inverse(tree: FanTree) -> WheelForest:
     removing it and rotating j back to rim vertex 1 gives the forest.
     """
     n = tree.m
+    if n < 3:
+        raise ValueError("wheel requires at least 3 rim vertices")
     k = _initial_run(tree)
     # the run reaches the rest of the tree only through the hub, so one spoke
     (j,) = [b for a, b in tree.edges if a == 0 and b <= k]
     rest = [e for e in tree.edges if e != (0, j)]
-    return WheelForest.from_edges(n, rotate_rim_labels(rest, (1 - j) % n, n))
+    # rest's arc is 1..k; the rotation taking j to 1 takes its start 1 to (1 - j) % n + 1
+    return WheelForest(n, rotate_rim_labels(rest, (1 - j) % n, n), (1 - j) % n + 1, k)
 
 
 class FiberReport(NamedTuple):
@@ -304,7 +316,7 @@ def fiber_report(n: int, cap: int = DEFAULT_ENUM_CAP) -> FiberReport:
             continue
         rep_images[key] = edges
         preimage = _once(preimages, edges, inverse, image, n)
-        back = preimage is not None and preimage.edges == key
+        back = preimage == f
         roundtrip_ok += back
         spoke_only_ok += back and spoke_only
 

@@ -3,9 +3,9 @@
 Subcommands: count, resist, bijection {forward,inverse,audit}, enumerate,
 verify, oeis.  Exit codes: 0 success, 1 verification mismatch, 2 usage or
 domain error.  Integers print in full decimal, however long; rationals as p/q.
-count and resist answer from verify.routes, and oeis from the rows of
-verify.CLOSED_FORMS, the one table of closed forms the verify suites check;
-this module only parses the query, picks --method and prints.
+count and resist answer from verify.answer, which picks the routes --method
+names, and oeis from the rows of verify.CLOSED_FORMS, the one table of closed
+forms the verify suites check; this module only parses the query and prints.
 It is the one front end: a b-file is `wheelfan oeis ... --bfile > FILE`.
 """
 
@@ -76,8 +76,8 @@ def _separated_pair(args, g: LabeledGraph) -> tuple[int, int]:
 
 
 def _answer(args, quantity: str) -> int:
-    """Answer trees, forests or resist along the routes verify.routes lists:
-    the one that --method names, or with --method all each one in turn."""
+    """Print what verify.answer gives for --method: the one value, or with
+    --method all each route's line, and MISMATCH with exit 1 if they differ."""
     kind, size, g = _parse_graph(args.graph)
     pair = None
     if quantity == "forests":
@@ -85,15 +85,10 @@ def _answer(args, quantity: str) -> int:
     elif quantity == "resist":
         pair = _parse_pair(args.pair, g)
     # resist has no --enum-cap, and no enum route to use one
-    routes = verify.routes(kind, size, g, quantity, pair, getattr(args, "enum_cap", DEFAULT_ENUM_CAP))
+    values = verify.answer(kind, size, g, quantity, pair, args.method, getattr(args, "enum_cap", DEFAULT_ENUM_CAP))
     if args.method != "all":
-        if args.method not in routes:
-            raise ValueError(f"no closed form for this graph; use --method {' or '.join(routes)}")
-        print(routes[args.method]())
+        print(values[args.method])
         return 0
-    if "enum" in routes and g.vertex_count > args.enum_cap:
-        del routes["enum"]  # all leaves enum out above the cap
-    values = {name: route() for name, route in routes.items()}
     for name, value in values.items():
         print(f"{name}: {value}")
     if len(set(values.values())) > 1:

@@ -1,10 +1,10 @@
 """Verification suites, and the one table of closed forms the CLI answers from.
 
-CLOSED_FORMS has one row per function of formulas.  routes() maps a query
-(trees, separating forests or a resistance) to its exact routes: the closed
-form of the row that matches it, the Laplacian minor, and enumeration for
-counts.  count and resist answer from it, and the trees, forests and resistance
-suites check every route against the minor; the forests suite also checks the
+CLOSED_FORMS has one row per function of formulas.  answer() picks and runs
+the exact routes of a query (trees, separating forests or a resistance): the
+closed form of the row that matches it, the Laplacian minor, and enumeration
+for counts.  count and resist print its answers, and the trees, forests and
+resistance suites check each against the minor; the forests suite also checks the
 labeled rows, and oeis prints the rows with a sequence.  Rows look their
 function up in formulas when they run, so a test build can corrupt one and
 watch every reader fail.  The bijection suite takes every per-n check from one
@@ -100,10 +100,10 @@ def closed_form(kind: str, quantity: str, pair=None) -> ClosedForm | None:
     return next((form for form in CLOSED_FORMS if form[:3] == (kind, quantity, where)), None)
 
 
-def routes(kind: str, size: int, g: LabeledGraph, quantity: str, pair=None, enum_cap: int = DEFAULT_ENUM_CAP):
-    """The routes answering trees, forests or resist on g, as thunks in order:
-    formula where a closed form exists, minor, and enum for counts only.
-    Each thunk returns its answer as printed: p/q for resist, else in full."""
+def answer(kind, size, g: LabeledGraph, quantity, pair=None, method="all", enum_cap=DEFAULT_ENUM_CAP) -> dict[str, str]:
+    """Trees, forests or resist on g, as printed (p/q for resist, else in full), by
+    the route method names, or for all by formula where a closed form exists,
+    minor, then enum for counts up to enum_cap vertices.  Only those routes run."""
     form = closed_form(kind, quantity, pair)
     found = {} if form is None else {"formula": lambda: form(size, pair)}
     if quantity == "trees":
@@ -114,8 +114,14 @@ def routes(kind: str, size: int, g: LabeledGraph, quantity: str, pair=None, enum
         found["enum"] = lambda: len(enumeration.enum_two_forests(g, *pair, cap=enum_cap))
     else:
         found["minor"] = lambda: kirchhoff.effective_resistance(g, *pair)
+    if method != "all":
+        if method not in found:
+            raise ValueError(f"no closed form for this graph; use --method {' or '.join(found)}")
+        found = {method: found[method]}
+    elif g.vertex_count > enum_cap:
+        found = {name: route for name, route in found.items() if name != "enum"}
     show = format_fraction if quantity == "resist" else format_int
-    return {name: lambda route=route: show(route()) for name, route in found.items()}
+    return {name: show(route()) for name, route in found.items()}
 
 
 # what a check's name calls each route it compares against the minor
@@ -123,16 +129,13 @@ _SHOWN_AS = {"formula": "closed form", "enum": "enumeration"}
 
 
 def _route_checks(label: str, params: str, enum_cap: int, kind, size, g, quantity, pair) -> list[Check]:
-    # every other route of the query against its minor, compared as the CLI
-    # prints them; enum only when g is within enum_cap
-    found = routes(kind, size, g, quantity, pair, enum_cap)
-    minor = found.pop("minor")()
-    if g.vertex_count > enum_cap:
-        found.pop("enum", None)
+    # every other route of the query against its minor, as the CLI prints them
+    found = answer(kind, size, g, quantity, pair, "all", enum_cap)
+    minor = found.pop("minor")
     ratio = " ratio" if quantity == "resist" else ""
     return [
-        equality_check(f"{label}: {_SHOWN_AS[name]} vs minor{ratio}", params, route(), minor)
-        for name, route in found.items()
+        equality_check(f"{label}: {_SHOWN_AS[name]} vs minor{ratio}", params, value, minor)
+        for name, value in found.items()
     ]
 
 

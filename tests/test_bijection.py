@@ -1,4 +1,5 @@
 from collections import Counter
+from contextlib import suppress
 from functools import lru_cache
 
 import pytest
@@ -18,7 +19,7 @@ from wheelfan.bijection import (
     normalize,
 )
 from wheelfan.cli import main
-from wheelfan.enumeration import enum_arc_forests
+from wheelfan.enumeration import enum_arc_forests, enum_spanning_trees
 from wheelfan.graphs import canonical_edge, is_spanning_tree, make_fan, rotate_rim_labels
 from wheelfan.kirchhoff import count_spanning_trees
 
@@ -119,6 +120,18 @@ def test_each_forest_is_analysed_once(monkeypatch):
     normalize(nf)
     normalize(enum_arc_forests(5)[-1])
     assert len(calls) == 1
+    # the inverses build their forests directly, each with the arc from_edges finds
+    inverted, conditioned = [], []
+    for m in range(1, 7):
+        for edges in enum_spanning_trees(make_fan(m)):
+            tree = FanTree(m, edges)
+            with suppress(ValueError):  # not an image of forward, or m = 1
+                inverted.append(inverse(tree, m + 1))
+            with suppress(ValueError):  # m < 3
+                conditioned.append(conditioned_inverse(tree))
+    assert len(calls) == 1
+    assert inverted and len(conditioned) == sum(count_spanning_trees(make_fan(m)) for m in range(3, 7))
+    assert all(f == WheelForest.from_edges(f.n, f.edges) for f in inverted + conditioned)
 
 
 def test_forward_checks_each_image(monkeypatch, capsys):
@@ -127,6 +140,11 @@ def test_forward_checks_each_image(monkeypatch, capsys):
     assert main(["bijection", "forward", "--n", "4", "--edges", "0-3,0-4,1-2"]) == 2
     assert "not a spanning tree of the fan with 3 path vertices" in capsys.readouterr().err
     assert not fiber_report(5).all_images_valid
+
+
+def test_inverse_refuses_a_wheel_with_fewer_than_3_rim_vertices(capsys):
+    assert main(["bijection", "inverse", "--n", "2", "--edges", "0-1"]) == 2
+    assert capsys.readouterr().err == "error: wheel requires at least 3 rim vertices\n"
 
 
 def test_one_wheel_forest_class():

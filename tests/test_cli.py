@@ -68,6 +68,51 @@ def test_count_method_all_skips_enum_over_cap(capsys):
     assert out == f"formula: {wheelfan.formulas.trees_wheel(12)}\nminor: {wheelfan.formulas.trees_wheel(12)}\n"
 
 
+_QUERIES_ON_WHEEL_6 = [
+    ("count", "trees", "--graph", "wheel:6"),
+    ("count", "forests", "--graph", "wheel:6", "--separate", "1,3"),
+    ("resist", "--graph", "wheel:6", "--pair", "1,3"),
+]
+
+
+def test_a_single_method_runs_no_other_route(capsys, monkeypatch):
+    # count trees --graph wheel:10300 --method formula answers at once only if
+    # asking for one route leaves the minor, and the walk, unrun
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran a route that was not asked for")
+
+    minors = [run_cli(capsys, *query, "--method", "minor") for query in _QUERIES_ON_WHEEL_6]
+    with monkeypatch.context() as patch:
+        for name in ("count_spanning_trees", "count_two_forests", "effective_resistance"):
+            patch.setattr(kirchhoff, name, refuse)
+        assert [run_cli(capsys, *query, "--method", "formula") for query in _QUERIES_ON_WHEEL_6] == minors
+    for name in ("enum_spanning_trees", "enum_two_forests", "enum_arc_forests"):
+        monkeypatch.setattr(enumeration, name, refuse)
+    assert [run_cli(capsys, *query, "--method", "minor") for query in _QUERIES_ON_WHEEL_6] == minors
+
+
+@pytest.mark.parametrize(
+    "query, suite, row",
+    [
+        (("count", "trees"), "trees", "wheel trees: enumeration vs minor [n=9]"),
+        (("count", "forests", "--separate", "1,3"), "forests", "separating forests: enumeration vs minor [n=9 k=2]"),
+    ],
+)
+def test_count_and_verify_share_one_enumeration_cap(capsys, query, suite, row):
+    # wheel:9 has 10 vertices: enum runs at --enum-cap 10 and not at 9, alike
+    # for --method enum, --method all and the verify suite that checks the query
+    def runs(cap):
+        count = [*query, "--graph", "wheel:9", "--enum-cap", str(cap), "--method"]
+        verify = ("verify", "--suite", suite, "--max-n", "9", "--enum-cap", str(cap))
+        return run_cli(capsys, *count, "enum"), run_cli(capsys, *count, "all"), run_cli(capsys, *verify)
+
+    enum, every, checked = runs(9)
+    assert enum == (2, "", "error: graph has 10 vertices, enumeration cap is 9\n")
+    assert every[0] == checked[0] == 0 and "enum:" not in every[1] and row not in checked[1]
+    enum, every, checked = runs(10)
+    assert every[0] == checked[0] == enum[0] == 0 and f"enum: {enum[1]}" in every[1] and row in checked[1]
+
+
 def test_count_method_all_on_a_cycle_wider_than_a_machine_word(tmp_path, capsys):
     path = tmp_path / "c80.txt"
     path.write_text(format_edge_list(80, make_graph(80, [(i, (i + 1) % 80) for i in range(80)]).edges))
