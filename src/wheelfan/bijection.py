@@ -43,31 +43,18 @@ and the report keys classes by normalize, so the two rotations check each
 other.  Rotation-equivalent forests share an image, so the report checks
 and inverts each distinct image once.
 
-Validation happens once per input forest, where it enters the module:
-WheelForest.from_edges, the one checked entry, checks the edge set (one
-union-find pass over the wheel, which must leave two parts) and locates
-the arc.  enum_arc_forests trusts its walk, which only finds forests, and
-locates each arc by the same rule, enumeration.rim_arc_of, without a
-union-find pass.  WheelForest lives in the enumeration module, which emits
-it; bijection.WheelForest is the same class.  A forest is its sorted edge
-tuple and its arc, nothing else, and its four-field constructor trusts
-them, so every derived forest is built directly, its arc known from how it
-was made.  normalize rotates the whole edge tuple with
-rotation_class_representative (a rim rotation is an automorphism of the
-wheel, so the result is again a valid forest), moves arc_start to 1 and
-keeps arc_len.  inverse rebuilds the arc 1..k from the tree's initial path
-run and the spokes from its hub edges; conditioned_inverse drops the run's
-one spoke {0, j}, leaving the arc 1..k, and rotates j back to rim vertex 1,
-which moves the arc's start to where 1 went.  Both refuse a wheel with
-fewer than 3 rim vertices, as from_edges does.  The audit's round trip
-compares whole forests, arc included, so a wrong arc fails it.  Fan trees
-are different: FanTree checks every tree with is_spanning_tree, each
-distinct image included.  The audit reports that check, and its coverage
-row rests on it: the distinct images, all fan spanning trees, cover the
-target fan exactly when they are as many as its Laplacian minor counts.
-FanTree.from_edges is the entry point for outside edges and makes them
-canonical; forward and the audit already hold canonical edges and build
-their FanTree directly.
+WheelForest lives in the enumeration module, which emits it and says where
+a forest's edges are checked; bijection.WheelForest is the same class.  Its
+four-field constructor trusts its edges and arc, so every forest derived
+here (by normalize, inverse and conditioned_inverse) is built directly, its
+arc known from how it was made.  The audit's round trip compares whole
+forests, arc included, so a wrong arc fails it.  Fan trees are different:
+FanTree checks every tree with is_spanning_tree, each distinct image
+included, and the audit's coverage row rests on that check: the distinct
+images, all fan spanning trees, cover the target fan exactly when they are
+as many as its Laplacian minor counts.  FanTree.from_edges makes outside
+edges canonical; forward and the audit already hold canonical edges and
+build their FanTree directly.
 """
 
 from __future__ import annotations
@@ -75,7 +62,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import NamedTuple
 
-from .graphs import Edge, canonical_edge, is_spanning_tree, make_fan, rotate_rim_labels
+from .graphs import Edge, _check_path, _check_rim, canonical_edge, is_spanning_tree, make_fan, rotate_rim_labels
 from .enumeration import DEFAULT_ENUM_CAP, WheelForest, enum_arc_forests, rotation_class_representative
 from .kirchhoff import count_spanning_trees
 
@@ -94,8 +81,7 @@ class FanTree(_FanTreeFields):
     __slots__ = ()
 
     def __new__(cls, m: int, edges: tuple[Edge, ...]):
-        if m < 1:
-            raise ValueError("fan requires at least 1 path vertex")
+        _check_path(m)
         # counted before the fan is built, so a huge m with few edges costs nothing
         if len(edges) != m or not is_spanning_tree(make_fan(m), edges):
             raise ValueError(f"not a spanning tree of the fan with {m} path vertices")
@@ -168,8 +154,7 @@ def inverse(tree: FanTree, n: int) -> WheelForest:
     """
     if n != tree.m + 1:
         raise ValueError("rim size must be one more than the fan path size")
-    if n < 3:
-        raise ValueError("wheel requires at least 3 rim vertices")
+    _check_rim(n)
     hub = [e for e in tree.edges if e[0] == 0]
     if hub == [(0, 1)]:
         # one spoke means the whole path: the isolated-center forest, its arc the whole rim
@@ -207,8 +192,7 @@ def conditioned_inverse(tree: FanTree) -> WheelForest:
     removing it and rotating j back to rim vertex 1 gives the forest.
     """
     n = tree.m
-    if n < 3:
-        raise ValueError("wheel requires at least 3 rim vertices")
+    _check_rim(n)
     k = _initial_run(tree)
     # the run reaches the rest of the tree only through the hub, so one spoke
     (j,) = [b for a, b in tree.edges if a == 0 and b <= k]

@@ -2,10 +2,11 @@
 
 Subcommands: count, resist, bijection {forward,inverse,audit}, enumerate,
 verify, oeis.  Exit codes: 0 success, 1 verification mismatch, 2 usage or
-domain error.  Integers print in full decimal, however long; rationals as p/q.
-count and resist answer from verify.answer, which picks the routes --method
-names, and oeis from the rows of verify.CLOSED_FORMS, the one table of closed
-forms the verify suites check; this module only parses the query and prints.
+domain error, or output that cannot be written.  Integers print in full
+decimal, however long; rationals as p/q.  count and resist answer from
+verify.answer, which picks the routes --method names, and oeis from the rows
+of verify.CLOSED_FORMS, the one table of closed forms the verify suites
+check; this module only parses the query and prints.
 It is the one front end: a b-file is `wheelfan oeis ... --bfile > FILE`.
 """
 
@@ -13,13 +14,16 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from itertools import islice
 from pathlib import Path
 
 from . import bijection, verify
 from .enumeration import DEFAULT_ENUM_CAP, enum_arc_forest_edges, enum_spanning_trees, enum_two_forests
-from .graphs import LabeledGraph, _parse_int, format_edge_list, make_fan, make_wheel, parse_edge_list
+from .graphs import (
+    LabeledGraph, _check_distinct, _check_vertices, _parse_int, format_edge_list, make_fan, make_wheel, parse_edge_list,
+)
 from .report import format_int, summary_line
 
 
@@ -46,11 +50,8 @@ def _parse_pair(text: str, g: LabeledGraph) -> tuple[int, int]:
     if len(parts) != 2:
         raise ValueError(f"bad vertex pair {text!r}; expected A,B")
     u, v = _parse_int(parts[0], "vertex"), _parse_int(parts[1], "vertex")
-    if u == v:
-        raise ValueError("the two vertices must be distinct")
-    for w in (u, v):
-        if not 0 <= w < g.vertex_count:
-            raise ValueError(f"vertex {w} out of range")
+    _check_distinct(u, v)
+    _check_vertices(g.vertex_count, u, v)
     return u, v
 
 
@@ -260,7 +261,9 @@ def main(argv=None) -> int:
     # looked up by name at call time, so a rebound cmd_* is the one that runs
     run = globals()[f"cmd_{args.command}"]
     try:
-        return run(args)
+        code = run(args)
+        sys.stdout.flush()  # so that output which cannot be written exits 2 too
+        return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
     except MemoryError:
@@ -270,7 +273,18 @@ def main(argv=None) -> int:
 
 
 def entry():
-    sys.exit(main())
+    """The console script.  main maps a failed write, its reader gone, to exit
+    2 and one error line, but the text stays buffered; then both streams
+    point at os.devnull, so that the shutdown flush has nothing to fail on."""
+    code = 2  # main raises only when its own error line cannot be written
+    try:
+        code = main()
+        sys.stdout.flush()  # fails only after a failed write
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, sys.stderr.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -47,7 +47,9 @@ from __future__ import annotations
 import sys
 from typing import NamedTuple
 
-from .graphs import Edge, LabeledGraph, canonical_edge, components, make_wheel, rotate_rim_labels
+from .graphs import (
+    Edge, LabeledGraph, _check_distinct, _check_rim, canonical_edge, components, make_wheel, rotate_rim_labels,
+)
 from .kirchhoff import count_spanning_trees, count_two_forests
 from .report import format_int
 from .sequences import fib
@@ -201,8 +203,7 @@ def enum_spanning_trees(g: LabeledGraph, cap: int = DEFAULT_ENUM_CAP) -> list[tu
 
 def size_two_forests(g: LabeledGraph, u: int, v: int, cap: int = DEFAULT_ENUM_CAP) -> int:
     """How many forests enum_two_forests(g, u, v, cap) emits; refuses as it does, without the walk."""
-    if u == v:
-        raise ValueError("the two vertices must be distinct")
+    _check_distinct(u, v)
     # count_two_forests also refuses a vertex out of range
     return _checked_size(g.vertex_count, cap, lambda: count_two_forests(g, u, v), "separating two-forests")
 
@@ -256,8 +257,7 @@ def rim_arc_of(n: int, edges) -> tuple[int, int]:
 
 def _analyze_forest(n: int, edges) -> tuple[tuple[Edge, ...], int, int]:
     """Check a wheel forest's edges; return them sorted and canonical, and locate the arc."""
-    if n < 3:
-        raise ValueError("wheel requires at least 3 rim vertices")
+    _check_rim(n)
     edges = tuple(sorted(canonical_edge(a, b) for a, b in edges))
     if len(set(edges)) != len(edges):
         raise ValueError("duplicate edge in forest")
@@ -298,8 +298,7 @@ def size_arc_forests(n: int, cap: int = DEFAULT_ENUM_CAP) -> int:
     # part a spanning tree of the fan on the other n-k rim vertices,
     # f(2(n-k)) choices.  With f(2) + f(4) + ... + f(2n-2) = f(2n-1) - 1 the
     # total is n + n*(f(2n-1) - 1) = n*f(2n-1).
-    if n < 3:  # before the count, which has no meaning below 3
-        raise ValueError("wheel requires at least 3 rim vertices")
+    _check_rim(n)  # before the count, which has no meaning below MIN_RIM
     return _checked_size(n + 1, cap, lambda: n * fib(2 * n - 1), "two-component forests")
 
 

@@ -1,27 +1,27 @@
 """Closed-form counts and resistances for wheels and fans, exactly evaluated.
 
 These are the third computation path next to the Laplacian minors and the
-brute-force oracle; the verification suites hold all three together.
+brute-force oracle; the verification suites hold all three together.  Of
+graphs they take the domain rules alone, so they share no computation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .graphs import _check_path, _check_rim
 from .sequences import fib, lucas
 
 
 def trees_wheel(n: int) -> int:
     """l(2n) - 2 spanning trees for the wheel with n rim vertices."""
-    if n < 3:
-        raise ValueError("wheel requires at least 3 rim vertices")
+    _check_rim(n)
     return lucas(2 * n) - 2
 
 
 def trees_fan(m: int) -> int:
     """f(2m) spanning trees for the fan with m path vertices."""
-    if m < 1:
-        raise ValueError("fan requires at least 1 path vertex")
+    _check_path(m)
     return fib(2 * m)
 
 
@@ -31,8 +31,7 @@ def forests_separating(n: int, k: int) -> int:
 
     f(2k)*(l(2n)-2) - f(2n)*(l(2k)-2), for k in 1..n//2.
     """
-    if n < 3:
-        raise ValueError("wheel requires at least 3 rim vertices")
+    _check_rim(n)
     if not 0 < k <= n // 2:
         raise ValueError(f"cycle distance must lie in 1..{n // 2} for {n} rim vertices")
     return fib(2 * k) * (lucas(2 * n) - 2) - fib(2 * n) * (lucas(2 * k) - 2)
@@ -40,8 +39,7 @@ def forests_separating(n: int, k: int) -> int:
 
 def forests_sep_adjacent(n: int) -> int:
     """2*(f(2n-1) - 1), the k=1 case in closed form."""
-    if n < 3:
-        raise ValueError("wheel requires at least 3 rim vertices")
+    _check_rim(n)
     return 2 * (fib(2 * n - 1) - 1)
 
 
@@ -54,8 +52,7 @@ def forests_sep_dist2(n: int) -> int:
 
 def forests_sep_center(n: int) -> int:
     """f(2n) forests separating a rim vertex from the center."""
-    if n < 3:
-        raise ValueError("wheel requires at least 3 rim vertices")
+    _check_rim(n)
     return fib(2 * n)
 
 
@@ -70,11 +67,8 @@ def resistance_rim(n: int, k: int) -> Fraction:
     (l(n)(2 - l(2k)) + 5f(n)f(2k)) / (5f(n)) for even n and
     (f(n)(2 - l(2k)) + f(2k)l(n)) / l(n) for odd n, on half-size numbers.
     """
-    if n < 3:
-        raise ValueError("wheel requires at least 3 rim vertices")
-    if k == 0:
-        return Fraction(0)
-    if not 0 < k <= n // 2:
+    _check_rim(n)
+    if not 0 <= k <= n // 2:
         raise ValueError(f"cycle distance must lie in 0..{n // 2} for {n} rim vertices")
     fn, ln, rest = fib(n), lucas(n), 2 - lucas(2 * k)
     if n % 2 == 0:
@@ -90,8 +84,7 @@ def resistance_center(n: int) -> Fraction:
     With f(2n) = f(n)l(n) and the factorisations of l(2n) - 2 above, it is
     l(n)/(5f(n)) for even n and f(n)/l(n) for odd n, whose gcd is at most 2.
     """
-    if n < 3:
-        raise ValueError("wheel requires at least 3 rim vertices")
+    _check_rim(n)
     if n % 2 == 0:
         return Fraction(lucas(n), 5 * fib(n))
     return Fraction(fib(n), lucas(n))

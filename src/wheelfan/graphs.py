@@ -9,6 +9,12 @@ and make_fan emit theirs in order.  The check sits in __new__, which _make,
 and so _replace, goes through too.  A graph has no __dict__ and takes no new
 attribute, so the one graph make_wheel or make_fan caches for every caller
 cannot be changed.
+
+Four domain rules are stated here once, each by a helper that raises its one
+message: a wheel's MIN_RIM rim vertices, a fan's MIN_PATH path vertices, a
+vertex in range and a pair of distinct vertices.  The helpers are private, as
+_parse_int is: perfbench/spans.py wraps every public function, and a span per
+check would cost more than the check.
 """
 
 from __future__ import annotations
@@ -17,6 +23,30 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 Edge = tuple[int, int]
+
+MIN_RIM = 3  # the wheel W_{n+1}: rim 1..n around the center 0
+MIN_PATH = 1  # the fan F_m: path 1..m beside the hub 0
+
+
+def _check_rim(n: int) -> None:
+    if n < MIN_RIM:
+        raise ValueError("wheel requires at least 3 rim vertices")
+
+
+def _check_path(m: int) -> None:
+    if m < MIN_PATH:
+        raise ValueError("fan requires at least 1 path vertex")
+
+
+def _check_vertices(vertex_count: int, *vertices: int) -> None:
+    for w in vertices:
+        if not 0 <= w < vertex_count:
+            raise ValueError(f"vertex {w} out of range")
+
+
+def _check_distinct(u: int, v: int) -> None:
+    if u == v:
+        raise ValueError("the two vertices must be distinct")
 
 
 def canonical_edge(a: int, b: int) -> Edge:
@@ -67,8 +97,7 @@ def make_graph(vertex_count: int, edges: Iterable[tuple[int, int]]) -> LabeledGr
 @lru_cache(maxsize=None)
 def make_wheel(n: int) -> LabeledGraph:
     """Wheel with rim vertices 1..n and center 0.  2n edges, in sorted order."""
-    if n < 3:
-        raise ValueError("wheel requires at least 3 rim vertices")
+    _check_rim(n)
     spokes = [(0, i) for i in range(1, n + 1)]
     rim = [(1, 2), (1, n)] + [(i, i + 1) for i in range(2, n)]
     return LabeledGraph(n + 1, tuple(spokes + rim))
@@ -77,8 +106,7 @@ def make_wheel(n: int) -> LabeledGraph:
 @lru_cache(maxsize=None)
 def make_fan(m: int) -> LabeledGraph:
     """Fan with path vertices 1..m and hub 0.  2m-1 edges, in sorted order."""
-    if m < 1:
-        raise ValueError("fan requires at least 1 path vertex")
+    _check_path(m)
     hub = [(0, i) for i in range(1, m + 1)]
     path = [(i, i + 1) for i in range(1, m)]
     return LabeledGraph(m + 1, tuple(hub + path))

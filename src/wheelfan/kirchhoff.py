@@ -39,7 +39,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import NamedTuple, Sequence
 
-from .graphs import LabeledGraph
+from .graphs import LabeledGraph, _check_distinct, _check_vertices
 
 
 class LaplacianMatrix(NamedTuple):
@@ -266,8 +266,6 @@ def count_spanning_trees(g: LabeledGraph) -> int:
     Disconnected graphs give 0 rather than an error, at once when there are
     too few edges to connect the vertices.
     """
-    if g.vertex_count == 1:
-        return 1
     if len(g.edges) < g.vertex_count - 1:
         return 0
     return det_exact(_ordered_minor(laplacian(g), {0}))
@@ -275,11 +273,8 @@ def count_spanning_trees(g: LabeledGraph) -> int:
 
 def count_two_forests(g: LabeledGraph, u: int, v: int) -> int:
     """Number of two-component spanning forests with u and v in different parts."""
-    if u == v:
-        raise ValueError("the two vertices must be distinct")
-    for w in (u, v):
-        if not 0 <= w < g.vertex_count:
-            raise ValueError(f"vertex {w} out of range")
+    _check_distinct(u, v)
+    _check_vertices(g.vertex_count, u, v)
     if len(g.edges) < g.vertex_count - 2:
         return 0  # too few edges for two parts to span the vertices
     return det_exact(_ordered_minor(laplacian(g), {u, v}))
@@ -336,9 +331,7 @@ def effective_resistance(g: LabeledGraph, u: int, v: int) -> Fraction:
     when it has fewer than V-1 edges; v outside it has infinite resistance, a
     ValueError.  u == v gives 0.
     """
-    for w in (u, v):
-        if not 0 <= w < g.vertex_count:
-            raise ValueError(f"vertex {w} out of range")
+    _check_vertices(g.vertex_count, u, v)
     if u == v:
         return Fraction(0)
     # with too few edges to connect g, the whole-graph pass would only say so

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from . import bijection, enumeration, formulas, kirchhoff
 from .enumeration import DEFAULT_ENUM_CAP
-from .graphs import LabeledGraph, make_fan, make_wheel
+from .graphs import MIN_PATH, MIN_RIM, LabeledGraph, make_fan, make_wheel
 from .report import Check, equality_check, format_fraction, format_int, info_check
 from .sequences import fib, lucas
 
@@ -74,11 +74,13 @@ class ClosedForm(NamedTuple):
 # a query has a formula route exactly where a row has its family, quantity and
 # pair class; the labeled rows are the forests suite's named checks, in order
 CLOSED_FORMS = (
-    ClosedForm("wheel", "trees", None, 3, "trees_wheel", None, "wheel-trees", "spanning trees of the wheel, l(2n)-2"),
-    ClosedForm("fan", "trees", None, 1, "trees_fan", None, "fan-trees", "spanning trees of the fan, f(2n)"),
-    ClosedForm("wheel", "forests", "rim", 3, "forests_separating"),
     ClosedForm(
-        "wheel", "forests", 1, 3, "forests_sep_adjacent", "adjacent-pair", "sep-adjacent",
+        "wheel", "trees", None, MIN_RIM, "trees_wheel", None, "wheel-trees", "spanning trees of the wheel, l(2n)-2"
+    ),
+    ClosedForm("fan", "trees", None, MIN_PATH, "trees_fan", None, "fan-trees", "spanning trees of the fan, f(2n)"),
+    ClosedForm("wheel", "forests", "rim", MIN_RIM, "forests_separating"),
+    ClosedForm(
+        "wheel", "forests", 1, MIN_RIM, "forests_sep_adjacent", "adjacent-pair", "sep-adjacent",
         "wheel forests separating two adjacent rim vertices, 2(f(2n-1)-1)",
     ),
     ClosedForm(
@@ -86,11 +88,11 @@ CLOSED_FORMS = (
         "wheel forests separating rim vertices at cycle distance 2, 2(l(2n-2)-3)",
     ),
     ClosedForm(
-        "wheel", "forests", "center", 3, "forests_sep_center", "center-pair", "sep-center",
+        "wheel", "forests", "center", MIN_RIM, "forests_sep_center", "center-pair", "sep-center",
         "wheel forests separating a rim vertex from the center, f(2n)",
     ),
-    ClosedForm("wheel", "resist", "rim", 3, "resistance_rim"),
-    ClosedForm("wheel", "resist", "center", 3, "resistance_center"),
+    ClosedForm("wheel", "resist", "rim", MIN_RIM, "resistance_rim"),
+    ClosedForm("wheel", "resist", "center", MIN_RIM, "resistance_center"),
 )
 
 
@@ -140,7 +142,7 @@ def _route_checks(label: str, params: str, enum_cap: int, kind, size, g, quantit
 
 
 # family, index name, first index, graph constructor
-_TREE_FAMILIES = (("wheel", "n", 3, make_wheel), ("fan", "m", 1, make_fan))
+_TREE_FAMILIES = (("wheel", "n", MIN_RIM, make_wheel), ("fan", "m", MIN_PATH, make_fan))
 
 
 def suite_trees(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> list[Check]:
@@ -154,7 +156,7 @@ def suite_trees(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> list[Check]:
 
 def suite_forests(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> list[Check]:
     checks = []
-    for n in range(3, max_n + 1):
+    for n in range(MIN_RIM, max_n + 1):
         g = make_wheel(n)
         for k in range(1, n // 2 + 1):
             params = f"n={n} k={k}"
@@ -168,7 +170,7 @@ def suite_forests(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> list[Check]:
 
 def suite_resistance(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> list[Check]:
     checks = []
-    for n in range(3, max_n + 1):
+    for n in range(MIN_RIM, max_n + 1):
         g = make_wheel(n)
         # rim vertex 1 against 1+k at each cycle distance k, then against the center
         cases = [("rim", f"n={n} k={k}", 1 + k) for k in range(1, n // 2 + 1)] + [("center", f"n={n}", 0)]
@@ -200,7 +202,7 @@ def suite_bijection(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> list[Check]
                 f"pinned {direction} vector", "n=4 " + str(given), str(expected), str(actual)
             )
         )
-    for n in range(3, min(max_n, enum_cap - 1) + 1):
+    for n in range(MIN_RIM, min(max_n, enum_cap - 1) + 1):
         rep = bijection.fiber_report(n, cap=enum_cap)
         params = f"n={n}"
         checks += [
@@ -238,7 +240,7 @@ def suite_tau(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> list[Check]:
     here asserts; the comparison itself is the deliverable.
     """
     checks = []
-    for n in range(3, min(max_n, enum_cap - 1) + 1):
+    for n in range(MIN_RIM, min(max_n, enum_cap - 1) + 1):
         records = enumeration.enum_arc_forests(n, cap=enum_cap)
         labeled = len(records)
         classes = sum(r.arc_start == 1 for r in records)
@@ -281,11 +283,11 @@ def _size_enumerations(name: str, max_n: int, enum_cap: int):
             for i in range(low, top + 1):
                 enumeration.size_spanning_trees(make(i), enum_cap)
     elif name == "forests":
-        for n in range(3, top + 1):
+        for n in range(MIN_RIM, top + 1):
             for k in range(1, n // 2 + 1):
                 enumeration.size_two_forests(make_wheel(n), 1, 1 + k, enum_cap)
     elif name in ("bijection", "tau"):
-        for n in range(3, top + 1):
+        for n in range(MIN_RIM, top + 1):
             enumeration.size_arc_forests(n, enum_cap)
 
 

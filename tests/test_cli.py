@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import io
+import os
 import re
 import resource
 import shlex
@@ -1197,6 +1198,37 @@ def test_cli_module_runs_as_a_script():
     bad = run("wheel:-5")
     assert (bad.returncode, bad.stdout) == (2, "")
     assert bad.stderr == "error: wheel requires at least 3 rim vertices\n"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("stderr_closed", [False, True], ids=["stdout-closed", "both-closed"])
+@pytest.mark.parametrize(
+    "args",
+    [("count", "trees", "--graph", "wheel:5"), ("verify", "--suite", "identities", "--max-n", "40")],
+    ids=["count", "verify"],
+)
+def test_output_that_cannot_be_written_exits_2(args, stderr_closed, unbuffered):
+    # a pipe whose reader is gone before the run: a small output fails only
+    # at the final flush, a long one mid-run, and with stderr gone too even
+    # the error line cannot be written
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "wheelfan", *args],
+            stdout=write,
+            stderr=write if stderr_closed else subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    if not stderr_closed:
+        assert proc.stderr == b"error: [Errno 32] Broken pipe\n"
 
 
 @pytest.mark.parametrize(

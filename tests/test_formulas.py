@@ -28,17 +28,15 @@ def test_fan_tree_values():
 
 
 def test_domain_errors():
-    with pytest.raises(ValueError):
-        trees_wheel(2)
-    with pytest.raises(ValueError):
-        trees_fan(0)
-    with pytest.raises(ValueError):
-        forests_sep_dist2(3)
-    with pytest.raises(ValueError):
-        forests_sep_adjacent(2)
-    for closed in (forests_sep_center, resistance_center):
+    # every wheel form but sep-dist2, which keeps its own n >= 4, refuses n = 2 alike
+    wheel_forms = (trees_wheel, forests_sep_adjacent, forests_sep_center, resistance_center)
+    for closed in (*wheel_forms, lambda n: forests_separating(n, 1), lambda n: resistance_rim(n, 1)):
         with pytest.raises(ValueError, match="^wheel requires at least 3 rim vertices$"):
             closed(2)
+    with pytest.raises(ValueError, match="^fan requires at least 1 path vertex$"):
+        trees_fan(0)
+    with pytest.raises(ValueError, match="^cycle distance 2 requires at least 4 rim vertices$"):
+        forests_sep_dist2(3)
 
 
 def test_rim_pair_distance():

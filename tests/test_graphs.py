@@ -53,12 +53,12 @@ def test_fan_structure():
 
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_wheel_too_small(n):
-    with pytest.raises(ValueError, match="at least 3 rim vertices"):
+    with pytest.raises(ValueError, match="^wheel requires at least 3 rim vertices$"):
         make_wheel(n)
 
 
 def test_fan_too_small():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^fan requires at least 1 path vertex$"):
         make_fan(0)
 
 
