@@ -35,13 +35,14 @@ a hub edge inside it, are not images of this construction and are rejected.
 
 The collapse map is measured, not assumed: there are f(2n-1) rotation
 classes but only f(2n-2) spanning trees of its target fan, so it cannot be
-injective; fiber_report quantifies exactly how the classes collapse.  It is
-the one pass over the arc forests: each labeled forest is relabeled into
-its image once, and the verify suite reads its checks off the report.
-forward rotates and collapses in one relabeling of the forest's own edges,
-and the report keys classes by normalize, so the two rotations check each
-other.  Rotation-equivalent forests share an image, so the report checks
-and inverts each distinct image once.
+injective; fiber_report quantifies exactly how the classes collapse, and
+the verify suite reads its checks off the report.  The report is read off
+tables: each labeled forest's image, relabeled once; the FanTree check of
+each distinct image; each class representative's image; and the inverse of
+each distinct class image.  Rotation-equivalent forests share an image, so
+each distinct image is checked and inverted once.  forward rotates and
+collapses in one relabeling of the forest's own edges, and the report keys
+classes by normalize, so the two rotations check each other.
 
 WheelForest lives in the enumeration module, which emits it and says where
 a forest's edges are checked; bijection.WheelForest is the same class.  Its
@@ -267,68 +268,49 @@ class FiberReport(NamedTuple):
 def fiber_report(n: int, cap: int = DEFAULT_ENUM_CAP) -> FiberReport:
     """Fold the arc forests of the wheel with n rim vertices through forward.
 
-    One pass: every labeled forest is relabeled into its image once, and
-    the labeled histogram counts those images.  Rotation-equivalent forests
-    share an image, so the FanTree check and the inverse round trip run once
-    per distinct image, held for this report only.  A forest's class is
-    keyed by the edges of normalize(f); its representative is the member
-    with arc_start 1, whose image stands for the class and is inverted for
-    the round trip.  The relabeling rotates each forest by itself, not
-    through normalize, so rotation_stable compares two independent rotations.
+    The report is read off a few tables.  images holds each labeled forest's
+    image, relabeled once and interned, so that one tuple per distinct image
+    stays alive; trees holds the FanTree check of each distinct image, None
+    if it failed.  A forest's class is keyed by the edges of normalize(f);
+    its representative, one of reps, is the member with arc_start 1, and
+    class_image maps it to its image when that image is valid.  preimages
+    holds the inverse of each distinct class image, for the round trip.
+    The relabeling rotates each forest by itself, not through normalize, so
+    rotation_stable compares two independent rotations.
     """
     records = enum_arc_forests(n, cap=cap)
-    trees: dict[tuple[Edge, ...], FanTree | None] = {}  # image edges -> its checked tree
-    preimages: dict[tuple[Edge, ...], WheelForest | None] = {}  # image edges -> inverse of its tree
-    labeled_per_image: Counter = Counter()
-    per_class_image: Counter = Counter()  # (class, image) -> labeled forests
-    rep_images: dict[tuple[Edge, ...], tuple[Edge, ...]] = {}  # class -> its representative's image
-    class_count = roundtrip_ok = spoke_only_total = spoke_only_ok = 0
-    for f in records:
-        key = normalize(f).edges
-        edges = _image_edges(f)
-        image = _once(trees, edges, FanTree, n - 1, edges)
-        if image is not None:
-            labeled_per_image[edges] += 1
-            per_class_image[key, edges] += 1
-        if f.arc_start != 1:
-            continue
-        class_count += 1
-        # the center's component has n - arc_len edges; spoke-only if all are spokes
-        spoke_only = sum(a == 0 for a, _ in f.edges) == n - f.arc_len
-        spoke_only_total += spoke_only
-        if image is None:
-            continue
-        rep_images[key] = edges
-        preimage = _once(preimages, edges, inverse, image, n)
-        back = preimage == f
-        roundtrip_ok += back
-        spoke_only_ok += back and spoke_only
-
-    classes_per_image = Counter(rep_images.values())
+    distinct: dict[tuple[Edge, ...], tuple[Edge, ...]] = {}
+    images = [distinct.setdefault(edges, edges) for edges in map(_image_edges, records)]
+    trees = {image: _built(FanTree, n - 1, image) for image in distinct}
+    reps = [(f, image) for f, image in zip(records, images) if f.arc_start == 1]
+    class_image = {f.edges: image for f, image in reps if trees[image] is not None}
+    classes_per_image = Counter(class_image.values())
+    preimages = {image: _built(inverse, trees[image], n) for image in classes_per_image}
+    trips = [preimages.get(image) == f for f, image in reps]
+    # the center's component has n - arc_len edges; spoke-only if all are spokes
+    spoke_only = [sum(a == 0 for a, _ in f.edges) == n - f.arc_len for f, _ in reps]
     fan_tree_count = count_spanning_trees(make_fan(n - 1))
     to_hist = lambda c: tuple(sorted(Counter(c.values()).items()))
     return FiberReport(
         n=n,
         labeled_count=len(records),
-        class_count=class_count,
+        class_count=len(reps),
         image_count=len(classes_per_image),
         fan_tree_count=fan_tree_count,
-        labeled_fibers=to_hist(labeled_per_image),
+        labeled_fibers=to_hist(Counter(image for image in images if trees[image] is not None)),
         normalized_fibers=to_hist(classes_per_image),
-        all_images_valid=len(rep_images) == class_count,
+        all_images_valid=len(class_image) == len(reps),
         covers_target_fan=len(classes_per_image) == fan_tree_count,
-        roundtrip_ok=roundtrip_ok,
-        rotation_stable=sum(per_class_image[item] for item in rep_images.items()),
-        spoke_only_total=spoke_only_total,
-        spoke_only_ok=spoke_only_ok,
+        roundtrip_ok=sum(trips),
+        rotation_stable=sum(class_image.get(normalize(f).edges) == image for f, image in zip(records, images)),
+        spoke_only_total=sum(spoke_only),
+        spoke_only_ok=sum(t and s for t, s in zip(trips, spoke_only)),
     )
 
 
-def _once(table: dict, edges: tuple[Edge, ...], build, *args):
-    """table[edges], filled by build(*args) on first sight; None if that raised ValueError."""
-    if edges not in table:
-        try:
-            table[edges] = build(*args)
-        except ValueError:
-            table[edges] = None
-    return table[edges]
+def _built(build, *args):
+    """build(*args), or None if that raised ValueError."""
+    try:
+        return build(*args)
+    except ValueError:
+        return None

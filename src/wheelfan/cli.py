@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import os
 import sys
 from itertools import islice
@@ -254,14 +255,21 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command; may be called repeatedly in one process."""
+    # argparse ignores a failed write of --help, so the parse writes into a
+    # buffer and the help is written below, where a failed write exits 2
+    out, sys.stdout = sys.stdout, io.StringIO()
     try:
         args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    # looked up by name at call time, so a rebound cmd_* is the one that runs
-    run = globals()[f"cmd_{args.command}"]
+        args, code = None, int(exc.code) if exc.code else 0
+    finally:
+        printed, sys.stdout = sys.stdout.getvalue(), out
     try:
-        code = run(args)
+        if args is None:
+            sys.stdout.write(printed)
+        else:
+            # looked up by name at call time, so a rebound cmd_* is the one that runs
+            code = globals()[f"cmd_{args.command}"](args)
         sys.stdout.flush()  # so that output which cannot be written exits 2 too
         return code
     except (ValueError, OSError) as exc:

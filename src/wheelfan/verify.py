@@ -202,7 +202,7 @@ def suite_bijection(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> list[Check]
                 f"pinned {direction} vector", "n=4 " + str(given), str(expected), str(actual)
             )
         )
-    for n in range(MIN_RIM, min(max_n, enum_cap - 1) + 1):
+    for n in _enumerated(MIN_RIM, max_n, enum_cap):
         rep = bijection.fiber_report(n, cap=enum_cap)
         params = f"n={n}"
         checks += [
@@ -240,7 +240,7 @@ def suite_tau(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> list[Check]:
     here asserts; the comparison itself is the deliverable.
     """
     checks = []
-    for n in range(MIN_RIM, min(max_n, enum_cap - 1) + 1):
+    for n in _enumerated(MIN_RIM, max_n, enum_cap):
         records = enumeration.enum_arc_forests(n, cap=enum_cap)
         labeled = len(records)
         classes = sum(r.arc_start == 1 for r in records)
@@ -274,20 +274,25 @@ SUITES = {
 }
 
 
+def _enumerated(low: int, max_n: int, enum_cap: int) -> range:
+    """The indices from low to max_n whose graphs the suites enumerate: the
+    graph of index i has i + 1 vertices, and enum_cap bounds the vertices."""
+    return range(low, min(max_n, enum_cap - 1) + 1)
+
+
 def _size_enumerations(name: str, max_n: int, enum_cap: int):
     # sizes the enumerations suite `name` runs, in its order, with the
-    # enumerators' own counts; every graph here has index+1 vertices, hence top
-    top = min(max_n, enum_cap - 1)
+    # enumerators' own counts
     if name == "trees":
         for _, _, low, make in _TREE_FAMILIES:
-            for i in range(low, top + 1):
+            for i in _enumerated(low, max_n, enum_cap):
                 enumeration.size_spanning_trees(make(i), enum_cap)
     elif name == "forests":
-        for n in range(MIN_RIM, top + 1):
+        for n in _enumerated(MIN_RIM, max_n, enum_cap):
             for k in range(1, n // 2 + 1):
                 enumeration.size_two_forests(make_wheel(n), 1, 1 + k, enum_cap)
     elif name in ("bijection", "tau"):
-        for n in range(MIN_RIM, top + 1):
+        for n in _enumerated(MIN_RIM, max_n, enum_cap):
             enumeration.size_arc_forests(n, enum_cap)
 
 

@@ -339,6 +339,19 @@ def test_fiber_report_checks_and_inverts_each_image_once(monkeypatch, n):
     assert len(set(checked)) == len(checked) and len(set(inverted)) == len(inverted)
 
 
+@pytest.mark.parametrize("n", range(3, 9))
+def test_fiber_report_relabels_and_normalizes_each_forest_once(monkeypatch, n):
+    # a second pass over the forests would leave the report equal to the
+    # per-forest report below but double the work
+    calls = Counter()
+    for name in ("_image_edges", "normalize"):
+        real = getattr(wheelfan.bijection, name)
+        monkeypatch.setattr(wheelfan.bijection, name, lambda f, name=name, real=real: calls.update([name]) or real(f))
+    rep = fiber_report(n)
+    assert calls == {"_image_edges": rep.labeled_count, "normalize": rep.labeled_count}
+    assert rep.labeled_count == len(enum_arc_forests(n))
+
+
 def _per_forest_report(n):
     """The fiber report recomputed with forward and inverse on every forest."""
     records = enum_arc_forests(n)

@@ -1204,8 +1204,13 @@ def test_cli_module_runs_as_a_script():
 @pytest.mark.parametrize("stderr_closed", [False, True], ids=["stdout-closed", "both-closed"])
 @pytest.mark.parametrize(
     "args",
-    [("count", "trees", "--graph", "wheel:5"), ("verify", "--suite", "identities", "--max-n", "40")],
-    ids=["count", "verify"],
+    [
+        ("count", "trees", "--graph", "wheel:5"),
+        ("verify", "--suite", "identities", "--max-n", "40"),
+        ("--help",),
+        ("resist", "--help"),
+    ],
+    ids=["count", "verify", "help", "resist-help"],
 )
 def test_output_that_cannot_be_written_exits_2(args, stderr_closed, unbuffered):
     # a pipe whose reader is gone before the run: a small output fails only
