@@ -23,3 +23,21 @@ def graphs(draw, max_vertices=7):
     vertices = draw(st.integers(1, max_vertices))
     pair = st.tuples(st.integers(0, vertices - 1), st.integers(0, vertices - 1)).filter(lambda p: p[0] != p[1])
     return make_graph(vertices, draw(st.lists(pair, max_size=2 * vertices)) if vertices >= 2 else [])
+
+
+@st.composite
+def apex_and_path_graphs(draw, max_paths=3, max_length=4):
+    """Disjoint paths on shuffled labels, each vertex joined or not to one extra vertex, the apex.
+
+    A path joined nowhere to the apex is a part of its own, and the apex may
+    be isolated, so the graph may be disconnected.
+    """
+    lengths = draw(st.lists(st.integers(1, max_length), min_size=1, max_size=max_paths))
+    labels = draw(st.permutations(range(sum(lengths) + 1)))
+    apex, edges, start = labels[0], [], 1
+    for length in lengths:
+        path = labels[start : start + length]
+        edges += zip(path, path[1:])
+        edges += [(apex, w) for w in path if draw(st.booleans())]
+        start += length
+    return make_graph(len(labels), edges)

@@ -516,8 +516,9 @@ def _limit_address_space_to_128_mib():
 
 
 def test_minor_route_on_a_large_wheel_runs_in_small_memory():
-    # a dense 5000 x 5000 minor peaks near 400 MiB; the sparse rows of a
-    # wheel need about 20 MiB, so 128 MiB of address space fails only the former
+    # a dense 5000 x 5000 minor peaks near 400 MiB; the wheel's minor without
+    # its center is a cycle, held as a list of degrees, so 128 MiB of address
+    # space fails only the former
     proc = subprocess.run(
         [sys.executable, "-m", "wheelfan", "count", "trees", "--graph", "wheel:5000"],
         capture_output=True,
@@ -527,6 +528,57 @@ def test_minor_route_on_a_large_wheel_runs_in_small_memory():
     )
     trees = full_decimal(wheelfan.formulas.trees_wheel(5000))
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, trees + "\n", "")
+
+
+def test_minor_route_on_a_large_sparse_graph_runs_in_small_memory(tmp_path):
+    # the 2 x 2500 ladder has vertices of degree 3 on both rails, so its
+    # minor takes the min-degree sparse rows; dense it would peak near 400
+    # MiB, as a wheel:5000 minor would
+    rungs = 2500
+    rails = [(i, i + 1) for i in range(rungs - 1)] + [(rungs + i, rungs + i + 1) for i in range(rungs - 1)]
+    path = tmp_path / "ladder.txt"
+    path.write_text(format_edge_list(2 * rungs, rails + [(i, rungs + i) for i in range(rungs)]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wheelfan", "count", "trees", "--graph", f"file:{path}"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_limit_address_space_to_128_mib,
+    )
+    # the ladder's tree counts: 1, 4, then t(r) = 4 t(r-1) - t(r-2)
+    before, trees = 1, 4
+    for _ in range(rungs - 2):
+        before, trees = trees, 4 * trees - before
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, full_decimal(trees) + "\n", "")
+
+
+def test_count_trees_on_wheel_20000_takes_the_shape_route():
+    # 20,001 vertices: Bareiss over the sparse rows took 20-30 s, the
+    # continuants of the rim's cycle take well under one
+    proc = subprocess.run(
+        [sys.executable, "-m", "wheelfan", "count", "trees", "--graph", "wheel:20000"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        preexec_fn=_limit_address_space_to_128_mib,
+    )
+    trees = full_decimal(wheelfan.formulas.trees_wheel(20000))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, trees + "\n", "")
+
+
+def test_a_corrupt_apex_term_of_the_shape_route_is_caught(capsys, monkeypatch):
+    # fault injection in the style of criterion 10: one too many on each
+    # path's apex term w leaves every wheel minor that keeps the center wrong
+    def corrupt(degrees, flags, _original=kirchhoff._apex_terms):
+        det, w = _original(degrees, flags)
+        return det, w + 1
+
+    monkeypatch.setattr(kirchhoff, "_apex_terms", corrupt)
+    code, out, _ = run_cli(capsys, "count", "forests", "--graph", "wheel:9", "--separate", "1,4", "--method", "all")
+    assert code == 1
+    assert out.endswith("MISMATCH: methods disagree\n")
+    code, out, _ = run_cli(capsys, "verify", "--suite", "forests", "--max-n", "12")
+    assert code == 1
 
 
 def test_a_long_bfile_streams_in_small_memory():

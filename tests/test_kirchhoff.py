@@ -15,7 +15,7 @@ from wheelfan.kirchhoff import (
     effective_resistance,
     laplacian,
 )
-from strategies import connected_graphs, graphs
+from strategies import apex_and_path_graphs, connected_graphs, graphs
 
 
 def cofactor_det(m):
@@ -213,9 +213,7 @@ def test_dense_minors_match_natural_order_minors(g, data):
     assert count_two_forests(g, u, v) == det_exact(L.minor({u, v}))
     # with v last, the last divisor is the minor without both ends, even when
     # a zero pivot ends the pass early
-    minor = kirchhoff._ordered_minor(L, {u}, last=v)
-    assert det_exact(minor) == det_exact(L.minor({u}))
-    assert minor.leading == det_exact(L.minor({u, v}))
+    _assert_pass_matches_vertex_order(L, u, v)
 
 
 @pytest.mark.parametrize("a, b", [(4, 7), (7, 4), (5, 5)])
@@ -235,10 +233,11 @@ def test_two_disjoint_cliques(a, b):
 
 def _assert_pass_matches_vertex_order(L, u, v):
     # the minor without u, v last, against the dense branch in vertex order:
-    # its determinant, and the last divisor as the minor without both
-    minor = kirchhoff._ordered_minor(L, {u}, last=v)
-    assert det_exact(minor) == det_exact(L.minor({u}))
-    assert minor.leading == det_exact(L.minor({u, v}))
+    # its determinant, and the last divisor as the minor without both; on the
+    # route the minor takes, and on min-degree rows whatever its shape
+    for minor in (kirchhoff._ordered_minor(L, {u}, last=v), kirchhoff._min_degree_minor(L, {u}, last=v)):
+        assert det_exact(minor) == det_exact(L.minor({u}))
+        assert minor.leading == det_exact(L.minor({u, v}))
 
 
 @pytest.mark.parametrize(
@@ -309,6 +308,156 @@ def test_every_tail_length_matches_vertex_order(m):
         L = laplacian(g)
         for u, v in {(0, m - 1), (m - 1, 0), (m // 2, 0)}:
             _assert_pass_matches_vertex_order(L, u, v)
+
+
+def _value(minor, last):
+    det = det_exact(minor)
+    return det if last is None else (det, minor.leading)
+
+
+def _bareiss(L, drop, last=None):
+    # the generic route: min-degree rows without the shape check
+    return _value(kirchhoff._min_degree_minor(L, drop, last), last)
+
+
+def _by_shape(L, drop, last=None):
+    minor = kirchhoff._ordered_minor(L, drop, last)
+    # every minor of a wheel or a fan fits, but for the empty one of fan:1
+    assert isinstance(minor, kirchhoff.MinorShape) or minor == []
+    return _value(minor, last)
+
+
+def _both_routes(L, drop, last=None):
+    # the route _ordered_minor takes and the generic one must agree
+    value = _value(kirchhoff._ordered_minor(L, drop, last), last)
+    assert value == _bareiss(L, drop, last)
+    return value
+
+
+def _family(name, size):
+    return make_wheel(size) if name == "wheel" else make_fan(size)
+
+
+@pytest.mark.parametrize("family, size", [("wheel", n) for n in range(3, 31)] + [("fan", m) for m in range(1, 31)])
+def test_shape_route_matches_bareiss_on_every_drop(family, size):
+    # every 1- and 2-vertex drop, and every pair with one end dropped and the
+    # other last, against min-degree Bareiss; on the smallest graphs against
+    # the dense branch in vertex order too
+    g = _family(family, size)
+    L, n = laplacian(g), g.vertex_count
+    trees = _bareiss(L, {0})
+    assert all(_by_shape(L, {u}) == trees for u in range(n))
+    for u, v in combinations(range(n), 2):
+        forests = _bareiss(L, {u, v})
+        if n <= 10:
+            assert forests == det_exact(L.minor({u, v}))
+        assert _by_shape(L, {u, v}) == forests
+        assert _by_shape(L, {u}, v) == _by_shape(L, {v}, u) == (trees, forests)
+
+
+@pytest.mark.parametrize("family", ["wheel", "fan"])
+def test_shape_route_matches_bareiss_up_to_sixty(family):
+    # sizes 31..60: every drop of one vertex, and every pair with the center
+    # or hub or with vertex 1, the first of the rim or path, each end dropped
+    # and the other last
+    for size in range(31, 61):
+        g = _family(family, size)
+        L, n = laplacian(g), g.vertex_count
+        trees = _bareiss(L, {0})
+        assert all(_by_shape(L, {u}) == trees for u in range(n))
+        for u in (0, 1):
+            for v in set(range(n)) - {u}:
+                forests = _bareiss(L, {u}, v)[1]
+                assert _by_shape(L, {u, v}) == forests
+                assert _by_shape(L, {u}, v) == _by_shape(L, {v}, u) == (trees, forests)
+
+
+@settings(deadline=None)
+@given(g=apex_and_path_graphs())
+def test_shape_route_matches_both_oracles_on_apex_and_path_graphs(g):
+    # the dense branch in vertex order and min-degree Bareiss, on every 2-vertex
+    # drop and every pair with one end last
+    L, n = laplacian(g), g.vertex_count
+    trees = det_exact(L.minor({0}))
+    for u, v in combinations(range(n), 2):
+        forests = det_exact(L.minor({u, v}))
+        assert _both_routes(L, {u, v}) == forests
+        assert _both_routes(L, {u}, v) == _both_routes(L, {v}, u) == (trees, forests)
+    # without the apex the graph is paths, which always fit
+    assert any(isinstance(kirchhoff._ordered_minor(L, {w}), kirchhoff.MinorShape) for w in range(n))
+
+
+@pytest.mark.parametrize(
+    "n, edges, drop",
+    [
+        # wheel:5 with a pendant vertex 6 on vertex 1, dropped: the center beside a cycle
+        (7, [(0, w) for w in range(1, 6)] + [(w, w % 5 + 1) for w in range(1, 6)] + [(1, 6)], {6}),
+        # fan:6 with a pendant vertex 7 on vertex 3, vertex 6 dropped: degree 3 off the apex
+        (8, [(0, w) for w in range(1, 7)] + [(w, w + 1) for w in range(1, 6)] + [(3, 7)], {6}),
+        # K_{2,4} with a pendant vertex 6 on vertex 2, dropped: two apexes of degree 4
+        (7, [(a, w) for a in (0, 1) for w in range(2, 6)] + [(2, 6)], {6}),
+    ],
+    ids=["apex-beside-a-cycle", "degree-3-off-the-apex", "two-apexes"],
+)
+def test_near_miss_shapes_take_the_generic_route(n, edges, drop):
+    # each keeps at most 2(k-1) edges of k vertices, so only the scan refuses it
+    L = laplacian(make_graph(n, edges))
+    trees = det_exact(L.minor(drop))
+    for v in [None, *set(range(n)) - drop]:
+        minor = kirchhoff._ordered_minor(L, drop, v)
+        assert isinstance(minor, kirchhoff.LaplacianMinor)
+        assert _value(minor, v) == (trees if v is None else (trees, det_exact(L.minor(drop | {v}))))
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_apex_ties_go_to_the_lowest_id(reverse):
+    # 0, 1 and 2 have 3 kept neighbours each.  Without 0, the rest is the
+    # paths 4-1-5, 6-2-7 and 3; without 1, vertex 2 keeps 3, and without 2,
+    # vertex 1 does.  So the minor fits only while 0 has the lowest id of
+    # the three, and labels reversed send it to the generic route, with the
+    # same values
+    edges = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 6), (2, 7), (3, 8)]
+    label = (lambda v: 8 - v) if reverse else (lambda v: v)
+    L = laplacian(make_graph(9, [(label(a), label(b)) for a, b in edges]))
+    drop = {label(8)}
+    minor = kirchhoff._ordered_minor(L, drop)
+    assert isinstance(minor, kirchhoff.LaplacianMinor if reverse else kirchhoff.MinorShape)
+    assert det_exact(minor) == det_exact(L.minor(drop))
+    for v in set(range(9)) - drop:
+        assert _both_routes(L, drop, v) == (det_exact(L.minor(drop)), det_exact(L.minor(drop | {v})))
+
+
+@pytest.mark.parametrize("n", range(3, 33))
+def test_bareiss_on_min_degree_rows_matches_the_paper_on_wheels(n):
+    # criteria 3-5 meet the shape route on wheels; this keeps the generic
+    # route checked against the same closed forms
+    L = laplacian(make_wheel(n))
+    assert isinstance(kirchhoff._min_degree_minor(L, {0}), kirchhoff.LaplacianMinor)
+    assert _bareiss(L, {0}) == _bareiss(L, {1}) == formulas.trees_wheel(n)
+    assert _bareiss(L, {1, 2}) == formulas.forests_sep_adjacent(n)
+    assert _bareiss(L, {1, 0}) == formulas.forests_sep_center(n)
+    if n >= 4:
+        assert _bareiss(L, {1, 3}) == formulas.forests_sep_dist2(n)
+    for k in range(1, n // 2 + 1):
+        assert _bareiss(L, {1, 1 + k}) == formulas.forests_separating(n, k)
+        # a resistance drops one end and reads the minor without both last
+        trees, forests = _bareiss(L, {1}, 1 + k)
+        assert Fraction(forests, trees) == formulas.resistance_rim(n, k)
+    trees, forests = _bareiss(L, {0}, 1)
+    assert Fraction(forests, trees) == formulas.resistance_center(n)
+
+
+def test_shape_route_matches_the_paper_at_ten_thousand():
+    n = 10**4
+    wheel = make_wheel(n)
+    assert count_spanning_trees(wheel) == formulas.trees_wheel(n)
+    assert count_spanning_trees(make_fan(n)) == formulas.trees_fan(n)
+    assert count_two_forests(wheel, 1, 2) == formulas.forests_sep_adjacent(n)
+    assert count_two_forests(wheel, 5, 3) == formulas.forests_sep_dist2(n)
+    assert count_two_forests(wheel, 0, 7) == formulas.forests_sep_center(n)
+    assert count_two_forests(wheel, 10, n // 2 + 9) == formulas.forests_separating(n, n // 2 - 1)
+    assert effective_resistance(wheel, 1, n // 3 + 1) == formulas.resistance_rim(n, n // 3)
+    assert effective_resistance(wheel, n, 0) == formulas.resistance_center(n)
 
 
 @settings(deadline=None)
