@@ -146,16 +146,6 @@ def components(g: LabeledGraph, sub: Iterable[Edge]) -> list[tuple[int, ...]]:
     return [tuple(p) for p in parts.values()]
 
 
-def is_acyclic(g: LabeledGraph, sub: Iterable[Edge]) -> bool:
-    """True iff sub has no cycle; a repeated edge counts as one.
-
-    Every edge of a forest joins two parts, so a forest with e edges leaves
-    vertex_count - e parts and any cycle leaves more.
-    """
-    sub = list(sub)
-    return len(components(g, sub)) == g.vertex_count - len(sub)
-
-
 def is_spanning_tree(g: LabeledGraph, sub: Iterable[Edge]) -> bool:
     """True iff sub is acyclic, connected and has vertex_count-1 edges."""
     sub = list(sub)

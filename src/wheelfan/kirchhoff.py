@@ -13,8 +13,9 @@ divisor of the last step and the tree count as the result.  Of the pair, u
 is the end of higher degree and v the other.
 
 A Laplacian is made only from a graph, by laplacian(), and is held as its
-neighbour lists; no route builds it as an n x n array, whose dense entries
-and natural-order minors are kept as oracles for the tests.
+neighbour lists; no route builds it as an n x n array.  The dense matrix,
+its natural-order minors and textbook Bareiss live in tests/oracles.py, as
+the references the tests check the routes against.
 
 Every minor the CLI asks of a wheel or a fan has a graph of paths and
 cycles, or of paths and one apex (the center or hub), and _ordered_minor
@@ -53,46 +54,25 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from typing import NamedTuple, Sequence
 
 from .graphs import LabeledGraph, _check_distinct, _check_vertices
 
 
-class LaplacianMatrix(NamedTuple):
-    """The Laplacian D - A of a simple graph, held as its neighbour lists.
+Neighbours = tuple[tuple[int, ...], ...]
 
-    laplacian() is the one way to make one, from a validated graph, so the
-    matrix is symmetric with rows summing to zero by construction.
+
+def laplacian(g: LabeledGraph) -> Neighbours:
+    """The Laplacian D - A of a validated graph, as each vertex's neighbours.
+
+    Vertex v's degree, the diagonal entry, is len() of its tuple, and each
+    neighbour is a -1 off the diagonal, so the matrix is symmetric with rows
+    summing to zero by construction.  len() of the whole is the order.
     """
-
-    order: int
-    neighbours: tuple[tuple[int, ...], ...]
-
-    @property
-    def entries(self) -> tuple[tuple[int, ...], ...]:
-        """The dense n x n entries; for tests and oracles, never on a route."""
-        rows = []
-        for i, nbrs in enumerate(self.neighbours):
-            row = [0] * self.order
-            row[i] = len(nbrs)
-            for j in nbrs:
-                row[j] = -1
-            rows.append(tuple(row))
-        return tuple(rows)
-
-    def minor(self, drop: set[int]) -> list[list[int]]:
-        """Dense minor without the rows and columns in drop, in vertex order."""
-        keep = [i for i in range(self.order) if i not in drop]
-        entries = self.entries
-        return [[entries[i][j] for j in keep] for i in keep]
-
-
-def laplacian(g: LabeledGraph) -> LaplacianMatrix:
     nbrs: list[list[int]] = [[] for _ in range(g.vertex_count)]
     for a, b in g.edges:
         nbrs[a].append(b)
         nbrs[b].append(a)
-    return LaplacianMatrix(g.vertex_count, tuple(map(tuple, nbrs)))
+    return tuple(map(tuple, nbrs))
 
 
 class LaplacianMinor(list):
@@ -253,52 +233,23 @@ def _shape_det(blocks, apex: int | None) -> int:
     return prod if apex is None else apex * prod - cross
 
 
-def det_exact(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by continuants or by fraction-free Bareiss elimination.
+def det_exact(matrix: LaplacianMinor | MinorShape) -> int:
+    """Exact determinant of a minor _ordered_minor builds.
 
     A MinorShape is evaluated by the continuants of the module docstring,
     and when it has a vertex last, leading becomes its determinant without
     that vertex.  A LaplacianMinor is eliminated in place by the symmetric
-    sparse pass of the module docstring.  Any other square matrix is copied
-    and eliminated by textbook Bareiss: every intermediate entry is a minor
-    of the input, so the integer divisions are exact; a zero pivot triggers
-    a row swap, and if no swap helps the matrix is singular and the answer
-    is 0.  The empty matrix has determinant 1.
+    sparse Bareiss pass of the module docstring.  The empty minor has
+    determinant 1.
     """
     if isinstance(matrix, MinorShape):
         if matrix.rest is not None:
             matrix.leading = _shape_det(*matrix.rest)
         return _shape_det(matrix.blocks, matrix.apex)
-    if isinstance(matrix, LaplacianMinor):
-        return _det_minor(matrix)
-    n = len(matrix)
-    if n == 0:
-        return 1
-    rows = [list(r) for r in matrix]
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix must be square")
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if rows[k][k] == 0:
-            for i in range(k + 1, n):
-                if rows[i][k] != 0:
-                    rows[k], rows[i] = rows[i], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        rk = rows[k]
-        pivot = rk[k]
-        for i in range(k + 1, n):
-            ri = rows[i]
-            lead = ri[k]
-            for j in range(k + 1, n):
-                ri[j] = (pivot * ri[j] - lead * rk[j]) // prev
-        prev = pivot
-    return sign * rows[n - 1][n - 1]
+    return _det_minor(matrix)
 
 
-def _min_degree_order(neighbours: tuple[tuple[int, ...], ...], drop: set[int], last: int | None = None) -> list[int]:
+def _min_degree_order(neighbours: Neighbours, drop: set[int], last: int | None = None) -> list[int]:
     """Greedy minimum-degree elimination order of the vertices not dropped.
 
     Eliminating a vertex joins its neighbours into a clique (the fill Bareiss
@@ -328,13 +279,13 @@ def _min_degree_order(neighbours: tuple[tuple[int, ...], ...], drop: set[int], l
     return order + sorted(adj, key=lambda w: (w == last, w))
 
 
-def _min_degree_minor(lap: LaplacianMatrix, drop: set[int], last: int | None = None) -> LaplacianMinor:
+def _min_degree_minor(lap: Neighbours, drop: set[int], last: int | None = None) -> LaplacianMinor:
     # a symmetric permutation of rows and columns keeps the determinant
-    keep = _min_degree_order(lap.neighbours, drop, last)
+    keep = _min_degree_order(lap, drop, last)
     pos = {v: i for i, v in enumerate(keep)}
     rows = LaplacianMinor()
     for i, v in enumerate(keep):
-        nbrs = lap.neighbours[v]
+        nbrs = lap[v]
         row = {i: len(nbrs)}
         for w in nbrs:
             j = pos.get(w, -1)
@@ -344,7 +295,7 @@ def _min_degree_minor(lap: LaplacianMatrix, drop: set[int], last: int | None = N
     return rows
 
 
-def _shape(lap: LaplacianMatrix, drop: set[int], last: int | None) -> MinorShape | None:
+def _shape(nbrs: Neighbours, drop: set[int], last: int | None) -> MinorShape | None:
     """The minor without drop as a MinorShape, or None when its graph does not fit.
 
     Degrees here count kept neighbours only.  The apex is the kept vertex of
@@ -352,7 +303,7 @@ def _shape(lap: LaplacianMatrix, drop: set[int], last: int | None) -> MinorShape
     Without it, every kept vertex must have degree at most 2, so the rest is
     paths and cycles, and with an apex only paths.
     """
-    nbrs, n = lap.neighbours, lap.order
+    n = len(nbrs)
     # paths and an apex keep at most 2(k-1) of the edges, cycles alone at
     # most k: twice the kept edge count is the degree sum less, per dropped
     # vertex, twice its degree and once each dropped neighbour
@@ -419,7 +370,7 @@ def _shape(lap: LaplacianMatrix, drop: set[int], last: int | None) -> MinorShape
     return MinorShape(blocks, apex, rest, n - len(drop))
 
 
-def _ordered_minor(lap: LaplacianMatrix, drop: set[int], last: int | None = None) -> LaplacianMinor | MinorShape:
+def _ordered_minor(lap: Neighbours, drop: set[int], last: int | None = None) -> LaplacianMinor | MinorShape:
     """The minor without drop, for det_exact: a MinorShape when its graph fits, else min-degree rows."""
     shape = _shape(lap, drop, last)
     return _min_degree_minor(lap, drop, last) if shape is None else shape
@@ -477,7 +428,7 @@ def _forests_and_trees(g: LabeledGraph, u: int, v: int) -> tuple[int, int]:
     goes last: a hub kept last would be updated at nearly every step.
     """
     lap = laplacian(g)
-    if len(lap.neighbours[u]) < len(lap.neighbours[v]):
+    if len(lap[u]) < len(lap[v]):
         u, v = v, u
     minor = _ordered_minor(lap, {u}, last=v)
     trees = det_exact(minor)

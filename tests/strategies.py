@@ -41,3 +41,22 @@ def apex_and_path_graphs(draw, max_paths=3, max_length=4):
         edges += [(apex, w) for w in path if draw(st.booleans())]
         start += length
     return make_graph(len(labels), edges)
+
+
+@st.composite
+def cycles_and_paths_graphs(draw, max_blocks=4, max_length=5):
+    """Disjoint paths and cycles on shuffled labels, with no apex.
+
+    A block drawn as a cycle but shorter than 3 vertices stays a path, since
+    the graph is simple.
+    """
+    blocks = draw(st.lists(st.tuples(st.integers(1, max_length), st.booleans()), min_size=1, max_size=max_blocks))
+    labels = draw(st.permutations(range(sum(length for length, _ in blocks))))
+    edges, start = [], 0
+    for length, cycle in blocks:
+        block = labels[start : start + length]
+        edges += zip(block, block[1:])
+        if cycle and length >= 3:
+            edges.append((block[-1], block[0]))
+        start += length
+    return make_graph(len(labels), edges)

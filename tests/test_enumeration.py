@@ -14,9 +14,10 @@ from wheelfan.enumeration import (
     rim_arc_of,
     rotation_class_representative,
 )
-from wheelfan.graphs import LabeledGraph, canonical_edge, components, is_acyclic, is_spanning_tree, make_fan, make_graph, make_wheel, rotate_rim_labels
+from wheelfan.graphs import LabeledGraph, canonical_edge, components, is_spanning_tree, make_fan, make_graph, make_wheel, rotate_rim_labels
 from wheelfan.kirchhoff import count_spanning_trees, count_two_forests
 from wheelfan.sequences import fib
+from oracles import is_acyclic
 from strategies import connected_graphs, graphs
 
 

@@ -8,7 +8,6 @@ from wheelfan.graphs import (
     LabeledGraph,
     components,
     format_edge_list,
-    is_acyclic,
     is_spanning_tree,
     make_fan,
     make_graph,
@@ -16,6 +15,7 @@ from wheelfan.graphs import (
     parse_edge_list,
     rotate_rim_labels,
 )
+from oracles import is_acyclic
 from strategies import connected_graphs
 
 

@@ -15,42 +15,29 @@ from wheelfan.kirchhoff import (
     effective_resistance,
     laplacian,
 )
-from strategies import apex_and_path_graphs, connected_graphs, graphs
-
-
-def cofactor_det(m):
-    # textbook expansion along the first row; the independent oracle
-    n = len(m)
-    if n == 0:
-        return 1
-    if n == 1:
-        return m[0][0]
-    total = 0
-    for j in range(n):
-        sub = [row[:j] + row[j + 1 :] for row in m[1:]]
-        total += (-1) ** j * m[0][j] * cofactor_det(sub)
-    return total
+from oracles import bareiss_det, cofactor_det, dense_laplacian, dense_minor
+from strategies import apex_and_path_graphs, connected_graphs, cycles_and_paths_graphs, graphs
 
 
 def test_laplacian_wheel3():
-    L = laplacian(make_wheel(3))
-    assert all(L.entries[i][i] == 3 for i in range(4))
-    assert all(L.entries[i][j] == -1 for i in range(4) for j in range(4) if i != j)
+    entries = dense_laplacian(laplacian(make_wheel(3)))
+    assert all(entries[i][i] == 3 for i in range(4))
+    assert all(entries[i][j] == -1 for i in range(4) for j in range(4) if i != j)
 
 
 def test_laplacian_single_edge():
-    assert laplacian(make_fan(1)).entries == ((1, -1), (-1, 1))
+    assert dense_laplacian(laplacian(make_fan(1))) == ((1, -1), (-1, 1))
 
 
 def test_laplacian_rows_sum_to_zero():
-    L = laplacian(make_graph(3, [(0, 1), (1, 2)]))
-    assert all(sum(row) == 0 for row in L.entries)
+    entries = dense_laplacian(laplacian(make_graph(3, [(0, 1), (1, 2)])))
+    assert all(sum(row) == 0 for row in entries)
 
 
 @given(g=graphs())
 def test_laplacian_of_any_graph_is_a_laplacian(g):
     # symmetric, zero row sums, 0/-1 off the diagonal and the degree on it
-    entries = laplacian(g).entries
+    entries = dense_laplacian(laplacian(g))
     n = g.vertex_count
     degree = [sum(v in e for e in g.edges) for v in range(n)]
     assert len(entries) == n and all(len(row) == n for row in entries)
@@ -61,14 +48,14 @@ def test_laplacian_of_any_graph_is_a_laplacian(g):
 
 
 def test_det_basics():
-    assert det_exact([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 1
-    assert det_exact([[2, 1], [1, 2]]) == 3
-    assert det_exact([]) == 1
-    assert det_exact([[1, 2], [2, 4]]) == 0
+    assert bareiss_det([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 1
+    assert bareiss_det([[2, 1], [1, 2]]) == 3
+    assert bareiss_det([]) == 1
+    assert bareiss_det([[1, 2], [2, 4]]) == 0
     # zero pivot forces a row swap
-    assert det_exact([[0, 1], [1, 0]]) == -1
+    assert bareiss_det([[0, 1], [1, 0]]) == -1
     with pytest.raises(ValueError):
-        det_exact([[1, 2]])
+        bareiss_det([[1, 2]])
 
 
 def test_det_against_cofactor_oracle():
@@ -76,7 +63,7 @@ def test_det_against_cofactor_oracle():
     for _ in range(25):
         size = rng.randint(1, 6)
         m = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
-        assert det_exact(m) == cofactor_det(m)
+        assert bareiss_det(m) == cofactor_det(m)
 
 
 NONZERO = (-3, -2, -1, 1, 2, 3)
@@ -96,20 +83,20 @@ def _zero_heavy_matrix(rng, size, kind):
 
 
 def test_det_zero_heavy_against_cofactor_oracle():
-    # mostly-zero rows drive the dense branch's row swap at a zero pivot and,
+    # mostly-zero rows drive bareiss_det's row swap at a zero pivot and,
     # when no row below has a nonzero in the pivot column, its singular exit
     rng = random.Random(20261018)
     dets = []
     for case in range(360):
         kind = ("sparse", "rank-deficient", "permutation")[case % 3]
         m = _zero_heavy_matrix(rng, case % 8, kind)
-        dets.append(det_exact(m))
+        dets.append(bareiss_det(m))
         assert dets[-1] == cofactor_det(m), (kind, m)
     assert dets.count(0) > 30 and len(dets) - dets.count(0) > 100
     # step 0 leaves a zero pivot at step 1, so rows 1 and 3 swap and the
     # sign flips before the elimination goes on
     m = [[2, 0, 1, 2], [-1, 0, 0, 0], [1, 0, 1, 0], [0, -1, 0, 0]]
-    assert det_exact(m) == cofactor_det(m) == 2
+    assert bareiss_det(m) == cofactor_det(m) == 2
 
 
 @pytest.mark.parametrize("n", [100, 200])
@@ -134,10 +121,12 @@ def test_resistance_matches_closed_forms_at_large_n(n):
 
 
 @settings(deadline=None)
-@given(g=graphs())
+@given(g=st.one_of(graphs(), apex_and_path_graphs(), cycles_and_paths_graphs()))
 def test_resistance_is_the_ratio_of_natural_order_minors_on_each_component(g):
-    # the dense branch of det_exact in vertex order is the oracle: it shares
-    # neither the minimum-degree order nor the last divisor the pass reads
+    # the natural-order oracle, textbook Bareiss on the vertex-order minor,
+    # shares neither the route's order nor the last divisor the pass reads;
+    # apex-and-path and cycle-and-path graphs send both passes down the
+    # shape route
     parts = components(g, g.edges)
     where = {w: i for i, part in enumerate(parts) for w in part}
     for part in parts:
@@ -145,7 +134,7 @@ def test_resistance_is_the_ratio_of_natural_order_minors_on_each_component(g):
         Lc = laplacian(make_graph(len(part), [(index[a], index[b]) for a, b in g.edges if a in index]))
         for u, v in permutations(part, 2):
             i, j = index[u], index[v]
-            assert effective_resistance(g, u, v) == Fraction(det_exact(Lc.minor({i, j})), det_exact(Lc.minor({i})))
+            assert effective_resistance(g, u, v) == Fraction(bareiss_det(dense_minor(Lc, {i, j})), bareiss_det(dense_minor(Lc, {i})))
     for u, v in permutations(range(g.vertex_count), 2):
         if where[u] != where[v]:
             with pytest.raises(ValueError, match="infinite resistance"):
@@ -204,13 +193,13 @@ def dense_graphs(draw):
 @given(g=dense_graphs(), data=st.data())
 def test_dense_minors_match_natural_order_minors(g, data):
     # minimum-degree order leaves a dense graph a trailing clique, which the
-    # pass finishes over list rows; the dense branch in vertex order is the oracle
+    # pass finishes over list rows; the natural-order oracle checks it
     n = g.vertex_count
     u = data.draw(st.integers(0, n - 1))
     v = data.draw(st.integers(0, n - 1).filter(lambda w: w != u))
     L = laplacian(g)
-    assert count_spanning_trees(g) == det_exact(L.minor({u}))
-    assert count_two_forests(g, u, v) == det_exact(L.minor({u, v}))
+    assert count_spanning_trees(g) == bareiss_det(dense_minor(L, {u}))
+    assert count_two_forests(g, u, v) == bareiss_det(dense_minor(L, {u, v}))
     # with v last, the last divisor is the minor without both ends, even when
     # a zero pivot ends the pass early
     _assert_pass_matches_vertex_order(L, u, v)
@@ -232,12 +221,12 @@ def test_two_disjoint_cliques(a, b):
 
 
 def _assert_pass_matches_vertex_order(L, u, v):
-    # the minor without u, v last, against the dense branch in vertex order:
+    # the minor without u, v last, against the natural-order oracle:
     # its determinant, and the last divisor as the minor without both; on the
     # route the minor takes, and on min-degree rows whatever its shape
     for minor in (kirchhoff._ordered_minor(L, {u}, last=v), kirchhoff._min_degree_minor(L, {u}, last=v)):
-        assert det_exact(minor) == det_exact(L.minor({u}))
-        assert minor.leading == det_exact(L.minor({u, v}))
+        assert det_exact(minor) == bareiss_det(dense_minor(L, {u}))
+        assert minor.leading == bareiss_det(dense_minor(L, {u, v}))
 
 
 @pytest.mark.parametrize(
@@ -255,7 +244,7 @@ def test_singular_minors_of_two_cliques_match_vertex_order(a, b, pendant):
     # at its last row.
     edges = _clique(a) + _clique(b, first=a + pendant) + ([(0, a)] if pendant else [])
     L = laplacian(make_graph(a + pendant + b, edges))
-    for u, v in permutations(range(L.order), 2):
+    for u, v in permutations(range(len(L)), 2):
         _assert_pass_matches_vertex_order(L, u, v)
 
 
@@ -290,11 +279,11 @@ def _semidefinite_minor(vectors):
 )
 def test_zero_tail_pivots_end_the_pass(vectors):
     # the zero pivot makes every larger leading block singular, the
-    # determinant and the last divisor among them; the textbook branch on
-    # the same matrix is the oracle
+    # determinant and the last divisor among them; textbook Bareiss on the
+    # same matrix is the oracle
     gram, minor = _semidefinite_minor(vectors)
-    assert det_exact(minor) == det_exact(gram) == 0
-    assert minor.leading == det_exact([row[:-1] for row in gram[:-1]]) == 0
+    assert det_exact(minor) == bareiss_det(gram) == 0
+    assert minor.leading == bareiss_det([row[:-1] for row in gram[:-1]]) == 0
 
 
 @pytest.mark.parametrize("m", range(2, 16))
@@ -342,7 +331,7 @@ def _family(name, size):
 def test_shape_route_matches_bareiss_on_every_drop(family, size):
     # every 1- and 2-vertex drop, and every pair with one end dropped and the
     # other last, against min-degree Bareiss; on the smallest graphs against
-    # the dense branch in vertex order too
+    # the natural-order oracle too
     g = _family(family, size)
     L, n = laplacian(g), g.vertex_count
     trees = _bareiss(L, {0})
@@ -350,7 +339,7 @@ def test_shape_route_matches_bareiss_on_every_drop(family, size):
     for u, v in combinations(range(n), 2):
         forests = _bareiss(L, {u, v})
         if n <= 10:
-            assert forests == det_exact(L.minor({u, v}))
+            assert forests == bareiss_det(dense_minor(L, {u, v}))
         assert _by_shape(L, {u, v}) == forests
         assert _by_shape(L, {u}, v) == _by_shape(L, {v}, u) == (trees, forests)
 
@@ -375,16 +364,29 @@ def test_shape_route_matches_bareiss_up_to_sixty(family):
 @settings(deadline=None)
 @given(g=apex_and_path_graphs())
 def test_shape_route_matches_both_oracles_on_apex_and_path_graphs(g):
-    # the dense branch in vertex order and min-degree Bareiss, on every 2-vertex
+    # the natural-order oracle and min-degree Bareiss, on every 2-vertex
     # drop and every pair with one end last
     L, n = laplacian(g), g.vertex_count
-    trees = det_exact(L.minor({0}))
+    trees = bareiss_det(dense_minor(L, {0}))
     for u, v in combinations(range(n), 2):
-        forests = det_exact(L.minor({u, v}))
+        forests = bareiss_det(dense_minor(L, {u, v}))
         assert _both_routes(L, {u, v}) == forests
         assert _both_routes(L, {u}, v) == _both_routes(L, {v}, u) == (trees, forests)
     # without the apex the graph is paths, which always fit
     assert any(isinstance(kirchhoff._ordered_minor(L, {w}), kirchhoff.MinorShape) for w in range(n))
+
+
+@settings(deadline=None)
+@given(g=cycles_and_paths_graphs())
+def test_shape_route_matches_the_oracle_on_cycles_and_paths(g):
+    # several cycles, so the one holding v, opened in rest, need not be the
+    # first block: every 1-vertex drop, and every pair with u dropped and v last
+    L, n = laplacian(g), g.vertex_count
+    for u in range(n):
+        trees = bareiss_det(dense_minor(L, {u}))
+        assert _by_shape(L, {u}) == trees
+        for v in set(range(n)) - {u}:
+            assert _by_shape(L, {u}, v) == (trees, bareiss_det(dense_minor(L, {u, v})))
 
 
 @pytest.mark.parametrize(
@@ -402,11 +404,11 @@ def test_shape_route_matches_both_oracles_on_apex_and_path_graphs(g):
 def test_near_miss_shapes_take_the_generic_route(n, edges, drop):
     # each keeps at most 2(k-1) edges of k vertices, so only the scan refuses it
     L = laplacian(make_graph(n, edges))
-    trees = det_exact(L.minor(drop))
+    trees = bareiss_det(dense_minor(L, drop))
     for v in [None, *set(range(n)) - drop]:
         minor = kirchhoff._ordered_minor(L, drop, v)
         assert isinstance(minor, kirchhoff.LaplacianMinor)
-        assert _value(minor, v) == (trees if v is None else (trees, det_exact(L.minor(drop | {v}))))
+        assert _value(minor, v) == (trees if v is None else (trees, bareiss_det(dense_minor(L, drop | {v}))))
 
 
 @pytest.mark.parametrize("reverse", [False, True])
@@ -422,9 +424,9 @@ def test_apex_ties_go_to_the_lowest_id(reverse):
     drop = {label(8)}
     minor = kirchhoff._ordered_minor(L, drop)
     assert isinstance(minor, kirchhoff.LaplacianMinor if reverse else kirchhoff.MinorShape)
-    assert det_exact(minor) == det_exact(L.minor(drop))
+    assert det_exact(minor) == bareiss_det(dense_minor(L, drop))
     for v in set(range(9)) - drop:
-        assert _both_routes(L, drop, v) == (det_exact(L.minor(drop)), det_exact(L.minor(drop | {v})))
+        assert _both_routes(L, drop, v) == (bareiss_det(dense_minor(L, drop)), bareiss_det(dense_minor(L, drop | {v})))
 
 
 @pytest.mark.parametrize("n", range(3, 33))
@@ -477,7 +479,7 @@ def test_minor_route_counts_two_forests_like_enumeration(g):
 @given(g=connected_graphs())
 def test_every_dropped_vertex_gives_the_tree_count(g):
     L = laplacian(g)
-    assert {det_exact(L.minor({v})) for v in range(g.vertex_count)} == {count_spanning_trees(g)}
+    assert {bareiss_det(dense_minor(L, {v})) for v in range(g.vertex_count)} == {count_spanning_trees(g)}
 
 
 @settings(deadline=None)
@@ -487,9 +489,9 @@ def test_minor_route_matches_natural_order_minors_on_any_graph(g):
     # are never reached by the first one's pivots
     L = laplacian(g)
     for v in range(g.vertex_count):
-        assert count_spanning_trees(g) == det_exact(L.minor({v}))
+        assert count_spanning_trees(g) == bareiss_det(dense_minor(L, {v}))
     for u, v in combinations(range(g.vertex_count), 2):
-        assert count_two_forests(g, u, v) == det_exact(L.minor({u, v}))
+        assert count_two_forests(g, u, v) == bareiss_det(dense_minor(L, {u, v}))
 
 
 @settings(deadline=None)
@@ -580,7 +582,7 @@ def test_disconnected_graph_has_no_trees():
 @pytest.mark.parametrize("g", [make_wheel(3), make_wheel(5), make_fan(4)])
 def test_dropped_vertex_does_not_matter(g):
     L = laplacian(g)
-    values = {det_exact(L.minor({v})) for v in range(g.vertex_count)}
+    values = {bareiss_det(dense_minor(L, {v})) for v in range(g.vertex_count)}
     assert len(values) == 1
 
 
