@@ -37,12 +37,14 @@ The collapse map is measured, not assumed: there are f(2n-1) rotation
 classes but only f(2n-2) spanning trees of its target fan, so it cannot be
 injective; fiber_report quantifies exactly how the classes collapse, and
 the verify suite reads its checks off the report.  The report is read off
-tables: each labeled forest's image, relabeled once; the FanTree check of
-each distinct image; each class representative's image; and the inverse of
-each distinct class image.  Rotation-equivalent forests share an image, so
-each distinct image is checked and inverted once.  forward rotates and
-collapses in one relabeling of the forest's own edges, and the report keys
-classes by normalize, so the two rotations check each other.
+tables: the collapse map of each arc, built once; each labeled forest's
+image, relabeled once through its arc's map; the FanTree check of each
+distinct image; each class representative's image; and the inverse of each
+distinct class image.  Rotation-equivalent forests share an image, so each
+distinct image is checked and inverted once; the rotations of normalize
+read their maps from the shared table of graphs.rotate_rim_labels.  forward
+rotates and collapses in one relabeling of the forest's own edges, and the
+report keys classes by normalize, so the two rotations check each other.
 
 WheelForest lives in the enumeration module, which emits it and says where
 a forest's edges are checked; bijection.WheelForest is the same class.  Its
@@ -119,23 +121,36 @@ def forward(f: WheelForest) -> FanTree:
     rotation-equivalent forests share one image.  The collapse never merges
     two edges: the arc 1..k has no spoke and no edge to the cut vertex k+1.
     """
-    return FanTree(f.n - 1, _image_edges(f))
+    return FanTree(f.n - 1, _image_edges(f, {}))
 
 
-def _image_edges(f: WheelForest) -> tuple[Edge, ...]:
-    """The sorted edges of forward(f), not yet checked as a fan spanning tree."""
+def _image_edges(f: WheelForest, maps: dict[tuple[int, int], list[int]]) -> tuple[Edge, ...]:
+    """The sorted edges of forward(f), not yet checked as a fan spanning tree.
+
+    maps holds the collapse maps of one wheel, keyed by (arc_start, arc_len):
+    a map depends only on the wheel and the arc, so it is built on the first
+    forest with that arc and read by the rest.
+    """
     n, k = f.n, f.arc_len
     if k == n:
         # isolated center: keep the path on 1..n-1, hang the hub on vertex 1
         image = [(i, i + 1) for i in range(1, n - 1)]
         image.append((0, 1))
     else:
-        label = [0]  # the center stays the hub
-        for v in range(1, n + 1):
-            r = (v - f.arc_start) % n + 1
-            label.append(r if r <= k else r - 1)
+        label = maps.get((f.arc_start, k))
+        if label is None:
+            label = maps[f.arc_start, k] = _collapse_map(n, f.arc_start, k)
         image = [canonical_edge(label[a], label[b]) for a, b in f.edges]
     return tuple(sorted(image))
+
+
+def _collapse_map(n: int, arc_start: int, k: int) -> list[int]:
+    """Fan label of each wheel vertex when the arc of length k < n starts at arc_start."""
+    label = [0]  # the center stays the hub
+    for v in range(1, n + 1):
+        r = (v - arc_start) % n + 1
+        label.append(r if r <= k else r - 1)
+    return label
 
 
 def _initial_run(tree: FanTree) -> int:
@@ -235,7 +250,7 @@ class FiberReport(NamedTuple):
 
     @property
     def max_fiber(self) -> int:
-        return max(size for size, _ in self.normalized_fibers)
+        return max((size for size, _ in self.normalized_fibers), default=0)
 
     def machine_line(self) -> str:
         verdict = "pass" if self.roundtrip_pass else "fail"
@@ -268,10 +283,12 @@ class FiberReport(NamedTuple):
 def fiber_report(n: int, cap: int = DEFAULT_ENUM_CAP) -> FiberReport:
     """Fold the arc forests of the wheel with n rim vertices through forward.
 
-    The report is read off a few tables.  images holds each labeled forest's
-    image, relabeled once and interned, so that one tuple per distinct image
-    stays alive; trees holds the FanTree check of each distinct image, None
-    if it failed.  A forest's class is keyed by the edges of normalize(f);
+    The report is read off a few tables.  maps holds the collapse map of
+    each (arc_start, arc_len), built on the first forest with that arc.
+    images holds each labeled forest's image, relabeled once through its
+    arc's map and interned, so that one tuple per distinct image stays
+    alive; trees holds the FanTree check of each distinct image, None if it
+    failed.  A forest's class is keyed by the edges of normalize(f);
     its representative, one of reps, is the member with arc_start 1, and
     class_image maps it to its image when that image is valid.  preimages
     holds the inverse of each distinct class image, for the round trip.
@@ -279,8 +296,9 @@ def fiber_report(n: int, cap: int = DEFAULT_ENUM_CAP) -> FiberReport:
     rotation_stable compares two independent rotations.
     """
     records = enum_arc_forests(n, cap=cap)
+    maps: dict[tuple[int, int], list[int]] = {}
     distinct: dict[tuple[Edge, ...], tuple[Edge, ...]] = {}
-    images = [distinct.setdefault(edges, edges) for edges in map(_image_edges, records)]
+    images = [distinct.setdefault(edges, edges) for edges in (_image_edges(f, maps) for f in records)]
     trees = {image: _built(FanTree, n - 1, image) for image in distinct}
     reps = [(f, image) for f, image in zip(records, images) if f.arc_start == 1]
     class_image = {f.edges: image for f, image in reps if trees[image] is not None}

@@ -153,15 +153,28 @@ def is_spanning_tree(g: LabeledGraph, sub: Iterable[Edge]) -> bool:
     return len(components(g, sub)) == 1 and len(sub) == g.vertex_count - 1
 
 
+# at most 16 maps of n + 1 entries stay alive: the arc-forest walk's budget
+# admits wheels of at most 13 rim vertices, and auditing one wheel rotates by
+# at most its n shifts, so every map of the wheel under audit stays while it
+# is read
+@lru_cache(maxsize=16)
+def _rim_rotation(n: int, shift: int) -> dict[int, int]:
+    # a dict, not a list: a negative endpoint must miss the table, not wrap.
+    # Shared by every caller, so it is only read.
+    label = {v: (v - 1 + shift) % n + 1 for v in range(1, n + 1)}
+    label[0] = 0
+    return label
+
+
 def rotate_rim_labels(edges: Iterable[Edge], shift: int, n: int) -> tuple[Edge, ...]:
     """Relabel rim vertices of a wheel subgraph by a cyclic shift.
 
     Vertex 0 stays fixed; rim vertex v goes to ((v-1+shift) mod n)+1.  Used
-    for rotation normalization and for the rotation-class quotient.
+    for rotation normalization and for the rotation-class quotient.  The
+    map for (n, shift mod n) is built once and read from a shared table of
+    the 16 most recent maps, so one wheel's audit builds each of its maps once.
     """
-    # a dict, not a list: a negative endpoint must miss the table, not wrap
-    label = {v: (v - 1 + shift) % n + 1 for v in range(1, n + 1)}
-    label[0] = 0
+    label = _rim_rotation(n, shift % n if n else 0)  # n = 0: no rim, every shift is the same
     moved = []
     for a, b in edges:
         try:

@@ -346,10 +346,24 @@ def test_fiber_report_relabels_and_normalizes_each_forest_once(monkeypatch, n):
     calls = Counter()
     for name in ("_image_edges", "normalize"):
         real = getattr(wheelfan.bijection, name)
-        monkeypatch.setattr(wheelfan.bijection, name, lambda f, name=name, real=real: calls.update([name]) or real(f))
+        monkeypatch.setattr(
+            wheelfan.bijection, name, lambda *args, name=name, real=real: calls.update([name]) or real(*args)
+        )
     rep = fiber_report(n)
     assert calls == {"_image_edges": rep.labeled_count, "normalize": rep.labeled_count}
     assert rep.labeled_count == len(enum_arc_forests(n))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_fiber_report_builds_each_collapse_map_once(monkeypatch, n):
+    # a map depends only on the arc, so one build per forest would repeat it
+    built = []
+    real = wheelfan.bijection._collapse_map
+    monkeypatch.setattr(wheelfan.bijection, "_collapse_map", lambda *args: built.append(args) or real(*args))
+    rep = fiber_report(n)
+    arcs = {(f.arc_start, f.arc_len) for f in enum_arc_forests(n) if f.arc_len < n}
+    assert sorted(built) == sorted((n, start, k) for start, k in arcs)
+    assert rep.rotation_stable == rep.labeled_count
 
 
 def _per_forest_report(n):

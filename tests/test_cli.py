@@ -1011,9 +1011,9 @@ def test_verify_bijection_detects_a_forward_that_is_not_rotation_invariant(capsy
     real = bijection._image_edges
     records = enumeration.enum_arc_forests(6)
     moved = next(f for f in records if f.arc_start != 1)
-    home = real(moved)
-    wrong = next(image for f in records if (image := real(f)) != home)
-    monkeypatch.setattr(bijection, "_image_edges", lambda f: wrong if f == moved else real(f))
+    home = real(moved, {})
+    wrong = next(image for f in records if (image := real(f, {})) != home)
+    monkeypatch.setattr(bijection, "_image_edges", lambda f, maps: wrong if f == moved else real(f, maps))
     code, out, _ = run_cli(capsys, "verify", "--suite", "bijection", "--max-n", "6")
     assert code == 1
     assert _fail_lines(out) == ["FAIL forward map is rotation invariant [n=6] expected=534 actual=533"]
@@ -1027,7 +1027,7 @@ def test_verify_bijection_detects_images_that_miss_a_fan_tree(capsys, monkeypatc
     # audit relabels forests through _image_edges
     real = bijection._image_edges
     reps = [f for f in enumeration.enum_arc_forests(6) if f.arc_start == 1]
-    fiber = Counter(real(f) for f in reps)
+    fiber = Counter(real(f, {}) for f in reps)
 
     def round_trips(f):
         try:
@@ -1035,9 +1035,9 @@ def test_verify_bijection_detects_images_that_miss_a_fan_tree(capsys, monkeypatc
         except ValueError:
             return False
 
-    lost = next(real(f) for f in reps if fiber[real(f)] == 1 and not round_trips(f))
+    lost = next(real(f, {}) for f in reps if fiber[real(f, {})] == 1 and not round_trips(f))
     other = next(image for image in fiber if image != lost)
-    monkeypatch.setattr(bijection, "_image_edges", lambda f: other if (image := real(f)) == lost else image)
+    monkeypatch.setattr(bijection, "_image_edges", lambda f, maps: other if (image := real(f, maps)) == lost else image)
     code, out, _ = run_cli(capsys, "verify", "--suite", "bijection", "--max-n", "6")
     assert code == 1
     assert _fail_lines(out) == ["FAIL images cover the target fan [n=6] expected=True actual=False"]
@@ -1059,6 +1059,28 @@ def test_verify_bijection_detects_an_inverse_refusing_a_spoke_only_forest(capsys
     assert _fail_lines(out) == [
         "FAIL round trip on spoke-only normalized forests [n=5] expected=5/5 actual=4/5"
     ]
+
+
+def test_audit_reports_when_every_image_is_refused(capsys, monkeypatch):
+    # no image is a fan spanning tree, so both fiber histograms are empty
+    monkeypatch.setattr(bijection, "is_spanning_tree", lambda g, sub: False)
+    code, out, err = run_cli(capsys, "bijection", "audit", "--n", "4")
+    lines = out.splitlines()
+    assert (code, err) == (0, "")
+    assert "all images are fan spanning trees: no" in lines
+    assert "round trips on normalized representatives: 0/13" in lines
+    assert lines[-1] == "n=4 images=0 fibers_max=0 roundtrip=fail"
+
+
+def test_verify_bijection_fails_refused_pinned_vectors(capsys, monkeypatch):
+    # a refused pinned vector is a FAIL row, not a usage error
+    monkeypatch.setattr(bijection, "is_spanning_tree", lambda g, sub: False)
+    code, out, err = run_cli(capsys, "verify", "--suite", "bijection", "--max-n", "4")
+    assert (code, err) == (1, "")
+    pinned = [line for line in _fail_lines(out) if line.startswith("FAIL pinned")]
+    assert len(pinned) == len(verify._PINNED)
+    assert all(line.endswith(" actual=refused") for line in pinned)
+    assert out.splitlines()[-1] == "passed=0 failed=13 info=2"
 
 
 def test_verify_bijection_calls_forward_only_on_the_pinned_vectors(capsys, monkeypatch):

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from wheelfan.graphs import (
     LabeledGraph,
+    canonical_edge,
     components,
     format_edge_list,
     is_spanning_tree,
@@ -229,6 +230,35 @@ def test_rotations_compose(n, s, t):
     assert rotate_rim_labels(rotate_rim_labels(g.edges, s, n), t, n) == rotate_rim_labels(
         g.edges, s + t, n
     )
+
+
+@given(n=st.integers(3, 9), data=st.data())
+def test_rotation_table_matches_the_formula(n, data):
+    s = data.draw(st.integers(-3 * n, 3 * n))
+    for v in range(1, n + 1):
+        assert rotate_rim_labels(((0, v),), s, n) == ((0, (v - 1 + s) % n + 1),)
+
+
+def test_rotation_tables_of_two_wheels_stay_apart():
+    # the same shift on two wheel sizes, interleaved, reads two tables
+    for s in range(-8, 9):
+        for n in (5, 7, 5, 7):
+            moved = rotate_rim_labels(make_wheel(n).edges, s, n)
+            label = lambda v: 0 if v == 0 else (v - 1 + s) % n + 1
+            assert moved == tuple(sorted(canonical_edge(label(a), label(b)) for a, b in make_wheel(n).edges))
+
+
+def test_rotation_refusals_survive_a_warm_table():
+    for _ in range(2):
+        assert rotate_rim_labels(((1, 2),), 1, 5) == ((2, 3),)
+        with pytest.raises(ValueError, match="^vertex -1 is not a rim vertex of a wheel with 5 rim vertices$"):
+            rotate_rim_labels(((-1, 2),), 1, 5)
+        with pytest.raises(ValueError, match="^vertex 7 is not a rim vertex of a wheel with 5 rim vertices$"):
+            rotate_rim_labels(((1, 7),), 1, 5)
+    # with no rim there is nothing to rotate, and any rim vertex is refused
+    assert rotate_rim_labels((), 3, 0) == ()
+    with pytest.raises(ValueError, match="^vertex 1 is not a rim vertex of a wheel with 0 rim vertices$"):
+        rotate_rim_labels(((0, 1),), 3, 0)
 
 
 def test_edge_list_round_trip():
