@@ -65,7 +65,9 @@ from __future__ import annotations
 from collections import Counter
 from typing import NamedTuple
 
-from .graphs import Edge, _check_path, _check_rim, canonical_edge, is_spanning_tree, make_fan, rotate_rim_labels
+from .graphs import (
+    Edge, Refusal, _check_path, _check_rim, canonical_edge, is_spanning_tree, make_fan, rotate_rim_labels,
+)
 from .enumeration import DEFAULT_ENUM_CAP, WheelForest, enum_arc_forests, rotation_class_representative
 from .kirchhoff import count_spanning_trees
 
@@ -87,7 +89,7 @@ class FanTree(_FanTreeFields):
         _check_path(m)
         # counted before the fan is built, so a huge m with few edges costs nothing
         if len(edges) != m or not is_spanning_tree(make_fan(m), edges):
-            raise ValueError(f"not a spanning tree of the fan with {m} path vertices")
+            raise Refusal(f"not a spanning tree of the fan with {m} path vertices")
         return super().__new__(cls, m, edges)
 
     @classmethod
@@ -169,7 +171,7 @@ def inverse(tree: FanTree, n: int) -> WheelForest:
     edges all have index >= k are images; anything else raises.
     """
     if n != tree.m + 1:
-        raise ValueError("rim size must be one more than the fan path size")
+        raise Refusal("rim size must be one more than the fan path size")
     _check_rim(n)
     hub = [e for e in tree.edges if e[0] == 0]
     if hub == [(0, 1)]:
@@ -178,10 +180,10 @@ def inverse(tree: FanTree, n: int) -> WheelForest:
     k = _initial_run(tree)
     # the run 1..k holds k - 1 path edges, so any more lie off the run
     if len(tree.edges) - len(hub) != k - 1:
-        raise ValueError("not in the image convention: path edges must form one initial run")
+        raise Refusal("not in the image convention: path edges must form one initial run")
     for _, i in hub:
         if i < k:
-            raise ValueError("not in the image convention: hub edge inside the initial path run")
+            raise Refusal("not in the image convention: hub edge inside the initial path run")
     # the spokes, in the tree's order, sort before the arc's rim path 1..k
     rebuilt = tuple((0, i + 1) for _, i in hub) + tuple((i, i + 1) for i in range(1, k))
     return WheelForest(n, rebuilt, 1, k)
@@ -197,7 +199,7 @@ def conditioned_forward(f: WheelForest) -> FanTree:
     n = f.n
     j = (1 - f.arc_start) % n + 1
     if j > f.arc_len:
-        raise ValueError("not in F(v1|vc): rim vertex 1 is in the center's component")
+        raise Refusal("not in F(v1|vc): rim vertex 1 is in the center's component")
     return FanTree.from_edges(n, normalize(f).edges + ((0, j),))
 
 
@@ -327,8 +329,8 @@ def fiber_report(n: int, cap: int = DEFAULT_ENUM_CAP) -> FiberReport:
 
 
 def _built(build, *args):
-    """build(*args), or None if that raised ValueError."""
+    """build(*args), or None if build refused its input; any other error escapes."""
     try:
         return build(*args)
-    except ValueError:
+    except Refusal:
         return None

@@ -23,16 +23,26 @@ from pathlib import Path
 from . import bijection, verify
 from .enumeration import DEFAULT_ENUM_CAP, enum_arc_forest_edges, enum_spanning_trees, enum_two_forests
 from .graphs import (
-    LabeledGraph, _check_distinct, _check_vertices, _parse_int, format_edge_list, make_fan, make_wheel, parse_edge_list,
+    LabeledGraph, Refusal, _check_distinct, _check_vertices, _parse_int, format_edge_list, make_fan, make_wheel,
+    parse_edge_list,
 )
 from .report import format_int, summary_line
+
+
+def _read_edge_list(path: str) -> LabeledGraph:
+    """The graph in an edge-list file; text that will not decode, or a NUL in the path, is refused."""
+    try:
+        text = Path(path).read_text()
+    except ValueError as exc:
+        raise Refusal(str(exc)) from None
+    return parse_edge_list(text)
 
 
 def _parse_graph(spec: str) -> tuple[str, int, LabeledGraph]:
     kind, sep, rest = spec.partition(":")
     # an empty path would read the working directory
     if not sep or (kind == "file" and not rest):
-        raise ValueError(f"bad graph spec {spec!r}; expected wheel:N, fan:M or file:PATH")
+        raise Refusal(f"bad graph spec {spec!r}; expected wheel:N, fan:M or file:PATH")
     if kind == "wheel":
         n = _parse_int(rest, "rim size")
         return "wheel", n, make_wheel(n)
@@ -40,16 +50,16 @@ def _parse_graph(spec: str) -> tuple[str, int, LabeledGraph]:
         m = _parse_int(rest, "path size")
         return "fan", m, make_fan(m)
     if kind == "file":
-        g = parse_edge_list(Path(rest).read_text())
+        g = _read_edge_list(rest)
         return "file", g.vertex_count, g
-    raise ValueError(f"unknown graph kind {kind!r}; expected wheel, fan or file")
+    raise Refusal(f"unknown graph kind {kind!r}; expected wheel, fan or file")
 
 
 def _parse_pair(text: str, g: LabeledGraph) -> tuple[int, int]:
     """Two distinct vertices of g, checked before any route runs."""
     parts = text.split(",")
     if len(parts) != 2:
-        raise ValueError(f"bad vertex pair {text!r}; expected A,B")
+        raise Refusal(f"bad vertex pair {text!r}; expected A,B")
     u, v = _parse_int(parts[0], "vertex"), _parse_int(parts[1], "vertex")
     _check_distinct(u, v)
     _check_vertices(g.vertex_count, u, v)
@@ -61,7 +71,7 @@ def _parse_inline_edges(text: str) -> list[tuple[int, int]]:
     for chunk in text.split(","):
         ends = chunk.split("-")
         if len(ends) != 2:
-            raise ValueError(f"bad edge {chunk!r}; expected A-B")
+            raise Refusal(f"bad edge {chunk!r}; expected A-B")
         edges.append((_parse_int(ends[0], "vertex"), _parse_int(ends[1], "vertex")))
     return edges
 
@@ -73,7 +83,7 @@ def _render_edges(edges) -> str:
 def _separated_pair(args, g: LabeledGraph) -> tuple[int, int]:
     """The --separate pair of count forests and enumerate forests."""
     if not args.separate:
-        raise ValueError(f"{args.command} forests requires --separate A,B")
+        raise Refusal(f"{args.command} forests requires --separate A,B")
     return _parse_pair(args.separate, g)
 
 
@@ -110,16 +120,16 @@ def cmd_resist(args) -> int:
 def _bijection_input(args, expect: str) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Shared edge intake for forward/inverse.  Returns (rim size, edges)."""
     if bool(args.edges) == bool(args.file):
-        raise ValueError("supply exactly one of --edges or --file")
+        raise Refusal("supply exactly one of --edges or --file")
     if args.edges:
         if args.n is None:
-            raise ValueError("--edges needs --n to fix the rim size")
+            raise Refusal("--edges needs --n to fix the rim size")
         return args.n, tuple(_parse_inline_edges(args.edges))
-    g = parse_edge_list(Path(args.file).read_text())
+    g = _read_edge_list(args.file)
     # a wheel forest file carries n+1 vertices, a fan tree file carries n
     derived = g.vertex_count - 1 if expect == "forest" else g.vertex_count
     if args.n is not None and args.n != derived:
-        raise ValueError(f"--n {args.n} disagrees with the file's vertex count (implies {derived})")
+        raise Refusal(f"--n {args.n} disagrees with the file's vertex count (implies {derived})")
     return derived, g.edges
 
 
@@ -153,7 +163,7 @@ def cmd_enumerate(args) -> int:
         blocks = enum_two_forests(g, u, v, cap=args.enum_cap)
     else:
         if kind != "wheel":
-            raise ValueError("enumerate tau requires --graph wheel:N")
+            raise Refusal("enumerate tau requires --graph wheel:N")
         blocks = enum_arc_forest_edges(size, cap=args.enum_cap)
     # each block is a subsequence of g.edges in order, so its text is the
     # header and its edges' lines of g's own edge list, formatted once here
@@ -181,7 +191,7 @@ def cmd_verify(args) -> int:
 def cmd_oeis(args) -> int:
     form = next(form for form in verify.CLOSED_FORMS if form.sequence == args.sequence)
     if args.max_n < form.low:
-        raise ValueError(f"--max-n must be at least the offset {form.low} for {args.sequence}")
+        raise Refusal(f"--max-n must be at least the offset {form.low} for {args.sequence}")
     if not args.bfile:
         sys.stdout.write(f"# {args.sequence}: {form.description}; offset {form.low}\n")
     # row by row: a long b-file never sits in memory whole
@@ -272,10 +282,10 @@ def main(argv=None) -> int:
             code = globals()[f"cmd_{args.command}"](args)
         sys.stdout.flush()  # so that output which cannot be written exits 2 too
         return code
-    except (ValueError, OSError) as exc:
+    except (Refusal, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
     except MemoryError:
-        # exit 1 means the routes disagree; running out of memory is a refusal
+        # exit 2, not 1: 1 means the routes disagree; any other exception is a bug and escapes
         print("error: out of memory", file=sys.stderr)
     return 2
 
@@ -284,7 +294,7 @@ def entry():
     """The console script.  main maps a failed write, its reader gone, to exit
     2 and one error line, but the text stays buffered; then both streams
     point at os.devnull, so that the shutdown flush has nothing to fail on."""
-    code = 2  # main raises only when its own error line cannot be written
+    code = 2  # main raises an OSError only when its own error line cannot be written
     try:
         code = main()
         sys.stdout.flush()  # fails only after a failed write

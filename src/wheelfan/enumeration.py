@@ -17,17 +17,16 @@ is not pruned that way.  The prune changes neither the output nor its order.
 
 Three limits keep a run finite: the vertex cap, a work budget and the walk's
 depth.  Before it walks, an enumerator takes its exact output size from a
-count and refuses with EnumerationCapExceeded, naming that count, above
-ENUM_BUDGET.  Trees and separating two-forests are sized by the Laplacian
-minor, the arc forests of a wheel by n*f(2n-1).  The count only sizes the
-run; every emitted subset is still found by the walk.  The walk is skipped
-only when the graph's own partition, one components pass over all its edges,
-rules out every tree or separating forest, whatever the count says.  The walk
-recurses once per chosen edge but the last two, which it reads off the
-masks in the loop that finds the first of them, so a graph with more
-vertices than half of Python's recursion limit is refused too.  The size_*
-functions make those checks alone, so a caller can refuse a whole run
-before any walk starts.
+count and raises Refusal, naming that count, above ENUM_BUDGET.  Trees and
+separating two-forests are sized by the Laplacian minor, the arc forests of
+a wheel by n*f(2n-1).  The count only sizes the run; every emitted subset is
+still found by the walk.  The walk is skipped only when the graph's own
+partition, one components pass over all its edges, rules out every tree or
+separating forest, whatever the count says.  The walk recurses once per
+chosen edge but the last two, which it reads off the masks in the loop that
+finds the first of them, so a graph with more vertices than half of
+Python's recursion limit is refused too.  The size_* functions make those
+checks alone, so a caller can refuse a whole run before any walk starts.
 
 WheelForest, the two-component spanning forest of a wheel with its rim arc
 located, lives here because enum_arc_forests emits it; the bijection module
@@ -48,7 +47,7 @@ import sys
 from typing import NamedTuple
 
 from .graphs import (
-    Edge, LabeledGraph, _check_distinct, _check_rim, canonical_edge, components, make_wheel, rotate_rim_labels,
+    Edge, LabeledGraph, Refusal, _check_distinct, _check_rim, canonical_edge, components, make_wheel, rotate_rim_labels,
 )
 from .kirchhoff import count_spanning_trees, count_two_forests
 from .report import format_int
@@ -59,24 +58,18 @@ DEFAULT_ENUM_CAP = 10
 ENUM_BUDGET = 10**6
 
 
-class EnumerationCapExceeded(ValueError):
-    pass
-
-
 def _checked_size(vertex_count: int, cap: int, count, what: str) -> int:
     # the vertex cap first, so the exact count() never runs on a graph over it
     if vertex_count > cap:
-        raise EnumerationCapExceeded(f"graph has {vertex_count} vertices, enumeration cap is {cap}")
+        raise Refusal(f"graph has {vertex_count} vertices, enumeration cap is {cap}")
     size = count()
     if size > ENUM_BUDGET:
-        raise EnumerationCapExceeded(
-            f"graph has {format_int(size)} {what}, enumeration budget is {ENUM_BUDGET}"
-        )
+        raise Refusal(f"graph has {format_int(size)} {what}, enumeration budget is {ENUM_BUDGET}")
     # the walk recurses once per chosen edge but the last two, up to V-2
     # frames for a tree; half the recursion limit leaves room for its callers' frames
     depth = sys.getrecursionlimit() // 2
     if vertex_count > depth:
-        raise EnumerationCapExceeded(f"graph has {vertex_count} vertices, enumeration depth limit is {depth}")
+        raise Refusal(f"graph has {vertex_count} vertices, enumeration depth limit is {depth}")
     return size
 
 
@@ -252,7 +245,7 @@ def rim_arc_of(n: int, edges) -> tuple[int, int]:
                 break
         else:
             return start, (end - start) % n + 1
-    raise ValueError("edge set has no center-free rim arc")
+    raise Refusal("edge set has no center-free rim arc")
 
 
 def _analyze_forest(n: int, edges) -> tuple[tuple[Edge, ...], int, int]:
@@ -260,13 +253,13 @@ def _analyze_forest(n: int, edges) -> tuple[tuple[Edge, ...], int, int]:
     _check_rim(n)
     edges = tuple(sorted(canonical_edge(a, b) for a, b in edges))
     if len(set(edges)) != len(edges):
-        raise ValueError("duplicate edge in forest")
+        raise Refusal("duplicate edge in forest")
     # counted before the wheel is built, so a huge n with few edges costs nothing
     if len(edges) != n - 1:
-        raise ValueError(f"forest on the wheel with {n} rim vertices needs {n - 1} edges, got {len(edges)}")
+        raise Refusal(f"forest on the wheel with {n} rim vertices needs {n - 1} edges, got {len(edges)}")
     # also validates edges against the wheel
     if len(components(make_wheel(n), edges)) != 2:
-        raise ValueError("edge set is not a two-component spanning forest (it contains a cycle)")
+        raise Refusal("edge set is not a two-component spanning forest (it contains a cycle)")
     return (edges, *rim_arc_of(n, edges))
 
 

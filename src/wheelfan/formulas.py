@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .graphs import _check_path, _check_rim
+from .graphs import Refusal, _check_path, _check_rim
 from .sequences import fib, lucas
 
 
@@ -33,7 +33,7 @@ def forests_separating(n: int, k: int) -> int:
     """
     _check_rim(n)
     if not 0 < k <= n // 2:
-        raise ValueError(f"cycle distance must lie in 1..{n // 2} for {n} rim vertices")
+        raise Refusal(f"cycle distance must lie in 1..{n // 2} for {n} rim vertices")
     return fib(2 * k) * (lucas(2 * n) - 2) - fib(2 * n) * (lucas(2 * k) - 2)
 
 
@@ -46,7 +46,7 @@ def forests_sep_adjacent(n: int) -> int:
 def forests_sep_dist2(n: int) -> int:
     """2*(l(2n-2) - 3), the k=2 case; needs n >= 4 so distance 2 exists."""
     if n < 4:
-        raise ValueError("cycle distance 2 requires at least 4 rim vertices")
+        raise Refusal("cycle distance 2 requires at least 4 rim vertices")
     return 2 * (lucas(2 * n - 2) - 3)
 
 
@@ -69,7 +69,7 @@ def resistance_rim(n: int, k: int) -> Fraction:
     """
     _check_rim(n)
     if not 0 <= k <= n // 2:
-        raise ValueError(f"cycle distance must lie in 0..{n // 2} for {n} rim vertices")
+        raise Refusal(f"cycle distance must lie in 0..{n // 2} for {n} rim vertices")
     fn, ln, rest = fib(n), lucas(n), 2 - lucas(2 * k)
     if n % 2 == 0:
         return Fraction(ln * rest + 5 * fn * fib(2 * k), 5 * fn)

@@ -28,30 +28,34 @@ MIN_RIM = 3  # the wheel W_{n+1}: rim 1..n around the center 0
 MIN_PATH = 1  # the fan F_m: path 1..m beside the hub 0
 
 
+class Refusal(ValueError):
+    """The one way the package refuses an input; any other exception is a bug."""
+
+
 def _check_rim(n: int) -> None:
     if n < MIN_RIM:
-        raise ValueError("wheel requires at least 3 rim vertices")
+        raise Refusal("wheel requires at least 3 rim vertices")
 
 
 def _check_path(m: int) -> None:
     if m < MIN_PATH:
-        raise ValueError("fan requires at least 1 path vertex")
+        raise Refusal("fan requires at least 1 path vertex")
 
 
 def _check_vertices(vertex_count: int, *vertices: int) -> None:
     for w in vertices:
         if not 0 <= w < vertex_count:
-            raise ValueError(f"vertex {w} out of range")
+            raise Refusal(f"vertex {w} out of range")
 
 
 def _check_distinct(u: int, v: int) -> None:
     if u == v:
-        raise ValueError("the two vertices must be distinct")
+        raise Refusal("the two vertices must be distinct")
 
 
 def canonical_edge(a: int, b: int) -> Edge:
     if a == b:
-        raise ValueError(f"loop edge {a}-{b} not allowed")
+        raise Refusal(f"loop edge {a}-{b} not allowed")
     return (a, b) if a < b else (b, a)
 
 
@@ -65,14 +69,14 @@ class LabeledGraph(_GraphFields):
 
     def __new__(cls, vertex_count: int, edges: tuple[Edge, ...]):
         if vertex_count < 1:
-            raise ValueError("graph needs at least one vertex")
+            raise Refusal("graph needs at least one vertex")
         prev = (-1, -1)
         for e in edges:
             a, b = e
             if not (0 <= a < b < vertex_count):
-                raise ValueError(f"edge {a}-{b} out of range or not canonical")
+                raise Refusal(f"edge {a}-{b} out of range or not canonical")
             if e <= prev:
-                raise ValueError(f"duplicate edge {a}-{b}" if e == prev else "edges must be in sorted order")
+                raise Refusal(f"duplicate edge {a}-{b}" if e == prev else "edges must be in sorted order")
             prev = e
         return super().__new__(cls, vertex_count, edges)
 
@@ -124,7 +128,7 @@ def components(g: LabeledGraph, sub: Iterable[Edge]) -> list[tuple[int, ...]]:
     parent = list(range(g.vertex_count))
     for e in sub:
         if e not in allowed:
-            raise ValueError(f"edge {e[0]}-{e[1]} is not an edge of the graph")
+            raise Refusal(f"edge {e[0]}-{e[1]} is not an edge of the graph")
         a, b = e
         while parent[a] != a:
             parent[a] = a = parent[parent[a]]
@@ -180,7 +184,7 @@ def rotate_rim_labels(edges: Iterable[Edge], shift: int, n: int) -> tuple[Edge, 
         try:
             x, y = label[a], label[b]
         except KeyError as missing:
-            raise ValueError(f"vertex {missing.args[0]} is not a rim vertex of a wheel with {n} rim vertices") from None
+            raise Refusal(f"vertex {missing.args[0]} is not a rim vertex of a wheel with {n} rim vertices") from None
         # canonical_edge only where it has work: a swap, or a loop to refuse
         moved.append((x, y) if x < y else canonical_edge(x, y))
     return tuple(sorted(moved))
@@ -199,7 +203,7 @@ def _parse_int(text: str, what: str) -> int:
             return int(text)  # it keeps its limit on the number of digits
         except ValueError:
             pass
-    raise ValueError(f"bad {what} {text!r}")
+    raise Refusal(f"bad {what} {text!r}")
 
 
 # --- edge-list text format ---------------------------------------------------
@@ -214,21 +218,21 @@ def format_edge_list(vertex_count: int, edges: Iterable[Edge]) -> str:
 def parse_edge_list(text: str) -> LabeledGraph:
     lines = [s for ln in text.splitlines() if (s := ln.strip()) and not s.startswith("#")]
     if not lines or not lines[0].startswith("V "):
-        raise ValueError('edge list must start with a "V <vertex_count>" line')
+        raise Refusal('edge list must start with a "V <vertex_count>" line')
     try:
         vertex_count = _parse_int(lines[0][2:].strip(), "vertex count")
-    except ValueError:
-        raise ValueError(f"bad vertex count line: {lines[0]!r}") from None
+    except Refusal:
+        raise Refusal(f"bad vertex count line: {lines[0]!r}") from None
     edges = []
     for ln in lines[1:]:
         try:
             x, y = ln.split()
             a, b = _parse_int(x, "vertex"), _parse_int(y, "vertex")
         except ValueError:
-            raise ValueError(f"bad edge line: {ln!r}") from None
+            raise Refusal(f"bad edge line: {ln!r}") from None
         if not a < b:
-            raise ValueError(f"edge line {ln!r} must satisfy a < b")
+            raise Refusal(f"edge line {ln!r} must satisfy a < b")
         edges.append((a, b))
     if len(set(edges)) != len(edges):
-        raise ValueError("duplicate edge in edge list")
+        raise Refusal("duplicate edge in edge list")
     return LabeledGraph(vertex_count, tuple(sorted(edges)))

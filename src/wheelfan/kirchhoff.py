@@ -55,7 +55,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
-from .graphs import LabeledGraph, _check_distinct, _check_vertices
+from .graphs import LabeledGraph, Refusal, _check_distinct, _check_vertices
 
 
 Neighbours = tuple[tuple[int, ...], ...]
@@ -414,7 +414,7 @@ def _component_holding(g: LabeledGraph, u: int, v: int) -> tuple[LabeledGraph, i
                 seen.add(w)
                 todo.append(w)
     if v not in seen:
-        raise ValueError("infinite resistance: graph is disconnected")
+        raise Refusal("infinite resistance: graph is disconnected")
     index = {w: i for i, w in enumerate(sorted(seen))}
     # an increasing relabelling keeps g's edges canonical and in sorted order
     h = LabeledGraph(len(index), tuple((index[a], index[b]) for a, b in g.edges if a in index))
@@ -446,7 +446,7 @@ def effective_resistance(g: LabeledGraph, u: int, v: int) -> Fraction:
     No current leaves the component of u, so a disconnected graph, whose
     tree count is 0, is answered by a second pass on that component alone,
     and by that pass only when it has fewer than V-1 edges; v outside it has
-    infinite resistance, a ValueError.  u == v gives 0.
+    infinite resistance, a Refusal.  u == v gives 0.
     """
     _check_vertices(g.vertex_count, u, v)
     if u == v:

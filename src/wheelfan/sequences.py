@@ -8,6 +8,8 @@ even-index identities are checked by verify.suite_identities.
 
 from __future__ import annotations
 
+from .graphs import Refusal
+
 
 def _fib_pair(i: int) -> tuple[int, int]:
     # fast doubling: returns (f(i), f(i+1))
@@ -23,13 +25,13 @@ def _fib_pair(i: int) -> tuple[int, int]:
 
 def fib(i: int) -> int:
     if i < 0:
-        raise ValueError("fib index must be nonnegative")
+        raise Refusal("fib index must be nonnegative")
     return _fib_pair(i)[0]
 
 
 def lucas(j: int) -> int:
     """l(j) = f(j-1) + f(j+1), computed as 2*f(j+1) - f(j) to stay valid at j=0."""
     if j < 0:
-        raise ValueError("lucas index must be nonnegative")
+        raise Refusal("lucas index must be nonnegative")
     a, b = _fib_pair(j)
     return 2 * b - a

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from . import bijection, enumeration, formulas, kirchhoff
 from .enumeration import DEFAULT_ENUM_CAP
-from .graphs import MIN_PATH, MIN_RIM, LabeledGraph, make_fan, make_wheel
+from .graphs import MIN_PATH, MIN_RIM, LabeledGraph, Refusal, make_fan, make_wheel
 from .report import Check, equality_check, format_fraction, format_int, info_check
 from .sequences import fib, lucas
 
@@ -118,7 +118,7 @@ def answer(kind, size, g: LabeledGraph, quantity, pair=None, method="all", enum_
         found["minor"] = lambda: kirchhoff.effective_resistance(g, *pair)
     if method != "all":
         if method not in found:
-            raise ValueError(f"no closed form for this graph; use --method {' or '.join(found)}")
+            raise Refusal(f"no closed form for this graph; use --method {' or '.join(found)}")
         found = {method: found[method]}
     elif g.vertex_count > enum_cap:
         found = {name: route for name, route in found.items() if name != "enum"}
@@ -300,9 +300,9 @@ def _size_enumerations(name: str, max_n: int, enum_cap: int):
 def run_suites(names, max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> list[Check]:
     for name in names:
         if name not in SUITES:
-            raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or all")
+            raise Refusal(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or all")
     if max_n < 1:
-        raise ValueError("max_n must be at least 1")
+        raise Refusal("max_n must be at least 1")
     # the budget holds per enumeration, so size them all before any suite
     # walks: a run that would be refused late is refused at once
     for name in names:

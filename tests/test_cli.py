@@ -20,7 +20,7 @@ import wheelfan.formulas
 from wheelfan import bijection, cli, enumeration, kirchhoff, verify
 from wheelfan.cli import main
 from wheelfan.enumeration import enum_arc_forests, enum_spanning_trees, enum_two_forests
-from wheelfan.graphs import format_edge_list, make_graph, make_wheel
+from wheelfan.graphs import Refusal, format_edge_list, make_graph, make_wheel
 from wheelfan.sequences import fib
 from strategies import graphs
 from test_report import full_decimal
@@ -349,6 +349,25 @@ def test_a_file_spec_without_a_path_is_refused_as_a_spec(capsys):
 
 
 @pytest.mark.parametrize(
+    "args",
+    [("count", "trees", "--graph", "file:BIN"), ("bijection", "forward", "--n", "3", "--file", "BIN")],
+    ids=["count", "bijection"],
+)
+def test_a_file_that_is_not_utf8_is_refused_with_the_decoders_message(tmp_path, args):
+    path = tmp_path / "binary"
+    path.write_bytes(b"\xff\xfe\x00")
+    args = [arg.replace("BIN", str(path)) for arg in args]
+    proc = subprocess.run([sys.executable, "-m", "wheelfan", *args], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+
+
+def test_a_path_with_a_nul_byte_is_refused(capsys):
+    # argv cannot carry a NUL byte, so only an in-process call can pass one
+    assert run_cli(capsys, "count", "trees", "--graph", "file:a\x00b") == (2, "", "error: embedded null byte\n")
+
+
+@pytest.mark.parametrize(
     "args, message",
     [
         (("count", "trees", "--graph", "wheel:5_0"), "bad rim size '5_0'"),
@@ -608,6 +627,17 @@ def test_running_out_of_memory_is_a_refusal_not_a_mismatch():
         preexec_fn=_limit_address_space_to_128_mib,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: out of memory\n")
+
+
+def test_a_plain_value_error_in_a_route_escapes_as_a_bug(monkeypatch):
+    # only a Refusal is a usage error: a ValueError from a bug must not exit 2
+    def broken(g):
+        raise ValueError("max() arg is an empty sequence")
+
+    monkeypatch.setattr(kirchhoff, "count_spanning_trees", broken)
+    with pytest.raises(ValueError, match="empty sequence") as caught:
+        main(["count", "trees", "--graph", "wheel:4"])
+    assert type(caught.value) is ValueError
 
 
 # sha256 of `enumerate trees --graph wheel:12`, recorded before the blocks were streamed
@@ -1050,7 +1080,7 @@ def test_verify_bijection_detects_an_inverse_refusing_a_spoke_only_forest(capsys
 
     def inverse(tree, n):
         if tree.edges == refused and n == 5:
-            raise ValueError("refused")
+            raise Refusal("refused")
         return real(tree, n)
 
     monkeypatch.setattr(bijection, "inverse", inverse)
@@ -1059,6 +1089,21 @@ def test_verify_bijection_detects_an_inverse_refusing_a_spoke_only_forest(capsys
     assert _fail_lines(out) == [
         "FAIL round trip on spoke-only normalized forests [n=5] expected=5/5 actual=4/5"
     ]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("bijection", "audit", "--n", "4"), ("verify", "--suite", "bijection", "--max-n", "5")],
+    ids=["audit", "verify"],
+)
+def test_a_crashing_inverse_escapes_instead_of_reading_as_a_refused_image(monkeypatch, args):
+    # an inverse that fails on its own unpacking is a bug, not a tree outside the image
+    def inverse(tree, n):
+        (j,) = []
+
+    monkeypatch.setattr(bijection, "inverse", inverse)
+    with pytest.raises(ValueError, match="not enough values to unpack"):
+        main(list(args))
 
 
 def test_audit_reports_when_every_image_is_refused(capsys, monkeypatch):

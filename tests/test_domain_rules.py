@@ -1,5 +1,6 @@
 """graphs states each domain rule once: the smallest wheel and fan, a vertex
-in range and two distinct vertices; every other module calls its helper."""
+in range and two distinct vertices; every other module calls its helper.
+Every refusal is a graphs.Refusal, and only the intake catches a ValueError."""
 
 import ast
 from pathlib import Path
@@ -22,6 +23,50 @@ def test_each_domain_refusal_is_written_once_in_graphs():
     texts = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     for message in MESSAGES:
         assert {name: text.count(message) for name, text in texts.items() if message in text} == {"graphs.py": 1}
+
+
+# what an except clause names when it would also catch a plain ValueError; None is a bare except
+CATCH_VALUE_ERROR = {"ValueError", "Exception", "BaseException", None}
+
+
+def _exception_names(node) -> set:
+    # the classes a raise or an except clause names: X, X(...) or (X, Y)
+    if node is None:
+        return {None}
+    if isinstance(node, ast.Call):
+        node = node.func
+    return {ast.unparse(part) for part in (node.elts if isinstance(node, ast.Tuple) else [node])}
+
+
+def _raises_and_catches(path: Path) -> tuple[dict[str, set], dict[str, set]]:
+    # the classes raised at each line, and the classes each function catches
+    raised, caught = {}, {}
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                raised[f"{path.name}:{child.lineno}"] = _exception_names(child.exc)
+            elif isinstance(child, ast.ExceptHandler):
+                caught.setdefault(f"{path.name}:{function}", set()).update(_exception_names(child.type))
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return raised, caught
+
+
+def test_every_refusal_is_a_refusal_and_only_the_intake_catches_value_error():
+    raised, caught = {}, {}
+    for path in sorted(SRC.glob("*.py")):
+        for into, found in zip((raised, caught), _raises_and_catches(path)):
+            into.update(found)
+    assert [line for line, names in raised.items() if "ValueError" in names] == []
+    assert any("Refusal" in names for names in raised.values())
+    # the three places that turn Python's own int(), unpacking or decoding error into a Refusal
+    assert sorted(where for where, names in caught.items() if names & CATCH_VALUE_ERROR) == [
+        "cli.py:_read_edge_list", "graphs.py:_parse_int", "graphs.py:parse_edge_list",
+    ]
+    assert caught["cli.py:main"] == {"SystemExit", "Refusal", "OSError", "MemoryError"}
+    assert caught["bijection.py:_built"] == {"Refusal"}
 
 
 def _restated_minimums(path: Path) -> list[str]:

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from wheelfan import enumeration, verify
 from wheelfan.bijection import normalize
 from wheelfan.enumeration import (
-    EnumerationCapExceeded,
     WheelForest,
     enum_arc_forests,
     enum_spanning_trees,
@@ -14,7 +13,7 @@ from wheelfan.enumeration import (
     rim_arc_of,
     rotation_class_representative,
 )
-from wheelfan.graphs import LabeledGraph, canonical_edge, components, is_spanning_tree, make_fan, make_graph, make_wheel, rotate_rim_labels
+from wheelfan.graphs import LabeledGraph, Refusal, canonical_edge, components, is_spanning_tree, make_fan, make_graph, make_wheel, rotate_rim_labels
 from wheelfan.kirchhoff import count_spanning_trees, count_two_forests
 from wheelfan.sequences import fib
 from oracles import is_acyclic
@@ -119,9 +118,9 @@ def test_two_forests_on_a_path():
 
 
 def test_cap_enforced():
-    with pytest.raises(EnumerationCapExceeded, match="cap is 10"):
+    with pytest.raises(Refusal, match="cap is 10"):
         enum_spanning_trees(make_wheel(10))
-    with pytest.raises(EnumerationCapExceeded, match="cap is 5"):
+    with pytest.raises(Refusal, match="cap is 5"):
         enum_two_forests(make_wheel(5), 1, 2, cap=5)
     assert len(enum_spanning_trees(make_wheel(4), cap=5)) == 45
 
@@ -131,17 +130,17 @@ def test_budget_refuses_by_exact_count(monkeypatch):
     monkeypatch.setattr(enumeration, "ENUM_BUDGET", 45)
     assert len(enum_spanning_trees(make_wheel(4))) == 45
     monkeypatch.setattr(enumeration, "ENUM_BUDGET", 44)
-    with pytest.raises(EnumerationCapExceeded, match="45 spanning trees, enumeration budget is 44"):
+    with pytest.raises(Refusal, match="45 spanning trees, enumeration budget is 44"):
         enum_spanning_trees(make_wheel(4))
     assert len(enum_two_forests(make_wheel(4), 1, 2)) == 24
     monkeypatch.setattr(enumeration, "ENUM_BUDGET", 23)
-    with pytest.raises(EnumerationCapExceeded, match="24 separating two-forests"):
+    with pytest.raises(Refusal, match="24 separating two-forests"):
         enum_two_forests(make_wheel(4), 1, 2)
     # wheel:3 has 3*f(5) = 15 two-component forests
     monkeypatch.setattr(enumeration, "ENUM_BUDGET", 15)
     assert len(enum_arc_forests(3)) == 15
     monkeypatch.setattr(enumeration, "ENUM_BUDGET", 14)
-    with pytest.raises(EnumerationCapExceeded, match="15 two-component forests, enumeration budget is 14"):
+    with pytest.raises(Refusal, match="15 two-component forests, enumeration budget is 14"):
         enum_arc_forests(3)
 
 
