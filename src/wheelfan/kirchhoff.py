@@ -29,25 +29,33 @@ a cycle's is D(1..L) - D(2..L-1) - 2, and with an apex of degree d it is
 d prod D - sum over paths of w prod of the other D, where w, the apex's
 term through one path, runs beside D in the same pass.  So it takes linear
 steps, against Bareiss's divisions of growing minors.  With v last, the
-shape without v, a path split in two or a cycle opened, gives the leading
-determinant the same call.
+leading determinant is the shape without v, a path split in two or a cycle
+opened, and one walk gives both: the path that holds v is walked forward up
+to v and back from its far end, the two parts are its blocks without v, and
+joined at v they give the whole path; the walk round a cycle starts at v
+and carries the opened path's continuant beside the cycle's.  Every other
+block is walked once for both.
 
 Any other minor is built from the lists straight into sparse rows in greedy
 minimum-degree order (Tinney-Walker), which keeps the fill of sparse graphs
 small.  The minor is symmetric, so a row keeps only its upper triangle, as a
 dict from column to entry, and det_exact eliminates it with one symmetric
 Bareiss pass (George & Liu 1981): the lead of row i at step k is entry i of
-pivot row k, a row the pivot row does not reach is rescaled only when it is
-next used, and the pivot row is dropped once used.  Once a pivot row reaches
-every later row, each later row is fresh and holds every later column, so
-the rest of the minor is dense: on dense graphs the order leaves a trailing
-clique.  The pass then copies those rows' upper triangle, entries the dicts
-already held, into lists and finishes over them two steps at a time, by
-Bareiss's two-step form: one list comprehension per row and pair of steps,
-dividing by the square of the divisor before the pair, and one single step
-on the last row when the count of steps is odd.  No rescaling is left to do
-there.  A Laplacian minor is positive semidefinite, so a zero pivot means the
-minor is singular.
+pivot row k, and the pivot row is dropped once used.  A step changes only
+the entries at the columns its pivot row reaches, in the rows it reaches;
+every other entry would only scale by the step's pivot over its divisor.  So
+each entry carries the step it was last written at, and it is rescaled by
+the ratio of two divisors only when it is next read: as an entry of a pivot
+row, or of the block a pivot row reaches.  Once a pivot row reaches every
+later row, each entry of those rows has just been written and each row holds
+every later column, so the rest of the minor is dense: on dense graphs the
+order leaves a trailing clique.  The pass then copies those rows' upper
+triangle, entries the dicts already held, into lists and finishes over them
+two steps at a time, by Bareiss's two-step form: one list comprehension per
+row and pair of steps, dividing by the square of the divisor before the
+pair, and one single step on the last row when the count of steps is odd.
+No rescaling is left to do there.  A Laplacian minor is positive
+semidefinite, so a zero pivot means the minor is singular.
 """
 
 from __future__ import annotations
@@ -81,9 +89,9 @@ class LaplacianMinor(list):
     Row i is a dict from column j >= i to the entry, the diagonal always
     present.  _min_degree_minor builds every one a route eliminates, so
     det_exact may rely on it being symmetric positive semidefinite.
-    det_exact consumes its rows and leaves in `leading` the determinant of
-    the block without the last row and column, the divisor of the last
-    Bareiss step.
+    det_exact consumes its rows, keeping the step of each entry beside them,
+    and leaves in `leading` the determinant of the block without the last
+    row and column, the divisor of the last Bareiss step.
     """
 
     leading: int
@@ -97,16 +105,18 @@ class MinorShape:
     diagonal, in path order; per vertex 1 if it is adjacent to the apex, else
     0; and whether the block is a cycle, which it can be only when there is
     no apex.  apex is the apex's full degree, or None when there is none.
-    rest is the same shape without the vertex last, as (blocks, apex), or
-    None when no vertex goes last.  len() is the minor's order.  det_exact
-    evaluates it by continuants and, when rest is set, leaves in `leading`
-    the determinant without last, as it does for a LaplacianMinor.
+    last is where the vertex ordered last lies: (b, i) for position i of
+    block b, (None, None) when it is the apex, and None when no vertex goes
+    last; the walk round a cycle starts at last, so there i is 0.  len() is
+    the minor's order.  det_exact evaluates it by continuants and, when
+    last is set, leaves in `leading` the determinant without last, off the
+    same walk, as it does for a LaplacianMinor.
     """
 
-    __slots__ = ("blocks", "apex", "rest", "order", "leading")
+    __slots__ = ("blocks", "apex", "last", "order", "leading")
 
-    def __init__(self, blocks, apex, rest, order):
-        self.blocks, self.apex, self.rest, self.order = blocks, apex, rest, order
+    def __init__(self, blocks, apex, last, order):
+        self.blocks, self.apex, self.last, self.order = blocks, apex, last, order
 
     def __len__(self) -> int:
         return self.order
@@ -116,48 +126,49 @@ def _det_minor(rows: LaplacianMinor) -> int:
     n = len(rows)
     if n == 0:
         return 1
-    # prevs[k] is the divisor of step k; a row with stamp s holds its true
-    # entries at step k times prevs[s] / prevs[k]
+    # prevs[k] is the divisor of step k, and when[i][j] the step of entry
+    # (i, j): the true entry at step k is the stored one times prevs[k] /
+    # prevs[when[i][j]], since a step that leaves an entry out of its block
+    # only scales it by pivot / prev
     prevs = [1]
-    stamp = [0] * n
+    when = [dict.fromkeys(row, 0) for row in rows]
     for k in range(n - 1):
         rk, rows[k] = rows[k], None
-        prev, old = prevs[k], prevs[stamp[k]]
-        if old != prev:
-            for j in rk:
-                rk[j] = rk[j] * prev // old
+        prev = prevs[k]
+        for j, s in when[k].items():
+            if s != k:
+                rk[j] = rk[j] * prev // prevs[s]
         pivot = rk.pop(k)
         if pivot == 0:
             # a singular leading block of a semidefinite matrix makes it, and
             # every larger leading block, singular
             rows.leading = 0
             return 0
-        # by symmetry, the rows the pivot row reaches are its own columns
+        # by symmetry, the rows the pivot row reaches are its own columns; in
+        # those rows only the entries of those columns change, each read and
+        # rescaled here, and the rest keep their steps
         cols = sorted(j for j, a in rk.items() if a)
         for p, i in enumerate(cols):
-            lead, ri = rk[i], rows[i]
-            old = prevs[stamp[i]]
-            stale = old != prev
-            stamp[i] = k + 1
-            new = {}
+            lead, ri, wi = rk[i], rows[i], when[i]
             for j in cols[p:]:
-                a = ri.pop(j, 0)
-                if stale:
-                    a = a * prev // old
-                new[j] = (pivot * a - lead * rk[j]) // prev
-            # columns the pivot row does not reach only scale by pivot / prev,
-            # which on a stale row's stored entries is pivot / old
-            for j, a in ri.items():
-                new[j] = a * pivot // old
-            rows[i] = new
+                s = wi.get(j)
+                if s is None:
+                    ri[j] = -lead * rk[j] // prev
+                else:
+                    a = ri[j]
+                    if s != k:
+                        a = a * prev // prevs[s]
+                    ri[j] = (pivot * a - lead * rk[j]) // prev
+                wi[j] = k + 1
         prevs.append(pivot)
         if len(cols) == n - k - 1:
             break
     else:
         rows.leading = prevs[n - 1]
-        return rows[n - 1][n - 1] * prevs[n - 1] // prevs[stamp[n - 1]]
-    # the pivot row reached every later row, so each is fresh and full: the
-    # rest is a dense upper triangle, row i holding columns i..n-1
+        return rows[n - 1][n - 1] * prevs[n - 1] // prevs[when[n - 1][n - 1]]
+    # the pivot row reached every later row, so each entry of those rows is
+    # fresh and each row full: the rest is a dense upper triangle, row i
+    # holding columns i..n-1
     tail = [[rows[i][j] for j in range(i, n)] for i in range(k + 1, n)]
     m, prev = len(tail), pivot
     # two steps per pass (Bareiss 1968): pivot rows t and t+1 hold the block
@@ -201,12 +212,29 @@ def _continuant(degrees: list[int]) -> int:
     return now
 
 
-def _apex_terms(degrees: list[int], flags: list[int]) -> tuple[int, int]:
-    """The determinant D of a path's block T and its apex term w = a^T adj(T) a.
+def _cycle_terms(degrees: list[int]) -> tuple[int, int]:
+    """The determinant of a cycle's block and of the path R left without its first vertex.
 
-    a holds the flags.  adj(T)[p][q] is D(1..p-1) D(q+1..L) for p <= q, so w
-    runs beside D without division: w_j = d_j w_{j-1} - w_{j-2} + a_j D_{j-1}
-    + 2 a_j s_{j-1}, where s_j = s_{j-1} + a_j D_{j-1}.
+    Along vertex 1 the cycle expands to d_1 D(R) - D(R without its first) -
+    D(R without its last) - 2, R being 2..L.  One loop carries all three:
+    D(R) and D(R without its last) as a continuant does, and D(R without its
+    first) as a second chain, which starts at (0, -1) so that R's first
+    degree takes it to (1, 0).
+    """
+    now, before, inner, inner_before = 1, 0, 0, -1
+    for d in degrees[1:]:
+        now, before, inner, inner_before = d * now - before, now, d * inner - inner_before, inner
+    return degrees[0] * now - inner - before - 2, now
+
+
+def _apex_state(degrees: list[int], flags: list[int]) -> tuple[int, int, int, int, int]:
+    """The state (D, D-, w, w-, s) of a path's block T after its last vertex.
+
+    D is det T and w = a^T adj(T) a its apex term, a holding the flags; D-
+    and w- are the same without the last vertex.  adj(T)[p][q] is
+    D(1..p-1) D(q+1..L) for p <= q, so w runs beside D without division:
+    w_j = d_j w_{j-1} - w_{j-2} + a_j D_{j-1} + 2 a_j s_{j-1}, where
+    s_j = s_{j-1} + a_j D_{j-1}.
     """
     now = 1
     before = w = w_before = s = 0
@@ -215,22 +243,82 @@ def _apex_terms(degrees: list[int], flags: list[int]) -> tuple[int, int]:
             now, before, w, w_before, s = d * now - before, now, d * w - w_before + now + 2 * s, w, s + now
         else:
             now, before, w, w_before = d * now - before, now, d * w - w_before, w
+    return now, before, w, w_before, s
+
+
+def _apex_terms(degrees: list[int], flags: list[int]) -> tuple[int, int]:
+    """The determinant D of a path's block and its apex term w."""
+    now, _, w, _, _ = _apex_state(degrees, flags)
     return now, w
 
 
-def _shape_det(blocks, apex: int | None) -> int:
+def _join(d: int, a: int, prefix: tuple, suffix: tuple) -> tuple[int, int]:
+    """(D, w) of a path's block from the states of the parts on each side of one vertex.
+
+    The vertex has degree d and flag a; prefix is the state of the part
+    before it, suffix that of the part after it, walked from the far end.
+    Expanding along the vertex, D = d D_P D_S - D_P- D_S - D_P D_S-.  In w,
+    the pairs (p, q) within one part give the first four terms, the pairs
+    across it 2 s_P s_S, and the pairs through the vertex its flag's terms.
+    """
+    dp, dp_, wp, wp_, sp = prefix
+    ds, ds_, ws, ws_, ss = suffix
+    det = d * dp * ds - dp_ * ds - dp * ds_
+    w = (d * ds - ds_) * wp - ds * wp_ + (d * dp - dp_) * ws - dp * ws_ + 2 * sp * ss
+    if a:
+        w += 2 * sp * ds + 2 * dp * ss + dp * ds
+    return det, w
+
+
+def _fold(terms, prod: int = 1, cross: int = 0) -> tuple[int, int]:
     # the blocks are block-diagonal beside the apex, so the determinant is
     # apex * prod D - sum over blocks p of w_p * prod over the other blocks of D
-    prod, cross = 1, 0
-    for degrees, flags, cycle in blocks:
-        if cycle:
-            det, w = _continuant(degrees) - _continuant(degrees[1:-1]) - 2, 0
-        elif apex is None:
-            det, w = _continuant(degrees), 0
-        else:
-            det, w = _apex_terms(degrees, flags)
+    for det, w in terms:
         prod, cross = prod * det, cross * det + w * prod
+    return prod, cross
+
+
+def _beside(apex: int | None, prod: int, cross: int) -> int:
     return prod if apex is None else apex * prod - cross
+
+
+def _shape_det(shape: MinorShape) -> int:
+    """The determinant of a MinorShape, and its leading one when a vertex is last.
+
+    Every block but the one that holds last is walked once, and its D and w
+    serve both determinants.  On a path, the part before last is walked
+    forward and the part after it from the far end, and _join gives the
+    whole block; on a cycle, whose walk starts at last, _cycle_terms gives
+    the cycle and the path it opens into.
+    """
+    apex, blocks = shape.apex, shape.blocks
+    b, i = shape.last or (None, None)
+    terms = []
+    for c, (degrees, flags, cycle) in enumerate(blocks):
+        if c == b:
+            continue
+        if cycle:
+            terms.append((_cycle_terms(degrees)[0], 0))
+        elif apex is None:
+            terms.append((_continuant(degrees), 0))
+        else:
+            terms.append(_apex_terms(degrees, flags))
+    prod, cross = _fold(terms)
+    if b is None:
+        if shape.last is not None:
+            shape.leading = prod  # without the apex, the blocks alone
+        return _beside(apex, prod, cross)
+    degrees, flags, cycle = blocks[b]
+    if cycle:
+        whole, opened = _cycle_terms(degrees)
+        block, parts = [(whole, 0)], [(opened, 0)]
+    else:
+        prefix = _apex_state(degrees[:i], flags[:i])
+        suffix = _apex_state(degrees[:i:-1], flags[:i:-1])
+        block = [_join(degrees[i], flags[i], prefix, suffix)]
+        parts = [(prefix[0], prefix[2]), (suffix[0], suffix[2])]
+    shape.leading = _beside(apex, *_fold(parts, prod, cross))
+    return _beside(apex, *_fold(block, prod, cross))
 
 
 def det_exact(matrix: LaplacianMinor | MinorShape) -> int:
@@ -238,14 +326,12 @@ def det_exact(matrix: LaplacianMinor | MinorShape) -> int:
 
     A MinorShape is evaluated by the continuants of the module docstring,
     and when it has a vertex last, leading becomes its determinant without
-    that vertex.  A LaplacianMinor is eliminated in place by the symmetric
-    sparse Bareiss pass of the module docstring.  The empty minor has
-    determinant 1.
+    that vertex, off the same walk.  A LaplacianMinor is eliminated in place
+    by the symmetric sparse Bareiss pass of the module docstring.  The empty
+    minor has determinant 1.
     """
     if isinstance(matrix, MinorShape):
-        if matrix.rest is not None:
-            matrix.leading = _shape_det(*matrix.rest)
-        return _shape_det(matrix.blocks, matrix.apex)
+        return _shape_det(matrix)
     return _det_minor(matrix)
 
 
@@ -357,17 +443,9 @@ def _shape(nbrs: Neighbours, drop: set[int], last: int | None) -> MinorShape | N
         if where is None and last in path:
             where = len(blocks), path.index(last)
         blocks.append((list(map(deg.__getitem__, path)), list(map(flag.__getitem__, path)), cycle))
-    rest = None
-    if last is not None:
-        if where is None:
-            rest = blocks, None  # last is the apex
-        else:
-            # a path without last splits in two, a cycle opens into a path
-            b, i = where
-            degrees, flags, _ = blocks[b]
-            split = [(degrees[:i], flags[:i], False), (degrees[i + 1 :], flags[i + 1 :], False)]
-            rest = blocks[:b] + blocks[b + 1 :] + split, apex
-    return MinorShape(blocks, apex, rest, n - len(drop))
+    if last is not None and where is None:
+        where = None, None  # last is the apex
+    return MinorShape(blocks, apex, where, n - len(drop))
 
 
 def _ordered_minor(lap: Neighbours, drop: set[int], last: int | None = None) -> LaplacianMinor | MinorShape:

@@ -600,6 +600,21 @@ def test_a_corrupt_apex_term_of_the_shape_route_is_caught(capsys, monkeypatch):
     assert code == 1
 
 
+def test_a_join_without_its_cross_term_is_caught(capsys, monkeypatch):
+    # a resistance walks the path holding its last vertex forward to it and
+    # back from the far end, then joins the two; without the apex term of
+    # the pairs across that vertex, 2 s_P s_S, a wheel's rim pair whose last
+    # vertex lies inside the path gets a wrong tree count
+    def corrupt(d, a, prefix, suffix, _original=kirchhoff._join):
+        det, w = _original(d, a, prefix, suffix)
+        return det, w - 2 * prefix[4] * suffix[4]
+
+    monkeypatch.setattr(kirchhoff, "_join", corrupt)
+    code, out, _ = run_cli(capsys, "resist", "--graph", "wheel:9", "--pair", "1,4", "--method", "all")
+    assert code == 1
+    assert out.endswith("MISMATCH: methods disagree\n")
+
+
 def test_a_long_bfile_streams_in_small_memory():
     # fan-trees up to 8000 is 13 MB of text; built whole (rows, lines, one
     # joined string) it needs over 64 MiB of address space, row by row under 32
@@ -638,6 +653,22 @@ def test_a_plain_value_error_in_a_route_escapes_as_a_bug(monkeypatch):
     with pytest.raises(ValueError, match="empty sequence") as caught:
         main(["count", "trees", "--graph", "wheel:4"])
     assert type(caught.value) is ValueError
+
+
+def test_a_bug_exits_1_with_a_traceback_and_no_mismatch_line():
+    # exit 1 is a mismatch only when stdout holds a MISMATCH or FAIL line: a
+    # bug that escapes main exits 1 too, with its traceback on stderr
+    script = (
+        "import sys\n"
+        "from wheelfan import cli, kirchhoff\n"
+        "kirchhoff.count_spanning_trees = lambda g: max([])\n"
+        "sys.argv = ['wheelfan', 'count', 'trees', '--graph', 'wheel:4']\n"
+        "cli.entry()\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" in proc.stderr
+    assert "MISMATCH" not in proc.stdout and "FAIL" not in proc.stdout
 
 
 # sha256 of `enumerate trees --graph wheel:12`, recorded before the blocks were streamed

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from wheelfan import formulas, kirchhoff
 from wheelfan.enumeration import enum_spanning_trees, enum_two_forests
@@ -389,6 +389,37 @@ def test_shape_route_matches_the_oracle_on_cycles_and_paths(g):
             assert _by_shape(L, {u}, v) == (trees, bareiss_det(dense_minor(L, {u, v})))
 
 
+def _where_last_sits(shape):
+    b, i = shape.last
+    if b is None:
+        return "apex"
+    degrees, _, cycle = shape.blocks[b]
+    if cycle:
+        return "cycle"
+    return "end" if i in (0, len(degrees) - 1) else "interior"
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_one_walk_per_resistance_matches_bareiss_wherever_last_sits(data):
+    # the block holding last is walked forward to it and back from its far
+    # end, then joined at it; draw where last sits first, so an apex or a
+    # path interior comes up as often as a path end
+    g = data.draw(st.one_of(apex_and_path_graphs(max_length=9), cycles_and_paths_graphs(max_length=9)))
+    L, n = laplacian(g), g.vertex_count
+    u = data.draw(st.integers(0, n - 1))
+    sits = {}
+    for v in set(range(n)) - {u}:
+        minor = kirchhoff._ordered_minor(L, {u}, v)
+        if isinstance(minor, kirchhoff.MinorShape):
+            sits.setdefault(_where_last_sits(minor), []).append(v)
+    assume(sits)
+    where = data.draw(st.sampled_from(sorted(sits)))
+    event(where)
+    v = data.draw(st.sampled_from(sits[where]))
+    assert _value(kirchhoff._ordered_minor(L, {u}, v), v) == _bareiss(L, {u}, v)
+
+
 @pytest.mark.parametrize(
     "n, edges, drop",
     [
@@ -427,6 +458,33 @@ def test_apex_ties_go_to_the_lowest_id(reverse):
     assert det_exact(minor) == bareiss_det(dense_minor(L, drop))
     for v in set(range(9)) - drop:
         assert _both_routes(L, drop, v) == (bareiss_det(dense_minor(L, drop)), bareiss_det(dense_minor(L, drop | {v})))
+
+
+def _sparse_random_graph(rng, vertices, degree):
+    # a random spanning tree on shuffled labels, then random extra edges up
+    # to the average degree, as the sparse files of the benchmark are built
+    labels = list(range(vertices))
+    rng.shuffle(labels)
+    edges = {tuple(sorted((labels[i], labels[rng.randrange(i)]))) for i in range(1, vertices)}
+    while len(edges) < round(vertices * degree / 2):
+        edges.add(tuple(sorted(rng.sample(range(vertices), 2))))
+    return make_graph(vertices, sorted(edges))
+
+
+@pytest.mark.parametrize("vertices, degree", [(60, 3.0), (87, 3.3), (113, 3.7), (140, 4.0)])
+def test_bareiss_rescales_each_entry_by_its_own_step(vertices, degree):
+    # a pivot row of a sparse minor reaches few rows and, in those, few
+    # columns, so entries wait many steps between reads, and entries of one
+    # row carry different steps; trees, a separating pair and a resistance
+    # pair, each det and leading block against the natural-order oracle
+    rng = random.Random(f"sparse:{vertices}")
+    L = laplacian(_sparse_random_graph(rng, vertices, degree))
+    u, v, w, x = rng.sample(range(vertices), 4)
+    for drop, last in (({u}, None), ({v, w}, None), ({x}, v)):
+        minor = kirchhoff._min_degree_minor(L, drop, last)
+        before_last = kirchhoff._min_degree_order(L, drop, last)[-1]
+        assert det_exact(minor) == bareiss_det(dense_minor(L, drop))
+        assert minor.leading == bareiss_det(dense_minor(L, drop | {before_last}))
 
 
 @pytest.mark.parametrize("n", range(3, 33))
