@@ -10,7 +10,8 @@ other: with v ordered last, det(L without u and v) is the leading block of
 det(L without u).  Bareiss makes each step's divisor a leading principal
 minor, so one pass over L without u reads both, the two-forest count as the
 divisor of the last step and the tree count as the result.  Of the pair, u
-is the end of higher degree and v the other.
+is the end of higher degree and v the other.  det_exact returns the two as
+a pair, (det, leading), and leaves nothing on the minor it is given.
 
 A Laplacian is made only from a graph, by laplacian(), and is held as its
 neighbour lists; no route builds it as an n x n array.  The dense matrix,
@@ -83,20 +84,6 @@ def laplacian(g: LabeledGraph) -> Neighbours:
     return tuple(map(tuple, nbrs))
 
 
-class LaplacianMinor(list):
-    """A Laplacian minor as sparse upper-triangular rows.
-
-    Row i is a dict from column j >= i to the entry, the diagonal always
-    present.  _min_degree_minor builds every one a route eliminates, so
-    det_exact may rely on it being symmetric positive semidefinite.
-    det_exact consumes its rows, keeping the step of each entry beside them,
-    and leaves in `leading` the determinant of the block without the last
-    row and column, the divisor of the last Bareiss step.
-    """
-
-    leading: int
-
-
 class MinorShape:
     """A Laplacian minor whose graph is paths and cycles, or paths and one apex.
 
@@ -108,24 +95,23 @@ class MinorShape:
     last is where the vertex ordered last lies: (b, i) for position i of
     block b, (None, None) when it is the apex, and None when no vertex goes
     last; the walk round a cycle starts at last, so there i is 0.  len() is
-    the minor's order.  det_exact evaluates it by continuants and, when
-    last is set, leaves in `leading` the determinant without last, off the
-    same walk, as it does for a LaplacianMinor.
+    the minor's order, the blocks' lengths and the apex.  det_exact
+    evaluates it by continuants.
     """
 
-    __slots__ = ("blocks", "apex", "last", "order", "leading")
+    __slots__ = ("blocks", "apex", "last")
 
-    def __init__(self, blocks, apex, last, order):
-        self.blocks, self.apex, self.last, self.order = blocks, apex, last, order
+    def __init__(self, blocks, apex, last):
+        self.blocks, self.apex, self.last = blocks, apex, last
 
     def __len__(self) -> int:
-        return self.order
+        return sum(len(degrees) for degrees, _, _ in self.blocks) + (self.apex is not None)
 
 
-def _det_minor(rows: LaplacianMinor) -> int:
+def _det_minor(rows: list[dict[int, int]]) -> tuple[int, int | None]:
     n = len(rows)
     if n == 0:
-        return 1
+        return 1, None
     # prevs[k] is the divisor of step k, and when[i][j] the step of entry
     # (i, j): the true entry at step k is the stored one times prevs[k] /
     # prevs[when[i][j]], since a step that leaves an entry out of its block
@@ -142,8 +128,7 @@ def _det_minor(rows: LaplacianMinor) -> int:
         if pivot == 0:
             # a singular leading block of a semidefinite matrix makes it, and
             # every larger leading block, singular
-            rows.leading = 0
-            return 0
+            return 0, 0
         # by symmetry, the rows the pivot row reaches are its own columns; in
         # those rows only the entries of those columns change, each read and
         # rescaled here, and the rest keep their steps
@@ -164,8 +149,7 @@ def _det_minor(rows: LaplacianMinor) -> int:
         if len(cols) == n - k - 1:
             break
     else:
-        rows.leading = prevs[n - 1]
-        return rows[n - 1][n - 1] * prevs[n - 1] // prevs[when[n - 1][n - 1]]
+        return rows[n - 1][n - 1] * prevs[n - 1] // prevs[when[n - 1][n - 1]], prevs[n - 1]
     # the pivot row reached every later row, so each entry of those rows is
     # fresh and each row full: the rest is a dense upper triangle, row i
     # holding columns i..n-1
@@ -182,8 +166,7 @@ def _det_minor(rows: LaplacianMinor) -> int:
         d = a * c - b * b
         # the block is semidefinite, so a == 0 forces b == 0 and d == 0 too
         if d == 0:
-            rows.leading = 0
-            return 0
+            return 0, 0
         # column j >= t+2 of the two pivot rows, which by symmetry is also
         # the pair's entries in row j
         cols = list(zip(rt[2:], rs[1:]))
@@ -198,10 +181,8 @@ def _det_minor(rows: LaplacianMinor) -> int:
         # an odd number of steps leaves one, on the 1x1 remainder; a zero
         # pivot there has a zero lead, so the result is 0 as it must be
         (pivot, lead), (last,) = tail[-2:]
-        rows.leading = pivot
-        return (pivot * last - lead * lead) // prev
-    rows.leading = prev
-    return tail[-1][0]
+        return (pivot * last - lead * lead) // prev, pivot
+    return tail[-1][0], prev
 
 
 def _continuant(degrees: list[int]) -> int:
@@ -282,8 +263,8 @@ def _beside(apex: int | None, prod: int, cross: int) -> int:
     return prod if apex is None else apex * prod - cross
 
 
-def _shape_det(shape: MinorShape) -> int:
-    """The determinant of a MinorShape, and its leading one when a vertex is last.
+def _shape_det(shape: MinorShape) -> tuple[int, int | None]:
+    """The determinants (det, leading) of a MinorShape; leading is None when no vertex is last.
 
     Every block but the one that holds last is walked once, and its D and w
     serve both determinants.  On a path, the part before last is walked
@@ -305,9 +286,8 @@ def _shape_det(shape: MinorShape) -> int:
             terms.append(_apex_terms(degrees, flags))
     prod, cross = _fold(terms)
     if b is None:
-        if shape.last is not None:
-            shape.leading = prod  # without the apex, the blocks alone
-        return _beside(apex, prod, cross)
+        # no vertex is last, or the apex is: without it, the blocks alone
+        return _beside(apex, prod, cross), None if shape.last is None else prod
     degrees, flags, cycle = blocks[b]
     if cycle:
         whole, opened = _cycle_terms(degrees)
@@ -317,18 +297,18 @@ def _shape_det(shape: MinorShape) -> int:
         suffix = _apex_state(degrees[:i:-1], flags[:i:-1])
         block = [_join(degrees[i], flags[i], prefix, suffix)]
         parts = [(prefix[0], prefix[2]), (suffix[0], suffix[2])]
-    shape.leading = _beside(apex, *_fold(parts, prod, cross))
-    return _beside(apex, *_fold(block, prod, cross))
+    return _beside(apex, *_fold(block, prod, cross)), _beside(apex, *_fold(parts, prod, cross))
 
 
-def det_exact(matrix: LaplacianMinor | MinorShape) -> int:
-    """Exact determinant of a minor _ordered_minor builds.
+def det_exact(matrix: list[dict[int, int]] | MinorShape) -> tuple[int, int | None]:
+    """Exact determinants (det, leading) of a minor _ordered_minor builds.
 
-    A MinorShape is evaluated by the continuants of the module docstring,
-    and when it has a vertex last, leading becomes its determinant without
-    that vertex, off the same walk.  A LaplacianMinor is eliminated in place
-    by the symmetric sparse Bareiss pass of the module docstring.  The empty
-    minor has determinant 1.
+    leading is the determinant without the vertex ordered last, off the
+    same pass, and None when there is no such block: a MinorShape with no
+    last, or the empty minor, whose det is 1.  A MinorShape is evaluated by
+    the continuants of the module docstring, and min-degree rows are
+    consumed by the symmetric sparse Bareiss pass, leading being the
+    divisor of its last step.
     """
     if isinstance(matrix, MinorShape):
         return _shape_det(matrix)
@@ -365,11 +345,14 @@ def _min_degree_order(neighbours: Neighbours, drop: set[int], last: int | None =
     return order + sorted(adj, key=lambda w: (w == last, w))
 
 
-def _min_degree_minor(lap: Neighbours, drop: set[int], last: int | None = None) -> LaplacianMinor:
+def _min_degree_minor(lap: Neighbours, drop: set[int], last: int | None = None) -> list[dict[int, int]]:
+    # a plain list whose row i is a dict from column j >= i to the entry,
+    # the diagonal always present: the upper triangle of a symmetric
+    # positive semidefinite minor, which det_exact relies on and consumes;
     # a symmetric permutation of rows and columns keeps the determinant
     keep = _min_degree_order(lap, drop, last)
     pos = {v: i for i, v in enumerate(keep)}
-    rows = LaplacianMinor()
+    rows = []
     for i, v in enumerate(keep):
         nbrs = lap[v]
         row = {i: len(nbrs)}
@@ -445,10 +428,10 @@ def _shape(nbrs: Neighbours, drop: set[int], last: int | None) -> MinorShape | N
         blocks.append((list(map(deg.__getitem__, path)), list(map(flag.__getitem__, path)), cycle))
     if last is not None and where is None:
         where = None, None  # last is the apex
-    return MinorShape(blocks, apex, where, n - len(drop))
+    return MinorShape(blocks, apex, where)
 
 
-def _ordered_minor(lap: Neighbours, drop: set[int], last: int | None = None) -> LaplacianMinor | MinorShape:
+def _ordered_minor(lap: Neighbours, drop: set[int], last: int | None = None) -> list[dict[int, int]] | MinorShape:
     """The minor without drop, for det_exact: a MinorShape when its graph fits, else min-degree rows."""
     shape = _shape(lap, drop, last)
     return _min_degree_minor(lap, drop, last) if shape is None else shape
@@ -463,7 +446,7 @@ def count_spanning_trees(g: LabeledGraph) -> int:
     """
     if len(g.edges) < g.vertex_count - 1:
         return 0
-    return det_exact(_ordered_minor(laplacian(g), {0}))
+    return det_exact(_ordered_minor(laplacian(g), {0}))[0]
 
 
 def count_two_forests(g: LabeledGraph, u: int, v: int) -> int:
@@ -472,7 +455,7 @@ def count_two_forests(g: LabeledGraph, u: int, v: int) -> int:
     _check_vertices(g.vertex_count, u, v)
     if len(g.edges) < g.vertex_count - 2:
         return 0  # too few edges for two parts to span the vertices
-    return det_exact(_ordered_minor(laplacian(g), {u, v}))
+    return det_exact(_ordered_minor(laplacian(g), {u, v}))[0]
 
 
 def _component_holding(g: LabeledGraph, u: int, v: int) -> tuple[LabeledGraph, int, int]:
@@ -508,9 +491,8 @@ def _forests_and_trees(g: LabeledGraph, u: int, v: int) -> tuple[int, int]:
     lap = laplacian(g)
     if len(lap[u]) < len(lap[v]):
         u, v = v, u
-    minor = _ordered_minor(lap, {u}, last=v)
-    trees = det_exact(minor)
-    return minor.leading, trees
+    trees, forests = det_exact(_ordered_minor(lap, {u}, last=v))
+    return forests, trees
 
 
 def effective_resistance(g: LabeledGraph, u: int, v: int) -> Fraction:
@@ -519,8 +501,9 @@ def effective_resistance(g: LabeledGraph, u: int, v: int) -> Fraction:
     On a connected graph it equals count_two_forests(g,u,v) /
     count_spanning_trees(g) (Bapat and Gupta).  Both are read off one
     det_exact call on the Laplacian without the end of higher degree (u on
-    a tie), the other end ordered last: its leading determinant, without
-    that end too, is the two-forest count and the result is the tree count.
+    a tie), the other end ordered last, which returns the pair: the tree
+    count, and the leading determinant, without that end too, which is the
+    two-forest count.
     No current leaves the component of u, so a disconnected graph, whose
     tree count is 0, is answered by a second pass on that component alone,
     and by that pass only when it has fewer than V-1 edges; v outside it has

@@ -671,6 +671,81 @@ def test_a_bug_exits_1_with_a_traceback_and_no_mismatch_line():
     assert "MISMATCH" not in proc.stdout and "FAIL" not in proc.stdout
 
 
+# the CLI grammar the contract fuzz draws from, each as (usual, unusual),
+# half the draws from each, so that the routes run about as often as the
+# refusals: sizes (at most 40, for the minor route) small, at the edge of a
+# family's minimum, negative, malformed and over int()'s 4300 digits; pairs
+# in and out of range; inline edges of a wheel:4 forest and a fan:4 tree, or
+# broken ones
+FUZZ_SIZES = ("4", "6", "40"), ("0", "1", "2", "3", "-1", "-5", "5_0", "+3", "", "x", "9" * 4301)
+FUZZ_PAIRS = ("0,1", "1,3", "2,0"), ("0,0", "1,99", "-1,2", "a,b", "1", "", "1," + "9" * 4301)
+FUZZ_EDGES = ("1-2,2-3,0-4", "1-2,0-2,0-3"), ("0-1,1-0", "1-2,3", "", "a-b")
+# file: graphs by name; missing.txt is never written
+FUZZ_FILES = {
+    "k4.txt": format_edge_list(4, combinations(range(4), 2)),
+    "split.txt": format_edge_list(4, [(0, 1), (2, 3)]),
+    "forest.txt": "V 5\n0 4\n1 2\n2 3\n",
+    "bad.txt": "V 3\n0 x\n",
+    "empty.txt": "",
+}
+
+
+def _halves(usual, unusual):
+    return st.one_of(st.sampled_from(usual), st.sampled_from(unusual))
+
+
+@st.composite
+def cli_argvs(draw, folder):
+    files = [str(folder / name) for name in [*FUZZ_FILES, "missing.txt"]]
+    sizes = _halves(*FUZZ_SIZES)
+    specs = st.sampled_from(["wheel:", "fan:"]).flatmap(lambda family: sizes.map(family.__add__))
+    graph = draw(st.one_of(specs, specs, st.sampled_from(files).map("file:".__add__)))
+    pair = draw(_halves(*FUZZ_PAIRS))
+    command = draw(st.sampled_from(["count trees", "count forests", "resist", "enumerate", "bijection"]))
+    if command == "bijection":
+        argv = ["bijection", draw(st.sampled_from(["forward", "inverse"]))]
+        if draw(st.booleans()):
+            # the file gives the rim size, and an --n beside it must agree
+            argv += ["--file", draw(st.sampled_from(files))]
+            return argv + (["--n", draw(sizes)] if draw(st.booleans()) else [])
+        return argv + ["--n", draw(sizes), "--edges", draw(_halves(*FUZZ_EDGES))]
+    if command == "enumerate":
+        argv = ["enumerate", draw(st.sampled_from(["trees", "forests"])), "--graph", graph]
+        return argv + (["--separate", pair] if draw(st.booleans()) else [])
+    argv = command.split() + ["--graph", graph]
+    if command == "count forests":
+        argv += ["--separate", pair]
+    elif command == "resist":
+        argv += ["--pair", pair]
+    methods = ["formula", "minor", "all"] + (["enum"] if command != "resist" else [])
+    return argv + (["--method", draw(st.sampled_from(methods))] if draw(st.booleans()) else [])
+
+
+@pytest.fixture(scope="module")
+def fuzz_folder(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("fuzz")
+    for name, text in FUZZ_FILES.items():
+        (folder / name).write_text(text)
+    return folder
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_every_exit_code_keeps_the_cli_contract(fuzz_folder, data):
+    # 0; or 2 with one error line on stderr; or 1 only beside a MISMATCH or
+    # FAIL line on stdout; and main never raises
+    argv = data.draw(cli_argvs(fuzz_folder))
+    code, out, err = run_quiet(*argv)
+    if code == 0:
+        assert err == ""
+    elif code == 2:
+        # argparse writes its usage first, then "wheelfan <command>: error: ..."
+        lines = err.splitlines()
+        assert lines and [line for line in lines if "error: " in line] == lines[-1:]
+    else:
+        assert code == 1 and re.search("^(MISMATCH|FAIL)", out, re.MULTILINE)
+
+
 # sha256 of `enumerate trees --graph wheel:12`, recorded before the blocks were streamed
 WHEEL_12_TREES_DIGEST = "91e14df59f53450f92ecdc1c6b50735dcd0aa0aff09591e6d9a040247a1f466a"
 

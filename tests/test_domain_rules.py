@@ -115,3 +115,44 @@ def test_the_bijection_entries_refuse_below_the_smallest_wheel_or_fan(call, mess
     # held to the same messages in their own modules' tests
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
+
+
+def _targets(node):
+    # the names and attributes an assignment binds, through tuple, list and starred unpacking
+    if isinstance(node, (ast.Tuple, ast.List)):
+        return [leaf for elt in node.elts for leaf in _targets(elt)]
+    if isinstance(node, ast.Starred):
+        return _targets(node.value)
+    return [node]
+
+
+def _attributes_written_onto_parameters(path: Path) -> list[str]:
+    # param.attr = ... in a function whose own parameter param is; self in
+    # __init__ is the object being built, and a subscript such as
+    # maps[f.arc_start, k] writes into the container, not onto f
+    found = []
+    for function in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = function.args
+        params = {a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg] if a}
+        if function.name == "__init__":
+            params.discard("self")
+        for node in ast.walk(function):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign, ast.For, ast.AsyncFor)):
+                targets = [node.target]
+            else:
+                continue
+            for target in (leaf for t in targets for leaf in _targets(t)):
+                owner = target.value if isinstance(target, ast.Attribute) else None
+                if isinstance(owner, ast.Name) and owner.id in params:
+                    found.append(f"{path.name}:{target.lineno} {function.name} writes {ast.unparse(target)}")
+    return found
+
+
+def test_no_function_writes_an_attribute_onto_its_own_parameter():
+    # a function hands its results back by returning them, never by storing
+    # them on what it was given
+    assert [line for path in sorted(SRC.glob("*.py")) for line in _attributes_written_onto_parameters(path)] == []

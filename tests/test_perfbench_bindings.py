@@ -117,7 +117,7 @@ QUERY_ARGVS = {
 
 
 def _trace_queries(tmp_path, workload):
-    """Run the workload's argvs under the benchmark's tracer; its stats per traced name."""
+    """Run the workload's argvs under the benchmark's tracer, and return the tracer."""
     spans = _load("spans")
     path = tmp_path / "g.txt"
     path.write_text(format_edge_list(FILE_GRAPH.vertex_count, FILE_GRAPH.edges))
@@ -130,7 +130,7 @@ def _trace_queries(tmp_path, workload):
     finally:
         tracer.uninstall()
     assert codes == [0] * len(argvs)
-    return tracer.aggregate()
+    return tracer
 
 
 @pytest.mark.parametrize("workload", list(QUERY_ARGVS))
@@ -138,15 +138,33 @@ def test_every_traced_query_workload_function_records_calls(tmp_path, workload):
     # the closed forms too: a table entry that bound its formula at import
     # would bypass the tracer's wrapper and leave that formula at zero calls
     run = _load("run")
-    stats = _trace_queries(tmp_path, workload)
+    stats = _trace_queries(tmp_path, workload).aggregate()
     calls = {name: entry["calls"] for name, entry in stats.items()}
     assert [name for name in run.COVERED[workload] if not calls.get(name)] == []
+
+
+@pytest.mark.parametrize(
+    "workload, order_sum",
+    [
+        # with --method all a count takes its minor twice, for the minor route
+        # and for the enum route's size check against the cap: wheel:6 trees
+        # 6 + 6, fan:5 trees 5 + 5, the forests 5 + 5 and 4 + 4; then the
+        # resistances 6 and 5, one pass each, and FILE trees 5
+        ("minor-sparse", 6 + 6 + 5 + 5 + 5 + 5 + 4 + 4 + 6 + 5 + 5),
+        # FILE trees 5, forests 4 and resistance 5
+        ("minor-dense", 5 + 4 + 5),
+    ],
+)
+def test_traced_query_workloads_sum_the_orders_of_their_minors(tmp_path, workload, order_sum):
+    # the tracer reads len() of every minor det_exact is given, so each minor
+    # type's len() must stay its order
+    assert _trace_queries(tmp_path, workload).order_sum == order_sum
 
 
 def test_enum_oracle_partitions_once_per_enumeration(tmp_path):
     # each enumerator takes the graph's own partition once, to rule its walk
     # in or out; a partition per emitted forest would multiply the count
-    stats = _trace_queries(tmp_path, "enum-oracle")
+    stats = _trace_queries(tmp_path, "enum-oracle").aggregate()
     assert stats["graphs.components"]["under"] == {
         "enumeration.enum_spanning_trees": 2,  # count --method all and enumerate each call it once
         "enumeration.enum_two_forests": 2,
@@ -157,6 +175,6 @@ def test_enum_oracle_formats_each_graph_once_per_enumerate(tmp_path):
     # cmd_enumerate writes every block from one edge list of the graph; a
     # call per block would bring back the formatting cost and its guard
     # would still pass, so the count is pinned here
-    stats = _trace_queries(tmp_path, "enum-oracle")
+    stats = _trace_queries(tmp_path, "enum-oracle").aggregate()
     enumerates = sum(argv[0] == "enumerate" for argv in QUERY_ARGVS["enum-oracle"])
     assert stats["graphs.format_edge_list"]["calls"] == enumerates
