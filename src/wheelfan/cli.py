@@ -20,7 +20,7 @@ import sys
 from itertools import islice
 from pathlib import Path
 
-from . import bijection, verify
+from . import bijection, kirchhoff, verify
 from .enumeration import DEFAULT_ENUM_CAP, enum_arc_forest_edges, enum_spanning_trees, enum_two_forests
 from .graphs import (
     LabeledGraph, Refusal, _check_distinct, _check_vertices, _parse_int, format_edge_list, make_fan, make_wheel,
@@ -88,8 +88,8 @@ def _separated_pair(args, g: LabeledGraph) -> tuple[int, int]:
 
 
 def _answer(args, quantity: str) -> int:
-    """Print what verify.answer gives for --method: the one value, or with
-    --method all each route's line, and MISMATCH with exit 1 if they differ."""
+    """Run the routes verify.answer gives for --method, then print the one value,
+    or with --method all each route's line, and MISMATCH with exit 1 if they differ."""
     kind, size, g = _parse_graph(args.graph)
     pair = None
     if quantity == "forests":
@@ -97,7 +97,8 @@ def _answer(args, quantity: str) -> int:
     elif quantity == "resist":
         pair = _parse_pair(args.pair, g)
     # resist has no --enum-cap, and no enum route to use one
-    values = verify.answer(kind, size, g, quantity, pair, args.method, getattr(args, "enum_cap", DEFAULT_ENUM_CAP))
+    routes = verify.answer(kind, size, g, quantity, pair, args.method, getattr(args, "enum_cap", DEFAULT_ENUM_CAP))
+    values = {name: route() for name, route in routes.items()}
     if args.method != "all":
         print(values[args.method])
         return 0
@@ -157,10 +158,10 @@ _WRITE_CHUNK = 512
 def cmd_enumerate(args) -> int:
     kind, size, g = _parse_graph(args.graph)
     if args.object == "trees":
-        blocks = enum_spanning_trees(g, cap=args.enum_cap)
+        blocks = enum_spanning_trees(g, lambda: kirchhoff.count_spanning_trees(g), cap=args.enum_cap)
     elif args.object == "forests":
         u, v = _separated_pair(args, g)
-        blocks = enum_two_forests(g, u, v, cap=args.enum_cap)
+        blocks = enum_two_forests(g, u, v, lambda: kirchhoff.count_two_forests(g, u, v), cap=args.enum_cap)
     else:
         if kind != "wheel":
             raise Refusal("enumerate tau requires --graph wheel:N")

@@ -18,8 +18,10 @@ is not pruned that way.  The prune changes neither the output nor its order.
 Three limits keep a run finite: the vertex cap, a work budget and the walk's
 depth.  Before it walks, an enumerator takes its exact output size from a
 count and raises Refusal, naming that count, above ENUM_BUDGET.  Trees and
-separating two-forests are sized by the Laplacian minor, the arc forests of
-a wheel by n*f(2n-1).  The count only sizes the run; every emitted subset is
+separating two-forests are sized by the caller's count, a callable run once
+the vertex cap holds: the Laplacian minor the caller already takes, so this
+module never computes the route it checks.  The arc forests of a wheel are
+sized by n*f(2n-1).  The count only sizes the run; every emitted subset is
 still found by the walk.  The walk is skipped only when the graph's own
 partition, one components pass over all its edges, rules out every tree or
 separating forest, whatever the count says.  The walk recurses once per
@@ -47,9 +49,9 @@ import sys
 from typing import NamedTuple
 
 from .graphs import (
-    Edge, LabeledGraph, Refusal, _check_distinct, _check_rim, canonical_edge, components, make_wheel, rotate_rim_labels,
+    Edge, LabeledGraph, Refusal, _check_distinct, _check_rim, _check_vertices, canonical_edge, components, make_wheel,
+    rotate_rim_labels,
 )
-from .kirchhoff import count_spanning_trees, count_two_forests
 from .report import format_int
 from .sequences import fib
 
@@ -58,10 +60,11 @@ DEFAULT_ENUM_CAP = 10
 ENUM_BUDGET = 10**6
 
 
-def _checked_size(vertex_count: int, cap: int, count, what: str) -> int:
-    # the vertex cap first, so the exact count() never runs on a graph over it
+def _checked_size(vertex_count: int, cap: int, count, what: str, *pair: int) -> int:
+    # the cap, then a pair's range, so count() never runs on a graph over the cap
     if vertex_count > cap:
         raise Refusal(f"graph has {vertex_count} vertices, enumeration cap is {cap}")
+    _check_vertices(vertex_count, *pair)
     size = count()
     if size > ENUM_BUDGET:
         raise Refusal(f"graph has {format_int(size)} {what}, enumeration budget is {ENUM_BUDGET}")
@@ -178,32 +181,31 @@ def _acyclic_subsets(
     return out
 
 
-def size_spanning_trees(g: LabeledGraph, cap: int = DEFAULT_ENUM_CAP) -> int:
-    """How many trees enum_spanning_trees(g, cap) emits; refuses as it does, without the walk."""
-    return _checked_size(g.vertex_count, cap, lambda: count_spanning_trees(g), "spanning trees")
+def size_spanning_trees(g: LabeledGraph, count, cap: int = DEFAULT_ENUM_CAP) -> int:
+    """How many trees enum_spanning_trees(g, count, cap) emits; refuses as it does, without the walk."""
+    return _checked_size(g.vertex_count, cap, count, "spanning trees")
 
 
-def enum_spanning_trees(g: LabeledGraph, cap: int = DEFAULT_ENUM_CAP) -> list[tuple[Edge, ...]]:
+def enum_spanning_trees(g: LabeledGraph, count, cap: int = DEFAULT_ENUM_CAP) -> list[tuple[Edge, ...]]:
     """All spanning trees as canonical edge tuples, lexicographically ordered."""
-    size_spanning_trees(g, cap)
-    # g's own partition, not the minor that sized the run, rules the walk
-    # out, so this route stays independent of that minor
+    size_spanning_trees(g, count, cap)
+    # g's own partition, not the count that sized the run, rules the walk
+    # out, so this route stays independent of that count
     if len(components(g, g.edges)) > 1:
         return []
     # V-1 acyclic edges on V vertices are automatically connected
     return _acyclic_subsets(g, g.vertex_count - 1)
 
 
-def size_two_forests(g: LabeledGraph, u: int, v: int, cap: int = DEFAULT_ENUM_CAP) -> int:
-    """How many forests enum_two_forests(g, u, v, cap) emits; refuses as it does, without the walk."""
+def size_two_forests(g: LabeledGraph, u: int, v: int, count, cap: int = DEFAULT_ENUM_CAP) -> int:
+    """How many forests enum_two_forests(g, u, v, count, cap) emits; refuses as it does, without the walk."""
     _check_distinct(u, v)
-    # count_two_forests also refuses a vertex out of range
-    return _checked_size(g.vertex_count, cap, lambda: count_two_forests(g, u, v), "separating two-forests")
+    return _checked_size(g.vertex_count, cap, count, "separating two-forests", u, v)
 
 
-def enum_two_forests(g: LabeledGraph, u: int, v: int, cap: int = DEFAULT_ENUM_CAP) -> list[tuple[Edge, ...]]:
+def enum_two_forests(g: LabeledGraph, u: int, v: int, count, cap: int = DEFAULT_ENUM_CAP) -> list[tuple[Edge, ...]]:
     """Two-part spanning forests with u and v apart, as canonical edge tuples, lexicographically ordered."""
-    size_two_forests(g, u, v, cap)
+    size_two_forests(g, u, v, count, cap)
     # as for trees: none exists if g has over two parts, or two with u and v
     # in the same one
     parts = components(g, g.edges)

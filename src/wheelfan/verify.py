@@ -1,23 +1,26 @@
 """Verification suites, and the one table of closed forms the CLI answers from.
 
-CLOSED_FORMS has one row per function of formulas.  answer() picks and runs
-the exact routes of a query (trees, separating forests or a resistance): the
-closed form of the row that matches it, the Laplacian minor, and enumeration
-for counts.  count and resist print its answers, and the trees, forests and
-resistance suites check each against the minor; the forests suite also checks the
-labeled rows, and oeis prints the rows with a sequence.  Rows look their
-function up in formulas when they run, so a test build can corrupt one and
-watch every reader fail.  The bijection suite takes every per-n check from one
-bijection.fiber_report, the single pass over that wheel's arc forests.  The tau
-suite emits informational rows only: its census is a finding, not an
-assertion.  Every report.Check row is built here, as the math layers return
-plain integers, fractions and edges.  Each suite returns its rows in the order
-verify prints them; run_suites joins them.
+CLOSED_FORMS has one row per function of formulas.  answer() picks the exact
+routes of a query (trees, separating forests or a resistance): the closed
+form of the row that matches it, the Laplacian minor, and enumeration for
+counts, sized by the minor's one count.  count and resist print its answers,
+and the trees, forests and resistance suites check each against the minor;
+the forests suite also checks the labeled rows, and oeis prints the rows
+with a sequence.  Rows look their function up in formulas when they run, so
+a test build can corrupt one and watch every reader fail.  The bijection
+suite takes every per-n check from one bijection.fiber_report, the single
+pass over that wheel's arc forests.  The tau suite emits informational rows
+only: its census is a finding, not an assertion.  Every report.Check row is
+built here, as the math layers return plain integers, fractions and edges.
+Each suite returns its plan, (indices, step) pairs: step(i) builds index i's
+checks, sizing their enumerations, and returns the thunk that runs them.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import functools
+from itertools import chain
+from typing import Callable, NamedTuple
 
 from . import bijection, enumeration, formulas, kirchhoff
 from .enumeration import DEFAULT_ENUM_CAP
@@ -25,28 +28,34 @@ from .graphs import MIN_PATH, MIN_RIM, LabeledGraph, Refusal, make_fan, make_whe
 from .report import Check, equality_check, format_fraction, format_int, info_check
 from .sequences import fib, lucas
 
+Plan = list[tuple[range, Callable[[int], Callable[[], list[Check]]]]]
 
-def suite_identities(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> list[Check]:
-    """Even-index identity sweep for n = 1..max_n, all in exact integers.
+
+def suite_identities(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> Plan:
+    """Even-index identity sweep for n = 1..max_n, all in exact integers, as one thunk.
 
     The third identity carries coefficient 3 on the Lucas term:
     3*l(2n) - 5*f(2n) = 2*l(2n-2).  Dropping the 3 fails for every n
     (n=1 gives -2 vs 4); with it the two sides agree identically, since
     l(2n)=f(2n-1)+f(2n+1) and both sides reduce to 2f(2n-3)+2f(2n-1).
     """
-    checks = []
-    running = 0  # sum of f(2k) for k < n
-    for n in range(1, max_n + 1):
-        f2n, l2n = fib(2 * n), lucas(2 * n)
-        for name, lhs, rhs in (
-            ("f(4n) = f(2n)*l(2n)", fib(4 * n), f2n * l2n),
-            ("l(2n) - f(2n) = 2*f(2n-1)", l2n - f2n, 2 * fib(2 * n - 1)),
-            ("3*l(2n) - 5*f(2n) = 2*l(2n-2)", 3 * l2n - 5 * f2n, 2 * lucas(2 * n - 2)),
-            ("sum_{k<n} f(2k) = f(2n-1) - 1", running, fib(2 * n - 1) - 1),
-        ):
-            checks.append(equality_check(name, f"n={n}", lhs, rhs))
-        running += f2n
-    return checks
+
+    def rows():
+        checks = []
+        running = 0  # sum of f(2k) for k < n
+        for n in range(1, max_n + 1):
+            f2n, l2n = fib(2 * n), lucas(2 * n)
+            for name, lhs, rhs in (
+                ("f(4n) = f(2n)*l(2n)", fib(4 * n), f2n * l2n),
+                ("l(2n) - f(2n) = 2*f(2n-1)", l2n - f2n, 2 * fib(2 * n - 1)),
+                ("3*l(2n) - 5*f(2n) = 2*l(2n-2)", 3 * l2n - 5 * f2n, 2 * lucas(2 * n - 2)),
+                ("sum_{k<n} f(2k) = f(2n-1) - 1", running, fib(2 * n - 1) - 1),
+            ):
+                checks.append(equality_check(name, f"n={n}", lhs, rhs))
+            running += f2n
+        return checks
+
+    return [(range(1), lambda _: rows)]
 
 
 class ClosedForm(NamedTuple):
@@ -102,18 +111,22 @@ def closed_form(kind: str, quantity: str, pair=None) -> ClosedForm | None:
     return next((form for form in CLOSED_FORMS if form[:3] == (kind, quantity, where)), None)
 
 
-def answer(kind, size, g: LabeledGraph, quantity, pair=None, method="all", enum_cap=DEFAULT_ENUM_CAP) -> dict[str, str]:
-    """Trees, forests or resist on g, as printed (p/q for resist, else in full), by
-    the route method names, or for all by formula where a closed form exists,
-    minor, then enum for counts up to enum_cap vertices.  Only those routes run."""
+def answer(kind, size, g: LabeledGraph, quantity, pair=None, method="all", enum_cap=DEFAULT_ENUM_CAP) -> dict:
+    """A thunk per route of trees, forests or resist on g, giving its answer as
+    printed (p/q for resist, else in full): the route method names, or for all
+    formula where a closed form exists, minor, then enum for counts up to
+    enum_cap vertices.  None runs here, but a kept enum route is sized, or
+    refused, by the minor's count, which the minor route then reuses."""
     form = closed_form(kind, quantity, pair)
     found = {} if form is None else {"formula": lambda: form(size, pair)}
     if quantity == "trees":
-        found["minor"] = lambda: kirchhoff.count_spanning_trees(g)
-        found["enum"] = lambda: len(enumeration.enum_spanning_trees(g, cap=enum_cap))
+        found["minor"] = minor = functools.cache(lambda: kirchhoff.count_spanning_trees(g))
+        found["enum"] = lambda: len(enumeration.enum_spanning_trees(g, minor, enum_cap))
+        size_enum = lambda: enumeration.size_spanning_trees(g, minor, enum_cap)
     elif quantity == "forests":
-        found["minor"] = lambda: kirchhoff.count_two_forests(g, *pair)
-        found["enum"] = lambda: len(enumeration.enum_two_forests(g, *pair, cap=enum_cap))
+        found["minor"] = minor = functools.cache(lambda: kirchhoff.count_two_forests(g, *pair))
+        found["enum"] = lambda: len(enumeration.enum_two_forests(g, *pair, minor, enum_cap))
+        size_enum = lambda: enumeration.size_two_forests(g, *pair, minor, enum_cap)
     else:
         found["minor"] = lambda: kirchhoff.effective_resistance(g, *pair)
     if method != "all":
@@ -122,61 +135,68 @@ def answer(kind, size, g: LabeledGraph, quantity, pair=None, method="all", enum_
         found = {method: found[method]}
     elif g.vertex_count > enum_cap:
         found = {name: route for name, route in found.items() if name != "enum"}
+    if "enum" in found:
+        size_enum()
     show = format_fraction if quantity == "resist" else format_int
-    return {name: show(route()) for name, route in found.items()}
+    return {name: (lambda route=route: show(route())) for name, route in found.items()}
 
 
 # what a check's name calls each route it compares against the minor
 _SHOWN_AS = {"formula": "closed form", "enum": "enumeration"}
 
 
-def _route_checks(label: str, params: str, enum_cap: int, kind, size, g, quantity, pair) -> list[Check]:
+def _compared(label: str, params: str, routes: dict, ratio: str = "") -> list[Check]:
     # every other route of the query against its minor, as the CLI prints them
-    found = answer(kind, size, g, quantity, pair, "all", enum_cap)
+    found = {name: route() for name, route in routes.items()}
     minor = found.pop("minor")
-    ratio = " ratio" if quantity == "resist" else ""
     return [
         equality_check(f"{label}: {_SHOWN_AS[name]} vs minor{ratio}", params, value, minor)
         for name, value in found.items()
     ]
 
 
-# family, index name, first index, graph constructor
-_TREE_FAMILIES = (("wheel", "n", MIN_RIM, make_wheel), ("fan", "m", MIN_PATH, make_fan))
+def suite_trees(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> Plan:
+    def step(family, index, make, i):
+        routes = answer(family, i, make(i), "trees", None, "all", enum_cap)
+        return lambda: _compared(f"{family} trees", f"{index}={i}", routes)
+
+    return [
+        (range(MIN_RIM, max_n + 1), functools.partial(step, "wheel", "n", make_wheel)),
+        (range(MIN_PATH, max_n + 1), functools.partial(step, "fan", "m", make_fan)),
+    ]
 
 
-def suite_trees(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> list[Check]:
-    checks = []
-    for family, index, low, make in _TREE_FAMILIES:
-        for i in range(low, max_n + 1):
-            params = f"{index}={i}"
-            checks += _route_checks(f"{family} trees", params, enum_cap, family, i, make(i), "trees", None)
-    return checks
-
-
-def suite_forests(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> list[Check]:
-    checks = []
-    for n in range(MIN_RIM, max_n + 1):
+def suite_forests(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> Plan:
+    def step(n):
         g = make_wheel(n)
-        for k in range(1, n // 2 + 1):
-            params = f"n={n} k={k}"
-            checks += _route_checks("separating forests", params, enum_cap, "wheel", n, g, "forests", (1, 1 + k))
-        for form in CLOSED_FORMS:
-            if form.label and n >= form.low:
-                minor = kirchhoff.count_two_forests(g, 1, 0 if form.pair == "center" else 1 + form.pair)
-                checks.append(equality_check(f"{form.label} closed form vs minor", f"n={n}", form(n), minor))
-    return checks
+        # rim vertex 1 against 1+k at each cycle distance k; the labeled rows
+        # read the minors of k = 1 and 2, and of the center pair
+        rim = {k: answer("wheel", n, g, "forests", (1, 1 + k), "all", enum_cap) for k in range(1, n // 2 + 1)}
+        minor = {k: routes["minor"] for k, routes in rim.items()}
+        minor["center"] = answer("wheel", n, g, "forests", (1, 0), "minor")["minor"]
+        labeled = [form for form in CLOSED_FORMS if form.label and n >= form.low]
+        return lambda: [
+            check for k, routes in rim.items() for check in _compared("separating forests", f"n={n} k={k}", routes)
+        ] + [
+            equality_check(f"{form.label} closed form vs minor", f"n={n}", format_int(form(n)), minor[form.pair]())
+            for form in labeled
+        ]
+
+    return [(range(MIN_RIM, max_n + 1), step)]
 
 
-def suite_resistance(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> list[Check]:
-    checks = []
-    for n in range(MIN_RIM, max_n + 1):
+def suite_resistance(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> Plan:
+    def step(n):
         g = make_wheel(n)
         # rim vertex 1 against 1+k at each cycle distance k, then against the center
         cases = [("rim", f"n={n} k={k}", 1 + k) for k in range(1, n // 2 + 1)] + [("center", f"n={n}", 0)]
-        for where, params, v in cases:
-            checks += _route_checks(f"{where} resistance", params, enum_cap, "wheel", n, g, "resist", (1, v))
-    return checks
+        routes = [
+            (f"{where} resistance", params, answer("wheel", n, g, "resist", (1, v), "all", enum_cap))
+            for where, params, v in cases
+        ]
+        return lambda: [check for label, params, found in routes for check in _compared(label, params, found, " ratio")]
+
+    return [(range(MIN_RIM, max_n + 1), step)]
 
 
 # forward/inverse vectors pinned from worked examples; edges over wheel rim
@@ -196,17 +216,29 @@ def _pinned_image(direction: str, given) -> tuple:
     return bijection.inverse(bijection.FanTree.from_edges(3, given), 4).edges
 
 
-def suite_bijection(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> list[Check]:
-    checks = []
-    for direction, given, expected in _PINNED:
-        # a refused vector is a failed row, as a refused image is in the audit
-        actual = bijection._built(_pinned_image, direction, given)
-        shown = "refused" if actual is None else str(actual)
-        checks.append(equality_check(f"pinned {direction} vector", "n=4 " + str(given), str(expected), shown))
-    for n in _enumerated(MIN_RIM, max_n, enum_cap):
+def _arc_forest_pair(rows, max_n: int, enum_cap: int):
+    # a suite's walks over the arc forests of the wheels within enum_cap; a step sizes its walk when built
+    def step(n):
+        enumeration.size_arc_forests(n, enum_cap)
+        return lambda: rows(n)
+
+    return range(MIN_RIM, min(max_n, enum_cap - 1) + 1), step
+
+
+def suite_bijection(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> Plan:
+    def pinned():
+        checks = []
+        for direction, given, expected in _PINNED:
+            # a refused vector is a failed row, as a refused image is in the audit
+            actual = bijection._built(_pinned_image, direction, given)
+            shown = "refused" if actual is None else str(actual)
+            checks.append(equality_check(f"pinned {direction} vector", "n=4 " + str(given), str(expected), shown))
+        return checks
+
+    def fibers(n):
         rep = bijection.fiber_report(n, cap=enum_cap)
         params = f"n={n}"
-        checks += [
+        return [
             equality_check(
                 "all images are fan spanning trees",
                 params,
@@ -228,10 +260,11 @@ def suite_bijection(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> list[Check]
                 f"{rep.image_count} images, so a universal round trip is impossible",
             ),
         ]
-    return checks
+
+    return [(range(1), lambda _: pinned), _arc_forest_pair(fibers, max_n, enum_cap)]
 
 
-def suite_tau(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> list[Check]:
+def suite_tau(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> Plan:
     """The arc-forest census: measured cardinalities as info rows.
 
     Reports the labeled count and the rotation-class count next to f(2n-2),
@@ -240,8 +273,8 @@ def suite_tau(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> list[Check]:
     whose arc starts at rim vertex 1, and the census counts those.  Nothing
     here asserts; the comparison itself is the deliverable.
     """
-    checks = []
-    for n in _enumerated(MIN_RIM, max_n, enum_cap):
+
+    def census(n):
         records = enumeration.enum_arc_forests(n, cap=enum_cap)
         labeled = len(records)
         classes = sum(r.arc_start == 1 for r in records)
@@ -254,15 +287,16 @@ def suite_tau(max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> list[Check]:
         label_hits = [name for name, v in candidates.items() if v == labeled] or ["none"]
         class_hits = [name for name, v in candidates.items() if v == classes] or ["none"]
         values = " ".join(f"{name}={v}" for name, v in candidates.items())
-        checks.append(
+        return [
             info_check(
                 "arc-forest census",
                 f"n={n}",
                 f"labeled={labeled} classes={classes} {values} "
                 f"labeled_matches={','.join(label_hits)} class_matches={','.join(class_hits)}",
             )
-        )
-    return checks
+        ]
+
+    return [_arc_forest_pair(census, max_n, enum_cap)]
 
 
 SUITES = {
@@ -275,36 +309,19 @@ SUITES = {
 }
 
 
-def _enumerated(low: int, max_n: int, enum_cap: int) -> range:
-    """The indices from low to max_n whose graphs the suites enumerate: the
-    graph of index i has i + 1 vertices, and enum_cap bounds the vertices."""
-    return range(low, min(max_n, enum_cap - 1) + 1)
-
-
-def _size_enumerations(name: str, max_n: int, enum_cap: int):
-    # sizes the enumerations suite `name` runs, in its order, with the
-    # enumerators' own counts
-    if name == "trees":
-        for _, _, low, make in _TREE_FAMILIES:
-            for i in _enumerated(low, max_n, enum_cap):
-                enumeration.size_spanning_trees(make(i), enum_cap)
-    elif name == "forests":
-        for n in _enumerated(MIN_RIM, max_n, enum_cap):
-            for k in range(1, n // 2 + 1):
-                enumeration.size_two_forests(make_wheel(n), 1, 1 + k, enum_cap)
-    elif name in ("bijection", "tau"):
-        for n in _enumerated(MIN_RIM, max_n, enum_cap):
-            enumeration.size_arc_forests(n, enum_cap)
-
-
 def run_suites(names, max_n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> list[Check]:
     for name in names:
         if name not in SUITES:
             raise Refusal(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or all")
     if max_n < 1:
         raise Refusal("max_n must be at least 1")
-    # the budget holds per enumeration, so size them all before any suite
-    # walks: a run that would be refused late is refused at once
-    for name in names:
-        _size_enumerations(name, max_n, enum_cap)
-    return [check for name in names for check in SUITES[name](max_n, enum_cap)]
+    plan = [pair for name in names for pair in SUITES[name](max_n, enum_cap)]
+    # the graph of index i has i + 1 vertices, so only steps below enum_cap
+    # enumerate: built first, they size every walk before any runs, and a run
+    # over the budget is refused at once.  Every other step is built as it runs
+    early = [[step(i) for i in indices[: max(enum_cap - indices.start, 0)]] for indices, step in plan]
+    checks = []
+    for (indices, step), built in zip(plan, early):
+        for run in chain(built, map(step, indices[len(built) :])):
+            checks += run()
+    return checks

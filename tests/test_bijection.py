@@ -123,7 +123,8 @@ def test_each_forest_is_analysed_once(monkeypatch):
     # the inverses build their forests directly, each with the arc from_edges finds
     inverted, conditioned = [], []
     for m in range(1, 7):
-        for edges in enum_spanning_trees(make_fan(m)):
+        fan = make_fan(m)
+        for edges in enum_spanning_trees(fan, lambda: count_spanning_trees(fan)):
             tree = FanTree(m, edges)
             with suppress(ValueError):  # not an image of forward, or m = 1
                 inverted.append(inverse(tree, m + 1))

@@ -7,6 +7,7 @@ import resource
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -20,7 +21,7 @@ import wheelfan.formulas
 from wheelfan import bijection, cli, enumeration, kirchhoff, verify
 from wheelfan.cli import main
 from wheelfan.enumeration import enum_arc_forests, enum_spanning_trees, enum_two_forests
-from wheelfan.graphs import Refusal, format_edge_list, make_graph, make_wheel
+from wheelfan.graphs import Refusal, format_edge_list, make_fan, make_graph, make_wheel
 from wheelfan.sequences import fib
 from strategies import graphs
 from test_report import full_decimal
@@ -436,10 +437,9 @@ def test_a_zero_the_graph_confirms_is_answered_without_a_walk(tmp_path, capsys, 
 
 
 def test_a_zero_minor_on_a_connected_graph_is_caught_by_the_walk(tmp_path, capsys, monkeypatch):
-    # fault injection: the minor route and the enumerator's sizing both read 0;
-    # the walk still runs, so the two routes disagree
-    for module in (kirchhoff, enumeration):
-        monkeypatch.setattr(module, "count_spanning_trees", lambda g: 0)
+    # fault injection: the minor reads 0, and so does the enumerator's sizing,
+    # which takes the same count; the walk still runs, so the two routes disagree
+    monkeypatch.setattr(kirchhoff, "count_spanning_trees", lambda g: 0)
     path = tmp_path / "g.txt"
     path.write_text(format_edge_list(4, [(0, 1), (0, 2), (1, 2), (2, 3)]))
     code, out, _ = run_cli(capsys, "count", "trees", "--graph", f"file:{path}", "--method", "all")
@@ -680,6 +680,11 @@ def test_a_bug_exits_1_with_a_traceback_and_no_mismatch_line():
 FUZZ_SIZES = ("4", "6", "40"), ("0", "1", "2", "3", "-1", "-5", "5_0", "+3", "", "x", "9" * 4301)
 FUZZ_PAIRS = ("0,1", "1,3", "2,0"), ("0,0", "1,99", "-1,2", "a,b", "1", "", "1," + "9" * 4301)
 FUZZ_EDGES = ("1-2,2-3,0-4", "1-2,0-2,0-3"), ("0-1,1-0", "1-2,3", "", "a-b")
+# verify's suites, bounds and caps, and the --enum-cap of count and enumerate:
+# small enough that every run under them is within the enumeration budget
+FUZZ_SUITES = (*verify.SUITES, "all", "bogus")
+FUZZ_MAX_N = ("-1", "0", "1", "3", "6")
+FUZZ_CAPS = ("-1", "0", "3", "5", "8")
 # file: graphs by name; missing.txt is never written
 FUZZ_FILES = {
     "k4.txt": format_edge_list(4, combinations(range(4), 2)),
@@ -701,9 +706,15 @@ def cli_argvs(draw, folder):
     specs = st.sampled_from(["wheel:", "fan:"]).flatmap(lambda family: sizes.map(family.__add__))
     graph = draw(st.one_of(specs, specs, st.sampled_from(files).map("file:".__add__)))
     pair = draw(_halves(*FUZZ_PAIRS))
-    command = draw(st.sampled_from(["count trees", "count forests", "resist", "enumerate", "bijection"]))
+    command = draw(st.sampled_from(["count trees", "count forests", "resist", "enumerate", "bijection", "verify"]))
+    cap = ["--enum-cap", draw(st.sampled_from(FUZZ_CAPS))]
+    if command == "verify":
+        suite, max_n = draw(st.sampled_from(FUZZ_SUITES)), draw(st.sampled_from(FUZZ_MAX_N))
+        return ["verify", "--suite", suite, "--max-n", max_n, *cap]
     if command == "bijection":
-        argv = ["bijection", draw(st.sampled_from(["forward", "inverse"]))]
+        argv = ["bijection", draw(st.sampled_from(["forward", "inverse", "audit"]))]
+        if argv[1] == "audit":
+            return argv + ["--n", draw(sizes)]
         if draw(st.booleans()):
             # the file gives the rim size, and an --n beside it must agree
             argv += ["--file", draw(st.sampled_from(files))]
@@ -711,8 +722,11 @@ def cli_argvs(draw, folder):
         return argv + ["--n", draw(sizes), "--edges", draw(_halves(*FUZZ_EDGES))]
     if command == "enumerate":
         argv = ["enumerate", draw(st.sampled_from(["trees", "forests"])), "--graph", graph]
+        argv += cap if draw(st.booleans()) else []
         return argv + (["--separate", pair] if draw(st.booleans()) else [])
     argv = command.split() + ["--graph", graph]
+    if command != "resist" and draw(st.booleans()):
+        argv += cap
     if command == "count forests":
         argv += ["--separate", pair]
     elif command == "resist":
@@ -952,11 +966,13 @@ def test_enumerate_writes_the_blocks_as_formatted_one_by_one(tmp_path_factory, g
     path = tmp_path_factory.getbasetemp() / "drawn.txt"
     path.write_text(format_edge_list(g.vertex_count, g.edges))
     graph = f"--graph=file:{path}"
-    expected = _formatted_block_by_block(g.vertex_count, enum_spanning_trees(g))
+    trees = enum_spanning_trees(g, lambda: kirchhoff.count_spanning_trees(g))
+    expected = _formatted_block_by_block(g.vertex_count, trees)
     assert run_quiet("enumerate", "trees", graph) == (0, expected, "")
     if g.vertex_count >= 2:
         u, v = data.draw(st.lists(st.integers(0, g.vertex_count - 1), min_size=2, max_size=2, unique=True))
-        expected = _formatted_block_by_block(g.vertex_count, enum_two_forests(g, u, v))
+        forests = enum_two_forests(g, u, v, lambda: kirchhoff.count_two_forests(g, u, v))
+        expected = _formatted_block_by_block(g.vertex_count, forests)
         assert run_quiet("enumerate", "forests", graph, f"--separate={u},{v}") == (0, expected, "")
 
 
@@ -966,8 +982,9 @@ def test_enumerate_writes_every_block_across_chunk_boundaries(tmp_path, capsys, 
     # fill no chunk, part of one, exactly one, or whole chunks and one block more
     path = tmp_path / "k7.txt"
     path.write_text(format_edge_list(7, combinations(range(7), 2)))
-    blocks = enum_spanning_trees(make_graph(7, combinations(range(7), 2)))[:n]
-    monkeypatch.setattr(cli, "enum_spanning_trees", lambda g, cap: blocks)
+    k7 = make_graph(7, combinations(range(7), 2))
+    blocks = enum_spanning_trees(k7, lambda: kirchhoff.count_spanning_trees(k7))[:n]
+    monkeypatch.setattr(cli, "enum_spanning_trees", lambda g, count, cap: blocks)
     expected = "\n".join(format_edge_list(7, b) for b in blocks)
     assert run_cli(capsys, "enumerate", "trees", "--graph", f"file:{path}") == (0, expected, "")
 
@@ -1037,22 +1054,28 @@ def test_verify_refuses_max_n_below_one(capsys, suite):
 
 
 @pytest.mark.parametrize(
-    "suite, predicted",
+    "suite, max_n, enum_cap, predicted",
     [
-        ("trees", "1860496 spanning trees"),
-        ("forests", "1028456 separating two-forests"),
-        ("tau", "2749852 two-component forests"),
+        ("trees", 30, 40, "1860496 spanning trees"),
+        ("forests", 30, 40, "1028456 separating two-forests"),
+        ("tau", 30, 40, "2749852 two-component forests"),
+        # the first over the budget is the bijection suite's wheel:14, after
+        # trees, forests and resistance up to max_n, which a plan of every
+        # check or of every index would reach late, or not in 64 MiB
+        ("all", 3000, 15, "2749852 two-component forests"),
+        ("all", 100000, 15, "2749852 two-component forests"),
     ],
 )
-def test_verify_over_the_budget_is_refused_at_once(suite, predicted):
+def test_verify_over_the_budget_is_refused_at_once(suite, max_n, enum_cap, predicted):
     # the first enumeration over the budget (wheel:15, wheel:15 at k=1,
     # wheel:14) follows smaller ones, which used to be walked first for
     # 13.5 s, 138.5 s and 58.8 s; the timeout turns that back into a failure
     proc = subprocess.run(
-        [sys.executable, "-m", "wheelfan", "verify", "--suite", suite, "--max-n", "30", "--enum-cap", "40"],
+        [sys.executable, "-m", "wheelfan", "verify", "--suite", suite, "--max-n", str(max_n), "--enum-cap", str(enum_cap)],
         capture_output=True,
         text=True,
         timeout=10,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (64 * 2**20, 64 * 2**20)),
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == f"error: graph has {predicted}, enumeration budget is 1000000\n"
@@ -1071,19 +1094,42 @@ def test_verify_walks_nothing_before_the_budget_refuses(capsys, monkeypatch, sui
 
 @pytest.mark.parametrize("max_n, enum_cap", [(12, 9), (6, 12), (9, 3)])
 def test_verify_sizes_exactly_the_enumerations_its_suites_run(monkeypatch, max_n, enum_cap):
-    # every size_* call is recorded: the sizing pass, then the enumerators'
-    # own calls while the suites run, which must repeat it call for call
-    calls = []
+    # the plan sizes exactly the enumerations it runs: every size_* call is
+    # recorded with the walks made before it; the plan sizes every
+    # enumeration before any walk, then the enumerators size their own runs
+    # again, call for call, with the counts the plan took
+    calls, walks = [], []
     for name in ("size_spanning_trees", "size_two_forests", "size_arc_forests"):
         def record(*args, _name=name, _size=getattr(enumeration, name)):
-            calls.append((_name, args))
+            calls.append((len(walks), _name, args))
             return _size(*args)
 
         monkeypatch.setattr(enumeration, name, record)
+
+    def walk(*args, _walk=enumeration._acyclic_subsets):
+        walks.append(args)
+        return _walk(*args)
+
+    monkeypatch.setattr(enumeration, "_acyclic_subsets", walk)
     verify.run_suites(list(verify.SUITES), max_n, enum_cap)
     half = len(calls) // 2
-    assert calls[:half] == calls[half:]
-    assert len(calls) == 2 * half
+    assert [call[0] for call in calls[:half]] == [0] * half
+    assert [call[1:] for call in calls[:half]] == [call[1:] for call in calls[half:]]
+    assert len(calls) == 2 * half == 2 * len(walks)
+
+
+def test_a_long_verify_run_keeps_a_bounded_number_of_graphs():
+    # the graph constructors keep their last few graphs, not one per index:
+    # with every graph kept, wheels and fans up to 200 peak over 5 MiB
+    for constructor in (make_wheel, make_fan):
+        constructor.cache_clear()
+    tracemalloc.start()
+    try:
+        verify.run_suites(["trees"], 200, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_verify_tau_is_informational(capsys):

@@ -20,25 +20,34 @@ from oracles import is_acyclic
 from strategies import connected_graphs, graphs
 
 
+def _minor(g, *pair):
+    # the Laplacian minor's count, which the CLI and verify hand an
+    # enumerator to size its run: g's trees, or its forests separating pair
+    if pair:
+        return lambda: count_two_forests(g, *pair)
+    return lambda: count_spanning_trees(g)
+
+
 def test_triangle_has_three_trees():
     g = make_graph(3, [(0, 1), (0, 2), (1, 2)])
-    assert len(enum_spanning_trees(g)) == 3
+    assert len(enum_spanning_trees(g, _minor(g))) == 3
 
 
 @pytest.mark.parametrize("n", range(3, 8))
 def test_wheel_tree_enumeration_matches_determinant(n):
     g = make_wheel(n)
-    assert len(enum_spanning_trees(g)) == count_spanning_trees(g)
+    assert len(enum_spanning_trees(g, _minor(g))) == count_spanning_trees(g)
 
 
 @pytest.mark.parametrize("m", range(1, 8))
 def test_fan_tree_enumeration_matches_determinant(m):
     g = make_fan(m)
-    assert len(enum_spanning_trees(g)) == count_spanning_trees(g)
+    assert len(enum_spanning_trees(g, _minor(g))) == count_spanning_trees(g)
 
 
 def test_enumeration_order_is_lexicographic_and_duplicate_free():
-    trees = enum_spanning_trees(make_wheel(4))
+    g = make_wheel(4)
+    trees = enum_spanning_trees(g, _minor(g))
     assert trees == sorted(trees)
     assert len(set(trees)) == len(trees)
     # every entry is itself canonically sorted
@@ -56,9 +65,9 @@ def _assert_increasing_subsequences(g, blocks):
 @settings(deadline=None)
 @given(g=graphs(max_vertices=7))
 def test_every_tree_and_forest_is_an_increasing_subsequence_of_the_edge_list(g):
-    _assert_increasing_subsequences(g, enum_spanning_trees(g))
+    _assert_increasing_subsequences(g, enum_spanning_trees(g, _minor(g)))
     for u, v in combinations(range(g.vertex_count), 2):
-        _assert_increasing_subsequences(g, enum_two_forests(g, u, v))
+        _assert_increasing_subsequences(g, enum_two_forests(g, u, v, _minor(g, u, v)))
 
 
 @pytest.mark.parametrize("n", range(3, 7))
@@ -73,39 +82,41 @@ def test_a_partition_that_rules_everything_out_is_answered_without_a_walk(monkey
         raise AssertionError("walked although the graph's own partition rules every subset out")
 
     monkeypatch.setattr(enumeration, "_acyclic_subsets", walk)
-    if sizing != "minor":
-        monkeypatch.setattr(enumeration, "count_spanning_trees", lambda g: sizing)
-        monkeypatch.setattr(enumeration, "count_two_forests", lambda g, u, v: sizing)
+
+    def count(g, *pair):
+        return _minor(g, *pair) if sizing == "minor" else lambda: sizing
+
     k8 = list(combinations(range(8), 2))
-    assert enum_spanning_trees(make_graph(9, k8), cap=9) == []
+    g = make_graph(9, k8)
+    assert enum_spanning_trees(g, count(g), cap=9) == []
     # two isolated vertices: three parts, so no pair is separated by V-2 edges
-    assert enum_two_forests(make_graph(10, k8), 0, 8) == []
-    assert enum_two_forests(make_graph(10, k8), 8, 9) == []
+    g = make_graph(10, k8)
+    assert enum_two_forests(g, 0, 8, count(g, 0, 8)) == []
+    assert enum_two_forests(g, 8, 9, count(g, 8, 9)) == []
     # two parts with the pair in one of them
-    assert enum_two_forests(make_graph(4, [(0, 1), (2, 3)]), 0, 1) == []
+    g = make_graph(4, [(0, 1), (2, 3)])
+    assert enum_two_forests(g, 0, 1, count(g, 0, 1)) == []
 
 
 def test_a_pair_split_across_two_parts_is_still_walked():
     # two triangles: each separating forest is a tree of each triangle
     g = make_graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
-    forests = enum_two_forests(g, 0, 3)
+    forests = enum_two_forests(g, 0, 3, _minor(g, 0, 3))
     assert len(forests) == count_two_forests(g, 0, 3) == 9
     assert all(components(g, sub) == [(0, 1, 2), (3, 4, 5)] for sub in forests)
 
 
-def test_a_zero_count_on_a_connected_graph_does_not_stop_the_walk(monkeypatch):
-    # the sizing minor is faulted; the walk is the independent route and still runs
-    monkeypatch.setattr(enumeration, "count_spanning_trees", lambda g: 0)
-    monkeypatch.setattr(enumeration, "count_two_forests", lambda g, u, v: 0)
-    assert len(enum_spanning_trees(make_wheel(4))) == 45
-    assert len(enum_two_forests(make_wheel(4), 1, 2)) == 24
+def test_a_zero_count_on_a_connected_graph_does_not_stop_the_walk():
+    # the sizing count is faulted; the walk is the independent route and still runs
+    assert len(enum_spanning_trees(make_wheel(4), lambda: 0)) == 45
+    assert len(enum_two_forests(make_wheel(4), 1, 2, lambda: 0)) == 24
 
 
 def test_two_forest_enumeration():
     k4 = make_wheel(3)
-    forests = enum_two_forests(k4, 1, 2)
+    forests = enum_two_forests(k4, 1, 2, _minor(k4, 1, 2))
     assert len(forests) == 8 == count_two_forests(k4, 1, 2)
-    assert len(enum_two_forests(k4, 1, 0)) == 8
+    assert len(enum_two_forests(k4, 1, 0, _minor(k4, 1, 0))) == 8
     for sub in forests:
         parts = components(k4, sub)
         assert len(parts) == 2
@@ -114,28 +125,32 @@ def test_two_forest_enumeration():
 
 def test_two_forests_on_a_path():
     path = make_graph(3, [(0, 1), (1, 2)])
-    assert len(enum_two_forests(path, 0, 2)) == 2  # drop either edge
+    assert len(enum_two_forests(path, 0, 2, _minor(path, 0, 2))) == 2  # drop either edge
 
 
 def test_cap_enforced():
+    g = make_wheel(10)
     with pytest.raises(Refusal, match="cap is 10"):
-        enum_spanning_trees(make_wheel(10))
+        enum_spanning_trees(g, _minor(g))
+    g = make_wheel(5)
     with pytest.raises(Refusal, match="cap is 5"):
-        enum_two_forests(make_wheel(5), 1, 2, cap=5)
-    assert len(enum_spanning_trees(make_wheel(4), cap=5)) == 45
+        enum_two_forests(g, 1, 2, _minor(g, 1, 2), cap=5)
+    g = make_wheel(4)
+    assert len(enum_spanning_trees(g, _minor(g), cap=5)) == 45
 
 
 def test_budget_refuses_by_exact_count(monkeypatch):
     # wheel:4 has 45 spanning trees and 24 forests separating 1 from 2
+    g = make_wheel(4)
     monkeypatch.setattr(enumeration, "ENUM_BUDGET", 45)
-    assert len(enum_spanning_trees(make_wheel(4))) == 45
+    assert len(enum_spanning_trees(g, _minor(g))) == 45
     monkeypatch.setattr(enumeration, "ENUM_BUDGET", 44)
     with pytest.raises(Refusal, match="45 spanning trees, enumeration budget is 44"):
-        enum_spanning_trees(make_wheel(4))
-    assert len(enum_two_forests(make_wheel(4), 1, 2)) == 24
+        enum_spanning_trees(g, _minor(g))
+    assert len(enum_two_forests(g, 1, 2, _minor(g, 1, 2))) == 24
     monkeypatch.setattr(enumeration, "ENUM_BUDGET", 23)
     with pytest.raises(Refusal, match="24 separating two-forests"):
-        enum_two_forests(make_wheel(4), 1, 2)
+        enum_two_forests(g, 1, 2, _minor(g, 1, 2))
     # wheel:3 has 3*f(5) = 15 two-component forests
     monkeypatch.setattr(enumeration, "ENUM_BUDGET", 15)
     assert len(enum_arc_forests(3)) == 15
@@ -147,14 +162,15 @@ def test_budget_refuses_by_exact_count(monkeypatch):
 @pytest.mark.parametrize("u, v", [(1, 99), (-1, 2), (2, 5)])
 def test_two_forests_reject_vertices_out_of_range(u, v):
     bad = next(w for w in (u, v) if not 0 <= w < 5)
+    g = make_wheel(4)
     with pytest.raises(ValueError, match=f"vertex {bad} out of range"):
-        enum_two_forests(make_wheel(4), u, v)
+        enum_two_forests(g, u, v, _minor(g, u, v))
 
 
 def test_two_forests_refuse_one_vertex_twice():
     for call in (enumeration.size_two_forests, enum_two_forests):
         with pytest.raises(ValueError, match="^the two vertices must be distinct$"):
-            call(make_wheel(4), 1, 1)
+            call(make_wheel(4), 1, 1, _minor(make_wheel(4), 1, 1))
 
 
 def _separating_forests_by_definition(g):
@@ -177,7 +193,7 @@ def _separating_forests_by_definition(g):
 @given(g=connected_graphs(max_vertices=7))
 def test_pruned_walk_matches_the_unpruned_definition(g):
     for (u, v), expected in _separating_forests_by_definition(g).items():
-        assert enum_two_forests(g, u, v) == expected
+        assert enum_two_forests(g, u, v, _minor(g, u, v)) == expected
 
 
 @settings(deadline=None)
@@ -186,7 +202,7 @@ def test_tree_walk_matches_the_unpruned_definition(g):
     # 1 and 2 vertices reach the walk's edge cases: no edge to choose, and
     # a first edge that is already the last
     expected = [sub for sub in combinations(g.edges, g.vertex_count - 1) if is_spanning_tree(g, sub)]
-    assert enum_spanning_trees(g) == expected
+    assert enum_spanning_trees(g, _minor(g)) == expected
 
 
 @settings(deadline=None)
@@ -238,7 +254,7 @@ C80 = make_graph(80, [(i, (i + 1) % 80) for i in range(80)])
 def test_trees_of_a_cycle_wider_than_a_machine_word():
     # dropping a later edge gives a smaller subset, so the last edge goes first
     trees = [tuple(e for e in C80.edges if e != dropped) for dropped in reversed(C80.edges)]
-    assert enum_spanning_trees(C80, cap=100) == trees
+    assert enum_spanning_trees(C80, _minor(C80), cap=100) == trees
 
 
 def test_forests_of_a_cycle_wider_than_a_machine_word():
@@ -247,7 +263,7 @@ def test_forests_of_a_cycle_wider_than_a_machine_word():
     outer = [e for e in C80.edges if e not in inner]
     forests = sorted(tuple(e for e in C80.edges if e not in (a, b)) for a in inner for b in outer)
     assert len(forests) == 47 * 33
-    assert enum_two_forests(C80, 3, 50, cap=100) == forests
+    assert enum_two_forests(C80, 3, 50, _minor(C80, 3, 50), cap=100) == forests
 
 
 def test_arc_forests_basic_membership():
@@ -366,7 +382,7 @@ def test_arc_forest_counts(n):
 
 
 def test_census_reports_matches_without_asserting():
-    checks = verify.suite_tau(5)
+    checks = verify.run_suites(["tau"], 5)
     assert len(checks) == 3
     assert all(c.ok is None for c in checks)
     for c, n in zip(checks, range(3, 6)):

@@ -28,14 +28,14 @@ def _load(name: str):
     return module
 
 
-def _trace_sweep():
-    """A small verify sweep under the benchmark's tracer; its stats per traced name."""
+def _trace_sweep(max_n=6, enum_cap=7):
+    """A verify sweep under the benchmark's tracer, small by default; its stats per traced name."""
     spans = _load("spans")
     tracer = spans.Tracer()
     tracer.install()
     try:
         with redirect_stdout(io.StringIO()):
-            code = cli.main(["verify", "--suite", "all", "--max-n", "6", "--enum-cap", "7"])
+            code = cli.main(["verify", "--suite", "all", "--max-n", str(max_n), "--enum-cap", str(enum_cap)])
     finally:
         tracer.uninstall()
     assert code == 0
@@ -67,6 +67,17 @@ def test_traced_fiber_report_checks_and_inverts_each_image_once():
     for name in ("graphs.is_spanning_tree", "bijection.inverse"):
         assert stats[name]["under"].get("bijection.fiber_report") == images
     assert "bijection.fiber_report" not in stats["bijection.forward"]["under"]
+
+
+def test_traced_verify_sweep_takes_each_minor_once():
+    # the canonical sweep, as verify-sweep runs it: the trees of wheels 3..12
+    # and fans 1..12; the forests of the 35 rim pairs of n = 3..12 and of
+    # their 10 center pairs, the adjacent and distance-2 rows reading the rim
+    # pairs' minors; the resistances of the same pairs, one pass each; and
+    # the fan tree count of each fiber report, n = 3..8.  An enumeration that
+    # took its count again would add a minor per enumerated query
+    stats = _trace_sweep(12, 9)
+    assert stats["kirchhoff.det_exact"]["calls"] == (10 + 12) + (35 + 10) + (35 + 10) + 6
 
 
 def test_traced_verify_sweep_partitions_no_arc_forest():
@@ -146,11 +157,11 @@ def test_every_traced_query_workload_function_records_calls(tmp_path, workload):
 @pytest.mark.parametrize(
     "workload, order_sum",
     [
-        # with --method all a count takes its minor twice, for the minor route
-        # and for the enum route's size check against the cap: wheel:6 trees
-        # 6 + 6, fan:5 trees 5 + 5, the forests 5 + 5 and 4 + 4; then the
-        # resistances 6 and 5, one pass each, and FILE trees 5
-        ("minor-sparse", 6 + 6 + 5 + 5 + 5 + 5 + 4 + 4 + 6 + 5 + 5),
+        # with --method all a count takes its minor once, for the minor route
+        # and the enum route's size check alike: wheel:6 trees 6, fan:5 trees
+        # 5, the forests 5 and 4; then the resistances 6 and 5, one pass
+        # each, and FILE trees 5
+        ("minor-sparse", 6 + 5 + 5 + 4 + 6 + 5 + 5),
         # FILE trees 5, forests 4 and resistance 5
         ("minor-dense", 5 + 4 + 5),
     ],

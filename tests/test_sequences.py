@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wheelfan.sequences import fib, lucas
-from wheelfan.verify import run_suites, suite_identities
+from wheelfan.verify import run_suites
 
 
 def naive_fib(i):
@@ -56,7 +56,7 @@ def test_recurrences(i):
 
 
 def test_identity_sweep_to_500():
-    checks = suite_identities(500)
+    checks = run_suites(["identities"], 500)
     assert len(checks) == 4 * 500
     bad = [c for c in checks if not c.ok]
     assert bad == []
