@@ -24,18 +24,21 @@ first tries that shape from the neighbour lists alone, whatever graph they
 came from.  A count of the kept edges refuses most other minors at once;
 one scan then picks the apex, the kept vertex of highest degree above 2,
 and walks the rest, which must be paths, or cycles when there is no apex.
-A minor that fits is a MinorShape, whose determinant needs no division: a
-path's block is the continuant D_j = d_j D_{j-1} - D_{j-2} of its degrees,
-a cycle's is D(1..L) - D(2..L-1) - 2, and with an apex of degree d it is
-d prod D - sum over paths of w prod of the other D, where w, the apex's
-term through one path, runs beside D in the same pass.  So it takes linear
-steps, against Bareiss's divisions of growing minors.  With v last, the
-leading determinant is the shape without v, a path split in two or a cycle
-opened, and one walk gives both: the path that holds v is walked forward up
-to v and back from its far end, the two parts are its blocks without v, and
-joined at v they give the whole path; the walk round a cycle starts at v
-and carries the opened path's continuant beside the cycle's.  Every other
-block is walked once for both.
+A minor that fits is a MinorShape, whose determinant needs no division.
+One recurrence evaluates every block: along a path's degrees it carries
+the continuant D_j = d_j D_{j-1} - D_{j-2} and, beside it, w, the apex's
+term through the path, a^T adj a for the path's flags a.  With an apex of
+degree d the minor is d prod D - sum over paths of w prod of the other D;
+without one a path's flags, and so its w, are 0.  A cycle d_1..d_L is the
+path R = 2..L beside vertex 1 as R's apex, which meets R's two ends, so
+its block is d_1 D(R) - w(R), where w(R) = D(3..L) + D(2..L-1) + 2.  So a
+shape takes linear steps, against Bareiss's divisions of growing minors.  With v
+last, the leading determinant is the shape without v, a path split in two
+or a cycle opened, and one walk gives both: the path that holds v is
+walked forward up to v and back from its far end, the two parts are its
+blocks without v, and joined at v they give the whole path; the walk round
+a cycle starts at v, so the opened path is R.  Every other block is walked
+once for both.
 
 Any other minor is built from the lists straight into sparse rows in greedy
 minimum-degree order (Tinney-Walker), which keeps the fill of sparse graphs
@@ -91,12 +94,14 @@ class MinorShape:
     (degrees, flags, cycle): its vertices' full degrees, the minor's
     diagonal, in path order; per vertex 1 if it is adjacent to the apex, else
     0; and whether the block is a cycle, which it can be only when there is
-    no apex.  apex is the apex's full degree, or None when there is none.
+    no apex.  A cycle's first vertex is the apex of the path after it, so
+    its flags mark that vertex's neighbours, the path's two ends, as _shape
+    sets them.  apex is the apex's full degree, or None when there is none.
     last is where the vertex ordered last lies: (b, i) for position i of
     block b, (None, None) when it is the apex, and None when no vertex goes
     last; the walk round a cycle starts at last, so there i is 0.  len() is
     the minor's order, the blocks' lengths and the apex.  det_exact
-    evaluates it by continuants.
+    evaluates it by the one recurrence of _apex_state.
     """
 
     __slots__ = ("blocks", "apex", "last")
@@ -185,29 +190,6 @@ def _det_minor(rows: list[dict[int, int]]) -> tuple[int, int | None]:
     return tail[-1][0], prev
 
 
-def _continuant(degrees: list[int]) -> int:
-    # a path's tridiagonal block, every coupling -1: D_j = d_j D_{j-1} - D_{j-2}
-    now, before = 1, 0
-    for d in degrees:
-        now, before = d * now - before, now
-    return now
-
-
-def _cycle_terms(degrees: list[int]) -> tuple[int, int]:
-    """The determinant of a cycle's block and of the path R left without its first vertex.
-
-    Along vertex 1 the cycle expands to d_1 D(R) - D(R without its first) -
-    D(R without its last) - 2, R being 2..L.  One loop carries all three:
-    D(R) and D(R without its last) as a continuant does, and D(R without its
-    first) as a second chain, which starts at (0, -1) so that R's first
-    degree takes it to (1, 0).
-    """
-    now, before, inner, inner_before = 1, 0, 0, -1
-    for d in degrees[1:]:
-        now, before, inner, inner_before = d * now - before, now, d * inner - inner_before, inner
-    return degrees[0] * now - inner - before - 2, now
-
-
 def _apex_state(degrees: list[int], flags: list[int]) -> tuple[int, int, int, int, int]:
     """The state (D, D-, w, w-, s) of a path's block T after its last vertex.
 
@@ -215,7 +197,8 @@ def _apex_state(degrees: list[int], flags: list[int]) -> tuple[int, int, int, in
     and w- are the same without the last vertex.  adj(T)[p][q] is
     D(1..p-1) D(q+1..L) for p <= q, so w runs beside D without division:
     w_j = d_j w_{j-1} - w_{j-2} + a_j D_{j-1} + 2 a_j s_{j-1}, where
-    s_j = s_{j-1} + a_j D_{j-1}.
+    s_j = s_{j-1} + a_j D_{j-1}.  It is the one loop over a block's
+    degrees: with every flag 0, D is the plain continuant and w stays 0.
     """
     now = 1
     before = w = w_before = s = 0
@@ -225,12 +208,6 @@ def _apex_state(degrees: list[int], flags: list[int]) -> tuple[int, int, int, in
         else:
             now, before, w, w_before = d * now - before, now, d * w - w_before, w
     return now, before, w, w_before, s
-
-
-def _apex_terms(degrees: list[int], flags: list[int]) -> tuple[int, int]:
-    """The determinant D of a path's block and its apex term w."""
-    now, _, w, _, _ = _apex_state(degrees, flags)
-    return now, w
 
 
 def _join(d: int, a: int, prefix: tuple, suffix: tuple) -> tuple[int, int]:
@@ -267,10 +244,12 @@ def _shape_det(shape: MinorShape) -> tuple[int, int | None]:
     """The determinants (det, leading) of a MinorShape; leading is None when no vertex is last.
 
     Every block but the one that holds last is walked once, and its D and w
-    serve both determinants.  On a path, the part before last is walked
-    forward and the part after it from the far end, and _join gives the
-    whole block; on a cycle, whose walk starts at last, _cycle_terms gives
-    the cycle and the path it opens into.
+    serve both determinants.  A cycle is walked as its path R after the
+    first vertex, beside that vertex as R's apex, so its block is
+    d_1 D(R) - w(R); the walk round the cycle that holds last starts there,
+    so without last it opens into R.  On a path, the part before last is
+    walked forward and the part after it from the far end, and _join gives
+    the whole block.
     """
     apex, blocks = shape.apex, shape.blocks
     b, i = shape.last or (None, None)
@@ -278,20 +257,17 @@ def _shape_det(shape: MinorShape) -> tuple[int, int | None]:
     for c, (degrees, flags, cycle) in enumerate(blocks):
         if c == b:
             continue
-        if cycle:
-            terms.append((_cycle_terms(degrees)[0], 0))
-        elif apex is None:
-            terms.append((_continuant(degrees), 0))
-        else:
-            terms.append(_apex_terms(degrees, flags))
+        # a cycle's walk skips its first vertex, R's apex
+        det, _, w, _, _ = _apex_state(degrees[cycle:], flags[cycle:])
+        terms.append((_beside(degrees[0], det, w), 0) if cycle else (det, w))
     prod, cross = _fold(terms)
     if b is None:
         # no vertex is last, or the apex is: without it, the blocks alone
         return _beside(apex, prod, cross), None if shape.last is None else prod
     degrees, flags, cycle = blocks[b]
     if cycle:
-        whole, opened = _cycle_terms(degrees)
-        block, parts = [(whole, 0)], [(opened, 0)]
+        opened, _, w, _, _ = _apex_state(degrees[1:], flags[1:])
+        block, parts = [(_beside(degrees[0], opened, w), 0)], [(opened, 0)]
     else:
         prefix = _apex_state(degrees[:i], flags[:i])
         suffix = _apex_state(degrees[:i:-1], flags[:i:-1])
@@ -425,7 +401,12 @@ def _shape(nbrs: Neighbours, drop: set[int], last: int | None) -> MinorShape | N
             v = w
         if where is None and last in path:
             where = len(blocks), path.index(last)
-        blocks.append((list(map(deg.__getitem__, path)), list(map(flag.__getitem__, path)), cycle))
+        flags = list(map(flag.__getitem__, path))
+        if cycle:
+            # there is no apex, so every flag is 0: the cycle's first vertex
+            # is the apex of the path after it, and meets that path's two ends
+            flags[1] = flags[-1] = 1
+        blocks.append((list(map(deg.__getitem__, path)), flags, cycle))
     if last is not None and where is None:
         where = None, None  # last is the apex
     return MinorShape(blocks, apex, where)

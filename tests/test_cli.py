@@ -587,16 +587,42 @@ def test_count_trees_on_wheel_20000_takes_the_shape_route():
 
 def test_a_corrupt_apex_term_of_the_shape_route_is_caught(capsys, monkeypatch):
     # fault injection in the style of criterion 10: one too many on each
-    # path's apex term w leaves every wheel minor that keeps the center wrong
-    def corrupt(degrees, flags, _original=kirchhoff._apex_terms):
-        det, w = _original(degrees, flags)
-        return det, w + 1
+    # path's apex term w leaves every wheel minor that keeps the center wrong;
+    # a bare path's w is never read, and neither command meets a cycle, so
+    # only the paths beside the center see it
+    def corrupt(degrees, flags, _original=kirchhoff._apex_state):
+        det, det_before, w, w_before, s = _original(degrees, flags)
+        return det, det_before, w + 1, w_before, s
 
-    monkeypatch.setattr(kirchhoff, "_apex_terms", corrupt)
+    monkeypatch.setattr(kirchhoff, "_apex_state", corrupt)
     code, out, _ = run_cli(capsys, "count", "forests", "--graph", "wheel:9", "--separate", "1,4", "--method", "all")
     assert code == 1
     assert out.endswith("MISMATCH: methods disagree\n")
     code, out, _ = run_cli(capsys, "verify", "--suite", "forests", "--max-n", "12")
+    assert code == 1
+
+
+def test_a_cycle_whose_first_vertex_meets_one_end_of_its_path_is_caught(capsys, monkeypatch):
+    # a cycle is the path R after its first vertex, beside that vertex as R's
+    # apex; with R's last end unflagged, w(R) loses D(R without its last) + 2,
+    # so every tree count of a wheel is wrong, while the opened path that a
+    # resistance reads as its forest count is not
+    def corrupt(nbrs, drop, last, _original=kirchhoff._shape):
+        shape = _original(nbrs, drop, last)
+        for _, flags, cycle in shape.blocks if shape else ():
+            if cycle:
+                flags[-1] = 0
+        return shape
+
+    monkeypatch.setattr(kirchhoff, "_shape", corrupt)
+    code, out, _ = run_cli(capsys, "count", "trees", "--graph", "wheel:9", "--method", "all")
+    assert code == 1
+    assert out.endswith("MISMATCH: methods disagree\n")
+    # vertex 3 goes last, on the rim cycle left without the center
+    code, out, _ = run_cli(capsys, "resist", "--graph", "wheel:9", "--pair", "0,3", "--method", "all")
+    assert code == 1
+    assert out.endswith("MISMATCH: methods disagree\n")
+    code, out, _ = run_cli(capsys, "verify", "--suite", "trees", "--max-n", "12")
     assert code == 1
 
 
@@ -685,13 +711,32 @@ FUZZ_EDGES = ("1-2,2-3,0-4", "1-2,0-2,0-3"), ("0-1,1-0", "1-2,3", "", "a-b")
 FUZZ_SUITES = (*verify.SUITES, "all", "bogus")
 FUZZ_MAX_N = ("-1", "0", "1", "3", "6")
 FUZZ_CAPS = ("-1", "0", "3", "5", "8")
-# file: graphs by name; missing.txt is never written
+# oeis's sequences, and one it does not have
+FUZZ_SEQUENCES = (*(form.sequence for form in verify.CLOSED_FORMS if form.sequence), "bogus")
+# file: graphs by name; missing.txt is never written.  Past empty.txt, each
+# is one edit of the path 0-1-2, malformed or unusual; huge.txt's 10^11
+# vertices with one edge hold every route to allocating nothing per vertex
+_PATH = format_edge_list(3, [(0, 1), (1, 2)])
 FUZZ_FILES = {
     "k4.txt": format_edge_list(4, combinations(range(4), 2)),
     "split.txt": format_edge_list(4, [(0, 1), (2, 3)]),
     "forest.txt": "V 5\n0 4\n1 2\n2 3\n",
     "bad.txt": "V 3\n0 x\n",
     "empty.txt": "",
+    "duplicate.txt": _PATH + "0 1\n",
+    "reversed.txt": _PATH + "1 0\n",
+    "loop.txt": _PATH + "1 1\n",
+    "out-of-range.txt": _PATH + "0 3\n",
+    "three-fields.txt": _PATH + "0 1 2\n",
+    "bare-v.txt": _PATH.replace("V 3", "V"),
+    "v0.txt": "V 0\n",
+    "v-2.txt": "V -2\n",
+    "full-width.txt": _PATH.replace("2\n", "\uff12\n"),
+    "bom.txt": "\ufeff" + _PATH,
+    "crlf.txt": _PATH.replace("\n", "\r\n"),
+    "tabs.txt": _PATH.replace("0 1", "0\t1").replace("1 2", "1\t2"),
+    "comment.txt": _PATH + "0 2 # comment\n",
+    "huge.txt": "V 100000000000\n0 1\n",
 }
 
 
@@ -706,8 +751,13 @@ def cli_argvs(draw, folder):
     specs = st.sampled_from(["wheel:", "fan:"]).flatmap(lambda family: sizes.map(family.__add__))
     graph = draw(st.one_of(specs, specs, st.sampled_from(files).map("file:".__add__)))
     pair = draw(_halves(*FUZZ_PAIRS))
-    command = draw(st.sampled_from(["count trees", "count forests", "resist", "enumerate", "bijection", "verify"]))
+    commands = ["count trees", "count forests", "resist", "enumerate", "bijection", "verify", "oeis"]
+    command = draw(st.sampled_from(commands))
     cap = ["--enum-cap", draw(st.sampled_from(FUZZ_CAPS))]
+    if command == "oeis":
+        argv = ["oeis", "--sequence", draw(st.sampled_from(FUZZ_SEQUENCES))]
+        argv += ["--max-n", str(draw(st.integers(-1, 40)))]
+        return argv + (["--bfile"] if draw(st.booleans()) else [])
     if command == "verify":
         suite, max_n = draw(st.sampled_from(FUZZ_SUITES)), draw(st.sampled_from(FUZZ_MAX_N))
         return ["verify", "--suite", suite, "--max-n", max_n, *cap]
@@ -721,7 +771,7 @@ def cli_argvs(draw, folder):
             return argv + (["--n", draw(sizes)] if draw(st.booleans()) else [])
         return argv + ["--n", draw(sizes), "--edges", draw(_halves(*FUZZ_EDGES))]
     if command == "enumerate":
-        argv = ["enumerate", draw(st.sampled_from(["trees", "forests"])), "--graph", graph]
+        argv = ["enumerate", draw(st.sampled_from(["trees", "forests", "tau"])), "--graph", graph]
         argv += cap if draw(st.booleans()) else []
         return argv + (["--separate", pair] if draw(st.booleans()) else [])
     argv = command.split() + ["--graph", graph]
@@ -739,16 +789,13 @@ def cli_argvs(draw, folder):
 def fuzz_folder(tmp_path_factory):
     folder = tmp_path_factory.mktemp("fuzz")
     for name, text in FUZZ_FILES.items():
-        (folder / name).write_text(text)
+        (folder / name).write_text(text, encoding="utf-8")
     return folder
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_every_exit_code_keeps_the_cli_contract(fuzz_folder, data):
+def _keeps_the_cli_contract(*argv):
     # 0; or 2 with one error line on stderr; or 1 only beside a MISMATCH or
     # FAIL line on stdout; and main never raises
-    argv = data.draw(cli_argvs(fuzz_folder))
     code, out, err = run_quiet(*argv)
     if code == 0:
         assert err == ""
@@ -758,6 +805,28 @@ def test_every_exit_code_keeps_the_cli_contract(fuzz_folder, data):
         assert lines and [line for line in lines if "error: " in line] == lines[-1:]
     else:
         assert code == 1 and re.search("^(MISMATCH|FAIL)", out, re.MULTILINE)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_every_exit_code_keeps_the_cli_contract(fuzz_folder, data):
+    _keeps_the_cli_contract(*data.draw(cli_argvs(fuzz_folder)))
+
+
+@pytest.mark.parametrize("name", [*FUZZ_FILES, "missing.txt"])
+def test_every_fuzz_file_keeps_the_cli_contract_on_every_command_that_reads_it(fuzz_folder, name):
+    # the fuzz draws its files at random, and 200 draws miss some of them
+    graph, path = f"file:{fuzz_folder / name}", str(fuzz_folder / name)
+    for argv in [
+        ["count", "trees", "--graph", graph, "--method", "all"],
+        ["count", "forests", "--graph", graph, "--separate", "0,2", "--method", "all"],
+        ["resist", "--graph", graph, "--pair", "0,2", "--method", "all"],
+        ["enumerate", "trees", "--graph", graph],
+        ["enumerate", "forests", "--graph", graph, "--separate", "0,2"],
+        ["bijection", "forward", "--file", path],
+        ["bijection", "inverse", "--file", path],
+    ]:
+        _keeps_the_cli_contract(*argv)
 
 
 # sha256 of `enumerate trees --graph wheel:12`, recorded before the blocks were streamed
