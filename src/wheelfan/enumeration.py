@@ -6,14 +6,15 @@ union-find, and the output order is the lexicographic order of the chosen
 edge subsets, so runs are deterministic and duplicate-free.  Each part keeps
 an int bitmask of the edges with exactly one end in it, and the walk carries
 the mask of edges between two parts, so a call reads its candidate edges off
-the masks: it never tries an edge that would close a cycle nor, for
-separating two-forests, one that would join u's part to v's, and each
-subset the walk reaches is one the caller keeps.  A spanning tree leaves no
-vertex alone, and a separating forest none but u or v, so the walk for
-those returns from a call once it is past some such vertex's last edge with
-that vertex still a singleton: no later edge can reach it.  The walk for
-the arc forests of a wheel may leave the center or a rim vertex alone and
-is not pruned that way.  The prune changes neither the output nor its order.
+the masks: it never tries an edge that would close a cycle, and each subset
+the walk reaches is one the caller keeps.  A two-forest of g separating u
+from v is a spanning tree of g/uv, g with u and v merged into one vertex, so
+F(u|v) = tau(G/uv) (Chaiken's all-minors matrix-tree theorem, two vertices):
+that walk merges u and v first and is then the tree walk of g/uv.  When the
+walk must end in one part, it returns from a call once it is past some
+vertex's last edge with that vertex still a singleton: no later edge can
+reach it.  The walk for the arc forests of a wheel ends in two parts and is
+not pruned that way.  The prune changes neither the output nor its order.
 
 Three limits keep a run finite: the vertex cap, a work budget and the walk's
 depth.  Before it walks, an enumerator takes its exact output size from a
@@ -84,22 +85,22 @@ def _acyclic_subsets(
     # edges with exactly one end in r's part.  The walk carries crossing, the
     # edges between two parts; a union of parts a and b clears their common
     # edges cut[a] & cut[b] from it and gives the joined part cut[a] ^ cut[b].
+    # Given apart = (u, v), that union of u and v, v under u, is made before
+    # the walk, which is then the tree walk of g/uv: F(u|v) = tau(G/uv).
     # A call's candidates are the crossing edges in [start, total - need],
-    # minus, when apart = (u, v) is given, those between u's part and v's,
     # taken lowest bit first, so the order is lexicographic and no edge that
-    # closes a cycle or joins u to v is ever tried.  With two edges left the
-    # second is any candidate after the first once the first's ends are
-    # joined, read off the masks with no union and no deeper call, so the
-    # walk recurses once per chosen edge but the last two.  A call returns
-    # once it is past the last edge of a vertex that must not be alone and
-    # that vertex is still a singleton: no later sibling can reach it.  Every
-    # edge of such a singleton is a candidate, so checking after each
-    # candidate misses none.
+    # closes a cycle is ever tried.  With two edges left the second is any
+    # candidate after the first once the first's ends are joined, read off
+    # the masks with no union and no deeper call, so the walk recurses once
+    # per chosen edge but the last two.  When size is the starting part count
+    # minus one, so that the walk ends in one part, a call returns once it is
+    # past a vertex's last edge and that vertex is still a singleton: no later
+    # sibling can reach it.  Every edge of such a singleton is a candidate, so
+    # checking after each candidate misses none.  The merged u, of rank 2,
+    # and v, under u, are never singletons.
     if size == 0:
         return [()]  # a 1-vertex tree, or a 2-vertex separating forest
     edges = g.edges
-    if size == 1:  # any one edge, but the one joining u to v
-        return [(e,) for e in edges if apart is None or e != canonical_edge(*apart)]
     total = len(edges)
     if size > total:
         return []
@@ -109,29 +110,28 @@ def _acyclic_subsets(
     for idx, (a, b) in enumerate(edges):
         cut[a] |= 1 << idx
         cut[b] |= 1 << idx
+    crossing = (1 << total) - 1
+    if apart is not None:
+        u, v = apart
+        crossing &= ~(cut[u] & cut[v])
+        parent[v] = u
+        rank[u] = 2
+        cut[u] ^= cut[v]
+    if size == 1:  # any one crossing edge
+        return [(e,) for idx, e in enumerate(edges) if crossing >> idx & 1]
     chosen: list[Edge] = []
     out: list[tuple[Edge, ...]] = []
-    # closing[idx]: the vertices that must not be alone and whose last edge is idx
+    # closing[idx]: the vertices whose last edge is idx, when none may stay alone
     closing: list[tuple[int, ...]] = [()] * total
-    if size == g.vertex_count - 1 or apart is not None:
+    if size == g.vertex_count - 1 - (apart is not None):
         final = {}
         for idx, (a, b) in enumerate(edges):
             final[a] = final[b] = idx
         for w, idx in final.items():
-            if apart is None or w not in apart:
-                closing[idx] += (w,)
+            closing[idx] += (w,)
 
     def walk(start: int, need: int, crossing: int):
-        ru = rv = -1  # roots are never negative: without a pair no part is kept apart
-        between = 0  # the edges between u's part and v's
-        if apart is not None:
-            ru, rv = apart
-            while parent[ru] != ru:
-                ru = parent[ru]
-            while parent[rv] != rv:
-                rv = parent[rv]
-            between = cut[ru] & cut[rv]
-        candidates = crossing & ~between & ((2 << (total - need)) - (1 << start))
+        candidates = crossing & ((2 << (total - need)) - (1 << start))
         pair = need == 2
         if pair:
             prefix = tuple(chosen)
@@ -148,14 +148,7 @@ def _acyclic_subsets(
             ca = cut[ra]
             cb = cut[rb]
             if pair:
-                # the edges the union would leave between u's part and v's
-                if ru == ra or ru == rb:
-                    between_after = (ca ^ cb) & cut[rv]
-                elif rv == ra or rv == rb:
-                    between_after = cut[ru] & (ca ^ cb)
-                else:
-                    between_after = between
-                lasts = crossing & ~(ca & cb) & ~between_after & -(low << 1)
+                lasts = crossing & ~(ca & cb) & -(low << 1)
                 pre = prefix + (edge,)
                 while lasts:
                     bit = lasts & -lasts
@@ -177,7 +170,7 @@ def _acyclic_subsets(
                 if parent[w] == w and rank[w] == 1:
                     return
 
-    walk(0, size, (1 << total) - 1)
+    walk(0, size, crossing)
     return out
 
 
@@ -211,7 +204,7 @@ def enum_two_forests(g: LabeledGraph, u: int, v: int, count, cap: int = DEFAULT_
     parts = components(g, g.edges)
     if len(parts) > 2 or (len(parts) == 2 and (u in parts[0]) == (v in parts[0])):
         return []
-    # V-2 acyclic edges leave exactly two parts, and the walk keeps u and v apart
+    # g/uv has V-1 vertices, so each of its spanning trees is V-2 edges of g
     return _acyclic_subsets(g, g.vertex_count - 2, (u, v))
 
 

@@ -216,11 +216,12 @@ def format_edge_list(vertex_count: int, edges: Iterable[Edge]) -> str:
 
 
 def parse_edge_list(text: str) -> LabeledGraph:
-    lines = [s for ln in text.splitlines() if (s := ln.strip()) and not s.startswith("#")]
-    if not lines or not lines[0].startswith("V "):
+    # a UTF-8 byte-order mark is not whitespace, so strip() would keep it
+    lines = [s for ln in text.removeprefix("\ufeff").splitlines() if (s := ln.strip()) and not s.startswith("#")]
+    if not lines or len(head := lines[0].split()) < 2 or head[0] != "V":
         raise Refusal('edge list must start with a "V <vertex_count>" line')
     try:
-        vertex_count = _parse_int(lines[0][2:].strip(), "vertex count")
+        vertex_count = _parse_int(lines[0][1:].lstrip(), "vertex count")
     except Refusal:
         raise Refusal(f"bad vertex count line: {lines[0]!r}") from None
     edges = []

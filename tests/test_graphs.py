@@ -296,7 +296,10 @@ def test_edge_list_rejects(text, needle):
 
 
 def test_edge_list_fields_may_be_spaced_freely():
-    assert parse_edge_list("V   3\n0 \t 1\n  1  2  \n") == make_graph(3, [(0, 1), (1, 2)])
+    # the header splits as the edge lines do, after one UTF-8 byte-order mark
+    path = make_graph(3, [(0, 1), (1, 2)])
+    for text in ("V   3\n0 \t 1\n  1  2  \n", "V\t3\n0 1\n1 2\n", "\ufeffV 3\n0 1\n1 2\n"):
+        assert parse_edge_list(text) == path
 
 
 def test_edge_list_skips_comment_lines():
