@@ -185,8 +185,7 @@ def rotate_rim_labels(edges: Iterable[Edge], shift: int, n: int) -> tuple[Edge, 
             x, y = label[a], label[b]
         except KeyError as missing:
             raise Refusal(f"vertex {missing.args[0]} is not a rim vertex of a wheel with {n} rim vertices") from None
-        # canonical_edge only where it has work: a swap, or a loop to refuse
-        moved.append((x, y) if x < y else canonical_edge(x, y))
+        moved.append(canonical_edge(x, y))
     return tuple(sorted(moved))
 
 

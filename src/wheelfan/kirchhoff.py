@@ -18,12 +18,12 @@ neighbour lists; no route builds it as an n x n array.  The dense matrix,
 its natural-order minors and textbook Bareiss live in tests/oracles.py, as
 the references the tests check the routes against.
 
-Every minor the CLI asks of a wheel or a fan has a graph of paths and
-cycles, or of paths and one apex (the center or hub), and _ordered_minor
-first tries that shape from the neighbour lists alone, whatever graph they
-came from.  A count of the kept edges refuses most other minors at once;
-one scan then picks the apex, the kept vertex of highest degree above 2,
-and walks the rest, which must be paths, or cycles when there is no apex.
+Every minor the CLI asks of a wheel or a fan, the empty one included, has
+a graph of paths and cycles, or of paths and one apex (the center or hub),
+so every one of them takes the shape route.  _ordered_minor first tries
+that shape from the neighbour lists alone, whatever graph they came from:
+one scan picks the apex, the kept vertex of highest degree above 2, and
+walks the rest, which must be paths, or cycles when there is no apex.
 A minor that fits is a MinorShape, whose determinant needs no division.
 One recurrence evaluates every block: along a path's degrees it carries
 the continuant D_j = d_j D_{j-1} - D_{j-2} and, beside it, w, the apex's
@@ -281,10 +281,10 @@ def det_exact(matrix: list[dict[int, int]] | MinorShape) -> tuple[int, int | Non
 
     leading is the determinant without the vertex ordered last, off the
     same pass, and None when there is no such block: a MinorShape with no
-    last, or the empty minor, whose det is 1.  A MinorShape is evaluated by
-    the continuants of the module docstring, and min-degree rows are
-    consumed by the symmetric sparse Bareiss pass, leading being the
-    divisor of its last step.
+    last, the empty one among them, whose det is 1.  A MinorShape is
+    evaluated by the continuants of the module docstring, and min-degree
+    rows are consumed by the symmetric sparse Bareiss pass, leading being
+    the divisor of its last step.
     """
     if isinstance(matrix, MinorShape):
         return _shape_det(matrix)
@@ -349,12 +349,6 @@ def _shape(nbrs: Neighbours, drop: set[int], last: int | None) -> MinorShape | N
     paths and cycles, and with an apex only paths.
     """
     n = len(nbrs)
-    # paths and an apex keep at most 2(k-1) of the edges, cycles alone at
-    # most k: twice the kept edge count is the degree sum less, per dropped
-    # vertex, twice its degree and once each dropped neighbour
-    lost = sum(2 * len(nbrs[d]) - len(drop.intersection(nbrs[d])) for d in drop)
-    if sum(map(len, nbrs)) - lost > 4 * (n - len(drop) - 1):
-        return None
     # red[v] is v's degree among the kept vertices other than the apex, and
     # negative for the dropped vertices, the apex and, later, walked vertices
     deg = list(map(len, nbrs))

@@ -21,9 +21,10 @@ import wheelfan.formulas
 from wheelfan import bijection, cli, enumeration, kirchhoff, verify
 from wheelfan.cli import main
 from wheelfan.enumeration import enum_arc_forests, enum_spanning_trees, enum_two_forests
-from wheelfan.graphs import Refusal, format_edge_list, make_fan, make_graph, make_wheel
+from wheelfan.graphs import Refusal, components, format_edge_list, make_fan, make_graph, make_wheel
 from wheelfan.sequences import fib
 from strategies import graphs
+from test_kirchhoff import _labeled_graphs
 from test_report import full_decimal
 
 
@@ -223,6 +224,38 @@ def test_every_route_treats_a_vertex_pair_alike(data):
         code, out, err = results.pop()
         valid = u != v and 0 <= u <= n and 0 <= v <= n
         assert (code, out == "", err == "") == ((0, False, True) if valid else (2, True, False))
+
+
+def test_every_query_on_every_graph_of_at_most_four_vertices(tmp_path, capsys):
+    # bounded-exhaustive through the CLI: the 75 labeled graphs on 1..4
+    # vertices as file: specs, every pair, every route.  The tree count of
+    # one vertex and the forest counts of two are the empty minor.  A pair
+    # split over two parts has infinite resistance; on a connected graph the
+    # resistance is the printed forest count over the printed tree count
+    def value(*args):
+        code, out, err = run_cli(capsys, *args, "--method", "all")
+        assert (code, err) == (0, ""), args
+        found = dict(line.split(": ") for line in out.splitlines())
+        assert "minor" in found and len(set(found.values())) == 1, (args, out)
+        return Fraction(found["minor"])
+
+    for i, g in enumerate(_labeled_graphs(4)):
+        path = tmp_path / f"g{i}.txt"
+        path.write_text(format_edge_list(g.vertex_count, g.edges))
+        spec = f"--graph=file:{path}"
+        trees = value("count", "trees", spec)
+        part = {w: p for p, vertices in enumerate(components(g, g.edges)) for w in vertices}
+        for u, v in combinations(range(g.vertex_count), 2):
+            pair = f"{u},{v}"
+            forests = value("count", "forests", spec, "--separate", pair)
+            if part[u] != part[v]:
+                args = ("resist", spec, "--pair", pair, "--method", "all")
+                assert run_cli(capsys, *args) == (2, "", "error: infinite resistance: graph is disconnected\n")
+                continue
+            resistance = value("resist", spec, "--pair", pair)
+            if trees:
+                assert resistance == forests / trees, (g, u, v)
+    assert i == 74
 
 
 @pytest.mark.parametrize(

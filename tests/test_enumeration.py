@@ -329,6 +329,12 @@ def test_full_rim_arc_start_follows_missing_edge():
     assert rim_arc_of(4, [(1, 2), (3, 4), (1, 4)]) == (3, 4)
 
 
+def test_an_edge_set_whose_every_run_meets_a_spoke_has_no_arc():
+    # each rim vertex of wheel:3 is a run of its own, and its spoke meets it
+    with pytest.raises(Refusal, match="^edge set has no center-free rim arc$"):
+        rim_arc_of(3, [(0, 1), (0, 2), (0, 3)])
+
+
 @pytest.mark.parametrize("n", range(3, 8))
 def test_arc_rule_matches_the_center_free_part(n):
     # the two-component forests come from all (n-1)-subsets and a union-find,

@@ -309,8 +309,8 @@ def _bareiss(L, drop, last=None):
 
 def _by_shape(L, drop, last=None):
     minor = kirchhoff._ordered_minor(L, drop, last)
-    # every minor of a wheel or a fan fits, but for the empty one of fan:1
-    assert isinstance(minor, kirchhoff.MinorShape) or minor == []
+    # every minor of a wheel or a fan fits, the empty one of fan:1 too
+    assert isinstance(minor, kirchhoff.MinorShape)
     det, leading = det_exact(minor)
     # with no vertex last there is no block without it
     assert (leading is None) == (last is None)
@@ -434,7 +434,7 @@ def test_one_walk_per_resistance_matches_bareiss_wherever_last_sits(data):
     ids=["apex-beside-a-cycle", "degree-3-off-the-apex", "two-apexes"],
 )
 def test_near_miss_shapes_take_the_generic_route(n, edges, drop):
-    # each keeps at most 2(k-1) edges of k vertices, so only the scan refuses it
+    # each is one step from paths and cycles, or paths and one apex: the scan refuses it
     L = laplacian(make_graph(n, edges))
     trees = bareiss_det(dense_minor(L, drop))
     for v in [None, *set(range(n)) - drop]:
