@@ -66,9 +66,10 @@ from collections import Counter
 from typing import NamedTuple
 
 from .graphs import (
-    Edge, Refusal, _check_path, _check_rim, canonical_edge, is_spanning_tree, make_fan, rotate_rim_labels,
+    DEFAULT_ENUM_CAP, Edge, Refusal, _check_path, _check_rim, canonical_edge, is_spanning_tree, make_fan,
+    rotate_rim_labels,
 )
-from .enumeration import DEFAULT_ENUM_CAP, WheelForest, enum_arc_forests, rotation_class_representative
+from .enumeration import WheelForest, enum_arc_forests, rotation_class_representative
 from .kirchhoff import count_spanning_trees
 
 

@@ -8,6 +8,10 @@ verify.answer, which picks the routes --method names, and oeis from the rows
 of verify.CLOSED_FORMS, the one table of closed forms the verify suites
 check; this module only parses the query and prints.
 It is the one front end: a b-file is `wheelfan oeis ... --bfile > FILE`.
+Importing it runs verify, graphs, report and sequences, all that building
+the parser needs; kirchhoff, enumeration, bijection and formulas run on the
+first command that reads them, so a count on the minor route never loads the
+brute-force or bijection layers.
 """
 
 from __future__ import annotations
@@ -20,19 +24,21 @@ import sys
 from itertools import islice
 from pathlib import Path
 
-from . import bijection, kirchhoff, verify
-from .enumeration import DEFAULT_ENUM_CAP, enum_arc_forest_edges, enum_spanning_trees, enum_two_forests
+from . import lazy_module, verify
 from .graphs import (
-    LabeledGraph, Refusal, _check_distinct, _check_vertices, _parse_int, format_edge_list, make_fan, make_wheel,
-    parse_edge_list,
+    DEFAULT_ENUM_CAP, LabeledGraph, Refusal, _check_distinct, _check_vertices, _parse_int, format_edge_list, make_fan,
+    make_wheel, parse_edge_list,
 )
 from .report import format_int, summary_line
+
+# run on the first command that reads them, not when the parser is built
+bijection, enumeration, kirchhoff = map(lazy_module, ("bijection", "enumeration", "kirchhoff"))
 
 
 def _read_edge_list(path: str) -> LabeledGraph:
     """The graph in an edge-list file; text that will not decode, or a NUL in the path, is refused."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except ValueError as exc:
         raise Refusal(str(exc)) from None
     return parse_edge_list(text)
@@ -158,14 +164,14 @@ _WRITE_CHUNK = 512
 def cmd_enumerate(args) -> int:
     kind, size, g = _parse_graph(args.graph)
     if args.object == "trees":
-        blocks = enum_spanning_trees(g, lambda: kirchhoff.count_spanning_trees(g), cap=args.enum_cap)
+        blocks = enumeration.enum_spanning_trees(g, lambda: kirchhoff.count_spanning_trees(g), cap=args.enum_cap)
     elif args.object == "forests":
         u, v = _separated_pair(args, g)
-        blocks = enum_two_forests(g, u, v, lambda: kirchhoff.count_two_forests(g, u, v), cap=args.enum_cap)
+        blocks = enumeration.enum_two_forests(g, u, v, lambda: kirchhoff.count_two_forests(g, u, v), cap=args.enum_cap)
     else:
         if kind != "wheel":
             raise Refusal("enumerate tau requires --graph wheel:N")
-        blocks = enum_arc_forest_edges(size, cap=args.enum_cap)
+        blocks = enumeration.enum_arc_forest_edges(size, cap=args.enum_cap)
     # each block is a subsequence of g.edges in order, so its text is the
     # header and its edges' lines of g's own edge list, formatted once here
     header, *lines = format_edge_list(g.vertex_count, g.edges).splitlines(keepends=True)

@@ -50,13 +50,12 @@ import sys
 from typing import NamedTuple
 
 from .graphs import (
-    Edge, LabeledGraph, Refusal, _check_distinct, _check_rim, _check_vertices, canonical_edge, components, make_wheel,
-    rotate_rim_labels,
+    DEFAULT_ENUM_CAP, Edge, LabeledGraph, Refusal, _check_distinct, _check_rim, _check_vertices, canonical_edge,
+    components, make_wheel, rotate_rim_labels,
 )
 from .report import format_int
 from .sequences import fib
 
-DEFAULT_ENUM_CAP = 10
 # most subsets any one enumeration may emit; K8's 262,144 trees fit, K10's 10^8 do not
 ENUM_BUDGET = 10**6
 

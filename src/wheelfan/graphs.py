@@ -26,6 +26,7 @@ Edge = tuple[int, int]
 
 MIN_RIM = 3  # the wheel W_{n+1}: rim 1..n around the center 0
 MIN_PATH = 1  # the fan F_m: path 1..m beside the hub 0
+DEFAULT_ENUM_CAP = 10  # most vertices a graph may have for the brute-force enumerators
 
 
 class Refusal(ValueError):

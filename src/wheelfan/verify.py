@@ -22,11 +22,13 @@ import functools
 from itertools import chain
 from typing import Callable, NamedTuple
 
-from . import bijection, enumeration, formulas, kirchhoff
-from .enumeration import DEFAULT_ENUM_CAP
-from .graphs import MIN_PATH, MIN_RIM, LabeledGraph, Refusal, make_fan, make_wheel
+from . import lazy_module
+from .graphs import DEFAULT_ENUM_CAP, MIN_PATH, MIN_RIM, LabeledGraph, Refusal, make_fan, make_wheel
 from .report import Check, equality_check, format_fraction, format_int, info_check
 from .sequences import fib, lucas
+
+# run on the first check or route that reads them, not when a suite is named
+bijection, enumeration, formulas, kirchhoff = map(lazy_module, ("bijection", "enumeration", "formulas", "kirchhoff"))
 
 Plan = list[tuple[range, Callable[[int], Callable[[], list[Check]]]]]
 

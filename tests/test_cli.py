@@ -1,6 +1,6 @@
-import ast
 import hashlib
 import io
+import json
 import os
 import re
 import resource
@@ -394,6 +394,36 @@ def test_a_file_that_is_not_utf8_is_refused_with_the_decoders_message(tmp_path, 
     proc = subprocess.run([sys.executable, "-m", "wheelfan", *args], capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+
+
+# the C locale, with neither UTF-8 mode nor locale coercion: the locale's encoding is ASCII
+_C_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+
+def _run_in_c_locale(*args):
+    env = {**os.environ, **_C_LOCALE}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_an_edge_list_file_is_read_as_utf8_under_an_ascii_locale(tmp_path):
+    # an edge-list file is UTF-8 whatever the locale, and its byte-order mark is skipped
+    assert _run_in_c_locale("-c", "import locale; print(locale.getencoding())").stdout == "ANSI_X3.4-1968\n"
+    tree = tmp_path / "path.txt"
+    tree.write_bytes("\ufeffV 3\n0 1\n1 2\n".encode())
+    forest = tmp_path / "forest.txt"
+    forest.write_bytes("\ufeffV 5\n0 4\n1 2\n2 3\n".encode())
+    proc = _run_in_c_locale("-m", "wheelfan", "count", "trees", "--graph", f"file:{tree}")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
+    inline = _run_in_c_locale("-m", "wheelfan", "bijection", "forward", "--n", "4", "--edges", "0-4,1-2,2-3")
+    proc = _run_in_c_locale("-m", "wheelfan", "bijection", "forward", "--file", str(forest))
+    assert inline.returncode == 0 and inline.stdout
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, inline.stdout, "")
+    # and a byte that is not UTF-8 is still refused with the decoder's one line
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"V 3\n0 1\n1 2 # caf\xe9\n")
+    proc = _run_in_c_locale("-m", "wheelfan", "count", "trees", "--graph", f"file:{latin1}")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: 'utf-8' codec can't decode byte 0xe9") and proc.stderr.count("\n") == 1
 
 
 def test_a_path_with_a_nul_byte_is_refused(capsys):
@@ -1086,7 +1116,7 @@ def test_enumerate_writes_every_block_across_chunk_boundaries(tmp_path, capsys, 
     path.write_text(format_edge_list(7, combinations(range(7), 2)))
     k7 = make_graph(7, combinations(range(7), 2))
     blocks = enum_spanning_trees(k7, lambda: kirchhoff.count_spanning_trees(k7))[:n]
-    monkeypatch.setattr(cli, "enum_spanning_trees", lambda g, count, cap: blocks)
+    monkeypatch.setattr(enumeration, "enum_spanning_trees", lambda g, count, cap: blocks)
     expected = "\n".join(format_edge_list(7, b) for b in blocks)
     assert run_cli(capsys, "enumerate", "trees", "--graph", f"file:{path}") == (0, expected, "")
 
@@ -1656,20 +1686,37 @@ def test_readme_examples_reproduce(capsys, command, shown):
         assert code == 0, err
 
 
+# runs the block on stdin statement by statement; prints, per statement, its
+# source, the repr of its value (None for a statement that is no expression)
+# and the comment that ends its last line
+_LIBRARY_RUNNER = """
+import ast, json, sys
+block = sys.stdin.read()
+lines, namespace, rows = block.splitlines(), {}, []
+for node in ast.parse(block).body:
+    code = ast.get_source_segment(block, node)
+    comment = lines[node.end_lineno - 1][node.end_col_offset :].strip().removeprefix("# ")
+    if isinstance(node, ast.Expr):
+        rows.append([code, repr(eval(code, namespace)), comment])
+    else:
+        exec(code, namespace)
+        rows.append([code, None, comment])
+print(json.dumps(rows))
+"""
+
+
 def test_readme_library_block_reproduces():
     # the python block under "## Library use": each expression line ends in
-    # "# repr" of its value; other statements run and carry no such comment
+    # "# repr" of its value; other statements run and carry no such comment.
+    # It runs in a fresh interpreter, where its imports load the math layers
+    # on first use, as they do for a reader
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
-    lines = block.splitlines()
-    namespace, shown = {}, 0
-    for node in ast.parse(block).body:
-        code = ast.get_source_segment(block, node)
-        comment = lines[node.end_lineno - 1][node.end_col_offset :].strip().removeprefix("# ")
-        if isinstance(node, ast.Expr):
-            assert repr(eval(code, namespace)) == comment, code
-            shown += 1
-        else:
-            assert not comment, code
-            exec(code, namespace)
-    assert shown >= 8
+    proc = subprocess.run(
+        [sys.executable, "-c", _LIBRARY_RUNNER], input=block, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(proc.stdout)
+    for code, value, comment in rows:
+        assert value == (comment or None), code
+    assert sum(value is not None for _, value, _ in rows) >= 8

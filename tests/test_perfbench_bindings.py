@@ -10,6 +10,9 @@ imported, never changed.
 
 import importlib.util
 import io
+import json
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -189,3 +192,53 @@ def test_enum_oracle_formats_each_graph_once_per_enumerate(tmp_path):
     stats = _trace_queries(tmp_path, "enum-oracle").aggregate()
     enumerates = sum(argv[0] == "enumerate" for argv in QUERY_ARGVS["enum-oracle"])
     assert stats["graphs.format_edge_list"]["calls"] == enumerates
+
+
+# the worker's order in a fresh interpreter: the package and cli first, the
+# tracer installed before any op has run a math layer, then the argvs on
+# stdin; prints the layers run before the install and the calls per name
+_WORKER_ORDER = """
+import contextlib, io, json, sys, types
+sys.path.insert(0, sys.argv[1])
+from spans import LAYERS, Tracer
+from wheelfan import cli, graphs
+ran = [layer for layer in LAYERS if type(sys.modules.get("wheelfan." + layer)) is types.ModuleType]
+tracer = Tracer()
+tracer.install()
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in json.load(sys.stdin)]
+tracer.uninstall()
+calls = {name: stats["calls"] for name, stats in tracer.aggregate().items()}
+print(json.dumps([ran, codes, calls]))
+"""
+
+
+def _argvs_and_calls(tmp_path, workload):
+    # the workload's argvs, and the calls per traced name they make in this process
+    if workload == "verify-sweep":
+        argvs, stats = [["verify", "--suite", "all", "--max-n", "6", "--enum-cap", "7"]], _trace_sweep()
+    else:
+        stats = _trace_queries(tmp_path, workload).aggregate()
+        path = tmp_path / "g.txt"
+        argvs = [[f"file:{path}" if arg == "FILE" else arg for arg in argv] for argv in QUERY_ARGVS[workload]]
+    return argvs, {name: entry["calls"] for name, entry in stats.items()}
+
+
+@pytest.mark.parametrize("workload", ["verify-sweep", *QUERY_ARGVS])
+def test_the_tracer_installed_before_the_layers_load_counts_every_call(tmp_path, workload):
+    # pytest has imported every layer before these tests run, so only a fresh
+    # interpreter shows that the tracer wraps the layers cli and verify load on
+    # first use, and that each call is counted once, as in the tests above
+    run = _load("run")
+    argvs, expected = _argvs_and_calls(tmp_path, workload)
+    proc = subprocess.run(
+        [sys.executable, "-c", _WORKER_ORDER, str(PERFBENCH)],
+        input=json.dumps(argvs), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    ran, codes, calls = json.loads(proc.stdout)
+    assert ran == ["cli", "verify", "sequences", "graphs"]
+    assert codes == [0] * len(argvs)
+    assert [name for name in run.COVERED[workload] if not calls.get(name)] == []
+    # the same calls, but for the shared parser: pytest's process built it before the tracer ran
+    assert calls == {**expected, "cli.build_parser": 1}
